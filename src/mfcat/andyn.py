@@ -26,16 +26,19 @@ from .factorization import (
     MatrixFactorization,
     MFMorphism,
     compose,
+    mf_new,
     mf_shift,
     mf_zero_object,
     morphism_new,
     rank_one,
+    shift_morphism,
     standard_triangle,
     zero_morphism,
 )
 from .fields import QQ, Field
-from .homotopy import LinearSystem, monomials_up_to_degree, _two_sided_inverse
+from .homotopy import HomComplex, LinearSystem, _two_sided_inverse
 from .matrices import PolyMatrix
+from .modules import cok, cok_induced_map, cyclic_module, stable_hom
 from .poly import Poly, RingContext
 
 
@@ -274,8 +277,6 @@ def realize_an_sum(ctx: RingContext, n: int, indices: Sequence[int]) -> MatrixFa
         [z ** (n - parts[i]) if i == j else ctx.zero() for j in range(rank)]
         for i in range(rank)
     ]
-    from .factorization import mf_new
-
     return mf_new(
         ctx,
         an_w(ctx, n),
@@ -323,8 +324,6 @@ def shift_identification(ctx: RingContext, n: int, mu: int) -> MFMorphism:
 
 
 def an_module(field: Field, n: int, mu: int):
-    from .modules import cyclic_module
-
     _check_index(n, mu)
     return cyclic_module(field, n, mu)
 
@@ -468,63 +467,21 @@ def certify_an_triangle(
     cone_obj, g_std, h_std = standard_triangle(f)
     if bound is None:
         bound = 2 * n
-    support = monomials_up_to_degree(ctx.nvars, bound)
+    hom_w = HomComplex(t, cone_obj)
+    hom_g = HomComplex(y, cone_obj)
+    hom_h = HomComplex(t, h.target)
     system = LinearSystem(ctx)
-    w1 = system.unknown("w1", cone_obj.rank, t.rank, lambda r, c: support)
-    w0 = system.unknown("w0", cone_obj.rank, t.rank, lambda r, c: support)
-    sg = system.unknown("sg", cone_obj.rank, y.rank, lambda r, c: support)
-    tg = system.unknown("tg", cone_obj.rank, y.rank, lambda r, c: support)
-    sh = system.unknown("sh", x.rank, t.rank, lambda r, c: support)
-    th = system.unknown("th", x.rank, t.rank, lambda r, c: support)
-    shifted = h.target
-    # w is a morphism T -> cone.
-    system.add_matrix_equation(
-        [(None, w1, t.p0, 1), (cone_obj.p0, w0, None, -1)],
-        None,
-        (cone_obj.rank, t.rank),
-    )
-    system.add_matrix_equation(
-        [(cone_obj.p1, w1, None, 1), (None, w0, t.p1, -1)],
-        None,
-        (cone_obj.rank, t.rank),
-    )
+    w = hom_w.unknowns(system, ("w1", "w0"), hom_w.bounded_supports(bound))
+    sg, tg = hom_g.unknowns(system, ("sg", "tg"), hom_g.bounded_supports(bound))
+    sh, th = hom_h.unknowns(system, ("sh", "th"), hom_h.bounded_supports(bound))
+    hom_w.equate(system, hom_w.closed(*w))
     # First square: w g - g_std = D(sg, tg) as maps Y -> cone.
-    system.add_matrix_equation(
-        [
-            (None, w1, g.f1, 1),
-            (cone_obj.p0, tg, None, -1),
-            (None, sg, y.p1, -1),
-        ],
-        g_std.f1,
-        (cone_obj.rank, y.rank),
-    )
-    system.add_matrix_equation(
-        [
-            (None, w0, g.f0, 1),
-            (None, tg, y.p0, -1),
-            (cone_obj.p1, sg, None, -1),
-        ],
-        g_std.f0,
-        (cone_obj.rank, y.rank),
+    hom_g.equate(
+        system, hom_g.compose(w, g), hom_g.boundary(sg, tg, -1), rhs=(g_std.f1, g_std.f0)
     )
     # Second square: h_std w - h = D(sh, th) as maps T -> X[1].
-    system.add_matrix_equation(
-        [
-            (h_std.f1, w1, None, 1),
-            (shifted.p0, th, None, -1),
-            (None, sh, t.p1, -1),
-        ],
-        h.f1,
-        (x.rank, t.rank),
-    )
-    system.add_matrix_equation(
-        [
-            (h_std.f0, w0, None, 1),
-            (None, th, t.p0, -1),
-            (shifted.p1, sh, None, -1),
-        ],
-        h.f0,
-        (x.rank, t.rank),
+    hom_h.equate(
+        system, hom_h.compose(h_std, w), hom_h.boundary(sh, th, -1), rhs=(h.f1, h.f0)
     )
     certificate = {
         "n": n,
@@ -579,8 +536,6 @@ def an_verify(
 
     Returns {"n", "ok", "checks": [record...]} with one record per check.
     """
-    from .modules import cok, cok_induced_map, stable_hom
-
     _check_n(n)
     ctx = an_context(field)
     checks: List[dict] = []
@@ -645,8 +600,6 @@ def an_verify(
             for lam in an_hom_basis(n, mu, nu):
                 a = an_basis_morphism(field, n, mu, nu, lam)
                 fa = realize_an_morphism(a, ctx)
-                from .factorization import shift_morphism
-
                 shifted = shift_morphism(fa)
                 src = cok(shifted.source)
                 dst = cok(shifted.target)

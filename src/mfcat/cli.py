@@ -39,6 +39,7 @@ USAGE_ERROR_PREFIXES = (
     "constant-superpotential",
     "not-composable",
     "shape-mismatch",
+    "non-quasi-homogeneous",
 )
 
 
@@ -219,7 +220,7 @@ def cmd_critical_values(args) -> int:
 
 
 def cmd_an_table(args) -> int:
-    field = field_from_token(args.field)
+    field_from_token(args.field)
     table = andyn.an_hom_table(args.n)
     sep = "," if args.csv else " "
     for row in table:

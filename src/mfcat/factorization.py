@@ -40,9 +40,6 @@ class MatrixFactorization:
     def __setattr__(self, name, value):
         raise AttributeError("MatrixFactorization is immutable")
 
-    def is_zero_object(self) -> bool:
-        return self.rank == 0
-
     def __eq__(self, other):
         if not isinstance(other, MatrixFactorization):
             return NotImplemented

@@ -6,6 +6,13 @@ unknown matrix entries get a finite monomial support (bounded total degree,
 or exact weighted degree in graded mode) and the defining identities become
 linear systems in the unknown coefficients.
 
+All of those systems live in the Z/2-graded complex Hom(X, Y) between
+X = (p1, p0) and Y = (q1, q0), and `HomComplex` is the one place that writes
+its equations.  An even pair f = (f1, f0) is a morphism exactly when
+f1 p0 = q0 f0 and q1 f1 = f0 p1; an odd pair (s, t) has the boundary
+D(s, t) = (q0 t + s p1, t p0 + q1 s), with no further signs.  The signs of
+a shifted object live in its matrices (X[1] = (-p0, -p1)), not here.
+
 Degree-bounded mode can only certify presence: it tries ansatz bounds
 upward from zero and returns the first solution with free variables set to
 zero, which makes witnesses canonical.  Graded mode, available when the
@@ -30,8 +37,11 @@ from .factorization import (
     Homotopy,
     MatrixFactorization,
     MFMorphism,
+    compose,
     identity_morphism,
+    morphism_add,
     morphism_new,
+    morphism_scale,
     morphism_sub,
 )
 from .matrices import PolyMatrix
@@ -81,10 +91,6 @@ class IsoResult:
     target_homotopy: Optional[Homotopy]  # bounds u v - id
     certificate: dict
 
-    @property
-    def is_iso(self) -> bool:
-        return self.status == "iso"
-
 
 def resolve_bound(policy: Optional[SearchPolicy], *objects_and_maps) -> int:
     """Explicit policy bound, else the environment, else the derived default.
@@ -103,25 +109,29 @@ def resolve_bound(policy: Optional[SearchPolicy], *objects_and_maps) -> int:
         if value < 0:
             raise ValueError(f"policy-infeasible: negative {DEFAULT_BOUND_ENV}")
         return value
-    degree = 0
+    matrices = []
     fiber = None
     for item in objects_and_maps:
         if isinstance(item, MatrixFactorization):
-            mats = [item.p1, item.p0]
+            matrices += [item.p1, item.p0]
             fiber = item.w
         elif isinstance(item, MFMorphism):
-            mats = [item.f1, item.f0]
+            matrices += [item.f1, item.f0]
             fiber = item.source.w
         else:
-            mats = [item]
-        for m in mats:
-            for row in m.entries:
-                for p in row:
-                    if not p.is_zero():
-                        degree = max(degree, p.degree())
+            matrices.append(item)
+    degree = _max_entry_degree(matrices)
     if fiber is not None and not fiber.is_zero():
         degree += fiber.degree()
     return degree
+
+
+def _max_entry_degree(matrices: Sequence[PolyMatrix]) -> int:
+    """Largest total degree of a nonzero entry, or 0."""
+    return max(
+        (p.degree() for m in matrices for row in m.entries for p in row if not p.is_zero()),
+        default=0,
+    )
 
 
 # -- monomial supports -------------------------------------------------
@@ -346,6 +356,79 @@ class LinearSystem:
         return [self._extract(v) for v in basis]
 
 
+class HomComplex:
+    """The equations of Hom(X, Y) over pairs of unknown maps X -> Y.
+
+    `closed` and `boundary` write the two conditions of the module
+    docstring; `compose` writes a known morphism composed with an unknown
+    pair.  Each returns one term list per component, the f1 slot (P1 -> Q1)
+    first, and `equate` adds their sum as two equations in that order.
+    """
+
+    def __init__(self, x: MatrixFactorization, y: MatrixFactorization):
+        self.x = x
+        self.y = y
+        self.shape = (y.rank, x.rank)
+
+    def unknowns(
+        self, system: LinearSystem, names: Tuple[str, str], supports
+    ) -> Tuple[_Unknown, _Unknown]:
+        """Declare two unknown maps X -> Y, in order, with a support each."""
+        return tuple(
+            system.unknown(name, self.y.rank, self.x.rank, support)
+            for name, support in zip(names, supports)
+        )
+
+    def bounded_supports(self, bound: int):
+        """Every monomial of total degree <= bound, for both maps of a pair."""
+        support = monomials_up_to_degree(self.x.ctx.nvars, bound)
+        return (lambda r, c: support,) * 2
+
+    def graded_supports(self, grading, phi: int):
+        """Supports of map degree phi: (f1, f0) of the even piece and
+        (s, t) of the odd piece, for grading = _graded_setup(x, y)."""
+        ax, bx, ay, by, dw = grading
+        weights = self.x.ctx.weights
+
+        def support(offset):
+            return lambda r, c: monomials_of_weighted_degree(weights, phi + offset(r, c))
+
+        even = (support(lambda r, c: bx[c] - by[r]), support(lambda r, c: ax[c] - ay[r]))
+        odd = (support(lambda r, c: ax[c] - by[r]), support(lambda r, c: bx[c] - ay[r] - dw))
+        return even, odd
+
+    def closed(self, f1: _Unknown, f0: _Unknown):
+        """f1 p0 - q0 f0 and q1 f1 - f0 p1: both vanish exactly on morphisms."""
+        x, y = self.x, self.y
+        return (
+            [(None, f1, x.p0, 1), (y.p0, f0, None, -1)],
+            [(y.p1, f1, None, 1), (None, f0, x.p1, -1)],
+        )
+
+    def boundary(self, s: _Unknown, t: _Unknown, sign: int = 1):
+        """sign * D(s, t) = sign * (q0 t + s p1, t p0 + q1 s)."""
+        x, y = self.x, self.y
+        return (
+            [(y.p0, t, None, sign), (None, s, x.p1, sign)],
+            [(None, t, x.p0, sign), (y.p1, s, None, sign)],
+        )
+
+    def compose(self, g, f):
+        """g after f, where one of the two is a known MFMorphism and the
+        other a pair of unknowns."""
+        if isinstance(f, MFMorphism):
+            return [(None, g[0], f.f1, 1)], [(None, g[1], f.f0, 1)]
+        return [(g.f1, f[0], None, 1)], [(g.f0, f[1], None, 1)]
+
+    def equate(
+        self, system: LinearSystem, *parts, rhs: Optional[Tuple[PolyMatrix, PolyMatrix]] = None
+    ):
+        """The sum of the term pairs equals rhs = (rhs1, rhs0), or zero."""
+        rhs1, rhs0 = (None, None) if rhs is None else rhs
+        system.add_matrix_equation([term for part in parts for term in part[0]], rhs1, self.shape)
+        system.add_matrix_equation([term for part in parts for term in part[1]], rhs0, self.shape)
+
+
 # -- gradings ----------------------------------------------------------
 
 
@@ -423,26 +506,17 @@ def _graded_setup(x: MatrixFactorization, y: MatrixFactorization):
 
 
 def _homotopy_system(
-    f: MFMorphism,
-    s_support: Callable[[int, int], Sequence[Tuple[int, ...]]],
-    t_support: Callable[[int, int], Sequence[Tuple[int, ...]]],
-    rhs1: PolyMatrix,
-    rhs0: PolyMatrix,
-):
-    x, y = f.source, f.target
-    system = LinearSystem(x.ctx)
-    s = system.unknown("s", y.rank, x.rank, s_support)
-    t = system.unknown("t", y.rank, x.rank, t_support)
-    shape = (y.rank, x.rank)
-    # q0 t + s p1 = f1
-    system.add_matrix_equation([(y.p0, t, None, 1), (None, s, x.p1, 1)], rhs1, shape)
-    # t p0 + q1 s = f0
-    system.add_matrix_equation([(None, t, x.p0, 1), (y.p1, s, None, 1)], rhs0, shape)
+    hom: HomComplex, supports, rhs: Tuple[PolyMatrix, PolyMatrix]
+) -> LinearSystem:
+    """D(s, t) = rhs."""
+    system = LinearSystem(hom.x.ctx)
+    s, t = hom.unknowns(system, ("s", "t"), supports)
+    hom.equate(system, hom.boundary(s, t), rhs=rhs)
     return system
 
 
 def find_null_homotopy(f: MFMorphism, policy: Optional[SearchPolicy] = None) -> SearchResult:
-    """Search for (s, t) with f = (q0 t + s p1, t p0 + q1 s).
+    """Search for (s, t) with D(s, t) = f.
 
     Bounded mode tries ansatz total-degree bounds 0..D and reports
     none-up-to-bound on failure; graded mode decides each weighted degree
@@ -462,11 +536,10 @@ def find_null_homotopy(f: MFMorphism, policy: Optional[SearchPolicy] = None) -> 
 
 def _find_null_homotopy_bounded(f: MFMorphism, policy: SearchPolicy) -> SearchResult:
     x, y = f.source, f.target
-    nvars = x.ctx.nvars
+    hom = HomComplex(x, y)
     bound = resolve_bound(policy, x, y, f)
     for b in range(bound + 1):
-        support = monomials_up_to_degree(nvars, b)
-        system = _homotopy_system(f, lambda r, c: support, lambda r, c: support, f.f1, f.f0)
+        system = _homotopy_system(hom, hom.bounded_supports(b), (f.f1, f.f0))
         sol = system.solve()
         if sol is not None:
             h = Homotopy(x, y, sol["s"], sol["t"])
@@ -480,8 +553,9 @@ def _find_null_homotopy_bounded(f: MFMorphism, policy: SearchPolicy) -> SearchRe
     )
 
 
-def _morphism_degree_components(f: MFMorphism, ax, bx, ay, by) -> Dict[int, Tuple[Dict, Dict]]:
+def _morphism_degree_components(f: MFMorphism, grading) -> Dict[int, Tuple[Dict, Dict]]:
     """Split f into components by map degree; returns degree -> (f1 terms, f0 terms)."""
+    ax, bx, ay, by, _ = grading
     ctx = f.source.ctx
     weights = ctx.weights
     out: Dict[int, Tuple[Dict, Dict]] = {}
@@ -524,21 +598,15 @@ def _find_null_homotopy_graded(f: MFMorphism, policy: SearchPolicy) -> SearchRes
     weights = ctx.weights
     if weights is None:
         raise ValueError("policy-infeasible: graded mode requires configured weights")
-    ax, bx, ay, by, dw = _graded_setup(x, y)
-    components = _morphism_degree_components(f, ax, bx, ay, by)
+    hom = HomComplex(x, y)
+    grading = _graded_setup(x, y)
+    components = _morphism_degree_components(f, grading)
     total_s = PolyMatrix.zero(ctx, y.rank, x.rank)
     total_t = PolyMatrix.zero(ctx, y.rank, x.rank)
     degrees = []
     for phi in sorted(components):
-        f1_phi, f0_phi = _component_matrices(f, components[phi])
-
-        def s_support(r, c, phi=phi):
-            return monomials_of_weighted_degree(weights, phi + ax[c] - by[r])
-
-        def t_support(r, c, phi=phi):
-            return monomials_of_weighted_degree(weights, phi - dw + bx[c] - ay[r])
-
-        system = _homotopy_system(f, s_support, t_support, f1_phi, f0_phi)
+        _, odd = hom.graded_supports(grading, phi)
+        system = _homotopy_system(hom, odd, _component_matrices(f, components[phi]))
         sol = system.solve()
         if sol is None:
             return SearchResult(
@@ -586,7 +654,8 @@ def graded_stable_hom_dim(
     """
     ctx = x.ctx
     weights = ctx.weights
-    ax, bx, ay, by, dw = _graded_setup(x, y)
+    grading = _graded_setup(x, y)
+    ax, bx, ay, by, dw = grading
     if x.rank == 0 or y.rank == 0:
         return 0, {"degrees": [], "total": 0, "scan_bound": 0, "window": window}
     offsets = [by[r] - bx[c] for r in range(y.rank) for c in range(x.rank)]
@@ -594,12 +663,13 @@ def graded_stable_hom_dim(
     sigma = max(0, sum(dw - 2 * w for w in weights))
     phi_lo = min(offsets)
     scan_bound = max(offsets) + sigma + dw
+    hom = HomComplex(x, y)
     total = 0
     degrees = []
     zero_run = 0
     phi = phi_lo
     while phi <= scan_bound or zero_run < window:
-        dim_phi = _slot_dimension(x, y, ax, bx, ay, by, dw, phi)
+        dim_phi = _slot_dimension(hom, grading, phi)
         degrees.append([phi, dim_phi])
         total += dim_phi
         zero_run = 0 if dim_phi else zero_run + 1
@@ -614,42 +684,22 @@ def graded_stable_hom_dim(
     return total, certificate
 
 
-def _slot_dimension(x, y, ax, bx, ay, by, dw, phi) -> int:
-    ctx = x.ctx
-    weights = ctx.weights
-
-    def g1_support(r, c):
-        return monomials_of_weighted_degree(weights, phi + bx[c] - by[r])
-
-    def g0_support(r, c):
-        return monomials_of_weighted_degree(weights, phi + ax[c] - ay[r])
-
+def _slot_dimension(hom: HomComplex, grading, phi: int) -> int:
+    ctx = hom.x.ctx
+    even, odd = hom.graded_supports(grading, phi)
     cycle = LinearSystem(ctx)
-    g1 = cycle.unknown("g1", y.rank, x.rank, g1_support)
-    g0 = cycle.unknown("g0", y.rank, x.rank, g0_support)
+    g1, g0 = hom.unknowns(cycle, ("g1", "g0"), even)
     even_dim = g1.size + g0.size
     if even_dim == 0:
         return 0
-    shape = (y.rank, x.rank)
-    # q1 g1 - g0 p1 = 0 and q0 g0 - g1 p0 = 0.
-    cycle.add_matrix_equation([(y.p1, g1, None, 1), (None, g0, x.p1, -1)], None, shape)
-    cycle.add_matrix_equation([(y.p0, g0, None, 1), (None, g1, x.p0, -1)], None, shape)
+    hom.equate(cycle, hom.closed(g1, g0))
     cycle_dim = even_dim - cycle.coefficient_rank()
     if cycle_dim == 0:
         return 0
-
-    def s_support(r, c):
-        return monomials_of_weighted_degree(weights, phi + ax[c] - by[r])
-
-    def t_support(r, c):
-        return monomials_of_weighted_degree(weights, phi - dw + bx[c] - ay[r])
-
     boundary = LinearSystem(ctx)
-    s = boundary.unknown("s", y.rank, x.rank, s_support)
-    t = boundary.unknown("t", y.rank, x.rank, t_support)
-    # Image of D on the adjacent parity: (q0 t + s p1, t p0 + q1 s).
-    boundary.add_matrix_equation([(y.p0, t, None, 1), (None, s, x.p1, 1)], None, shape)
-    boundary.add_matrix_equation([(None, t, x.p0, 1), (y.p1, s, None, 1)], None, shape)
+    s, t = hom.unknowns(boundary, ("s", "t"), odd)
+    # Image of D on the adjacent parity.
+    hom.equate(boundary, hom.boundary(s, t))
     boundary_dim = boundary.coefficient_rank()
     dim_phi = cycle_dim - boundary_dim
     if dim_phi < 0:
@@ -665,57 +715,24 @@ def bounded_stable_hom_estimate(
     change the answer in either direction; the graded scan is the
     certified route when a grading exists.
     """
-    ctx = x.ctx
-    field = ctx.field
-    coords: Dict[Tuple[int, int, int, Tuple[int, ...]], int] = {}
-
-    def vector_of(f1: PolyMatrix, f0: PolyMatrix):
-        items = []
-        for which, mat in ((0, f1), (1, f0)):
-            for r in range(mat.rows):
-                for c in range(mat.cols):
-                    for exp, coeff in mat.entries[r][c].terms.items():
-                        key = (which, r, c, exp)
-                        if key not in coords:
-                            coords[key] = len(coords)
-                        items.append((coords[key], coeff))
-        return items
-
-    cycle_items = [vector_of(f.f1, f.f0) for f in morphism_space_basis(x, y, bound)]
-    boundary_items = []
-    support = monomials_up_to_degree(ctx.nvars, bound)
-    zero = PolyMatrix.zero(ctx, y.rank, x.rank)
-    for r in range(y.rank):
-        for c in range(x.rank):
-            for exp in support:
-                entries = [
-                    [
-                        Poly(ctx, {exp: field.one()}) if (i, j) == (r, c) else ctx.zero()
-                        for j in range(x.rank)
-                    ]
-                    for i in range(y.rank)
-                ]
-                unit = PolyMatrix(ctx, entries, cols=x.rank)
-                for s, t in ((unit, zero), (zero, unit)):
-                    h = Homotopy(x, y, s, t)
-                    b = h.boundary()
-                    boundary_items.append(vector_of(b.f1, b.f0))
-    width = len(coords)
-
-    def densify(items_list):
-        rows = []
-        for items in items_list:
-            row = [field.zero()] * width
-            for idx, coeff in items:
-                row[idx] = field.add(row[idx], coeff)
-            rows.append(row)
-        return rows
-
-    b_rows = densify(boundary_items)
-    rank_b = linalg.rank(field, b_rows) if b_rows else 0
-    all_rows = b_rows + densify(cycle_items)
-    rank_all = linalg.rank(field, all_rows) if all_rows else 0
-    return rank_all - rank_b
+    hom = HomComplex(x, y)
+    supports = hom.bounded_supports(bound)
+    # Z is the space of closed maps and B the span of the boundaries
+    # D(s, t), every piece of degree <= bound; C, D and V are the ranks of
+    # `cycles`, `boundaries` and `meets`.  Every D(s, t) is closed, so the
+    # solutions of f = D(s, t) have dimension dim(Z meet B) + dim ker D, and
+    # the answer dim(Z + B) - dim B = dim Z - dim(Z meet B) is V - C - D.
+    cycles = LinearSystem(x.ctx)
+    f1, f0 = hom.unknowns(cycles, ("f1", "f0"), supports)
+    hom.equate(cycles, hom.closed(f1, f0))
+    boundaries = LinearSystem(x.ctx)
+    s, t = hom.unknowns(boundaries, ("s", "t"), supports)
+    hom.equate(boundaries, hom.boundary(s, t))
+    meets = LinearSystem(x.ctx)
+    f = hom.unknowns(meets, ("f1", "f0"), supports)
+    s, t = hom.unknowns(meets, ("s", "t"), supports)
+    hom.equate(meets, hom.compose(identity_morphism(y), f), hom.boundary(s, t, -1))
+    return meets.coefficient_rank() - cycles.coefficient_rank() - boundaries.coefficient_rank()
 
 
 # -- morphism spaces and isomorphism search ----------------------------
@@ -725,14 +742,10 @@ def morphism_space_basis(
     x: MatrixFactorization, y: MatrixFactorization, bound: int
 ) -> List[MFMorphism]:
     """Basis of the space of morphisms with entry degrees up to the bound."""
-    ctx = x.ctx
-    support = monomials_up_to_degree(ctx.nvars, bound)
-    system = LinearSystem(ctx)
-    f1 = system.unknown("f1", y.rank, x.rank, lambda r, c: support)
-    f0 = system.unknown("f0", y.rank, x.rank, lambda r, c: support)
-    shape = (y.rank, x.rank)
-    system.add_matrix_equation([(None, f1, x.p0, 1), (y.p0, f0, None, -1)], None, shape)
-    system.add_matrix_equation([(y.p1, f1, None, 1), (None, f0, x.p1, -1)], None, shape)
+    hom = HomComplex(x, y)
+    system = LinearSystem(x.ctx)
+    f1, f0 = hom.unknowns(system, ("f1", "f0"), hom.bounded_supports(bound))
+    hom.equate(system, hom.closed(f1, f0))
     out = []
     for assignment in system.nullspace_assignments():
         out.append(morphism_new(x, y, assignment["f1"], assignment["f0"]))
@@ -741,8 +754,6 @@ def morphism_space_basis(
 
 def _iso_candidates(basis: List[MFMorphism], cap: int = 240):
     """Deterministic stream of nonzero candidate maps from a basis."""
-    from .factorization import morphism_add, morphism_scale
-
     seen = 0
     for u in basis:
         if seen >= cap:
@@ -773,66 +784,26 @@ def _iso_candidates(basis: List[MFMorphism], cap: int = 240):
 def _two_sided_inverse(u: MFMorphism, bound: int) -> Optional[Tuple[MFMorphism, Homotopy, Homotopy]]:
     """Solve for v with v u ~ id and u v ~ id, with homotopy witnesses."""
     x, y = u.source, u.target
-    ctx = x.ctx
-    entry_deg = 0
-    for obj in (x, y):
-        for m in (obj.p1, obj.p0):
-            for row in m.entries:
-                for p in row:
-                    if not p.is_zero():
-                        entry_deg = max(entry_deg, p.degree())
-    for m in (u.f1, u.f0):
-        for row in m.entries:
-            for p in row:
-                if not p.is_zero():
-                    entry_deg = max(entry_deg, p.degree())
-    h_bound = bound + entry_deg
-    v_support = monomials_up_to_degree(ctx.nvars, bound)
-    h_support = monomials_up_to_degree(ctx.nvars, h_bound)
-    system = LinearSystem(ctx)
-    v1 = system.unknown("v1", x.rank, y.rank, lambda r, c: v_support)
-    v0 = system.unknown("v0", x.rank, y.rank, lambda r, c: v_support)
-    s1 = system.unknown("s1", x.rank, x.rank, lambda r, c: h_support)
-    t1 = system.unknown("t1", x.rank, x.rank, lambda r, c: h_support)
-    s2 = system.unknown("s2", y.rank, y.rank, lambda r, c: h_support)
-    t2 = system.unknown("t2", y.rank, y.rank, lambda r, c: h_support)
-    ident_x = PolyMatrix.identity(ctx, x.rank)
-    ident_y = PolyMatrix.identity(ctx, y.rank)
-    # v is a morphism.
-    system.add_matrix_equation(
-        [(None, v1, y.p0, 1), (x.p0, v0, None, -1)], None, (x.rank, y.rank)
+    h_bound = bound + _max_entry_degree([x.p1, x.p0, y.p1, y.p0, u.f1, u.f0])
+    hom_v, hom_x, hom_y = HomComplex(y, x), HomComplex(x, x), HomComplex(y, y)
+    system = LinearSystem(x.ctx)
+    v_pair = hom_v.unknowns(system, ("v1", "v0"), hom_v.bounded_supports(bound))
+    s1, t1 = hom_x.unknowns(system, ("s1", "t1"), hom_x.bounded_supports(h_bound))
+    s2, t2 = hom_y.unknowns(system, ("s2", "t2"), hom_y.bounded_supports(h_bound))
+    hom_v.equate(system, hom_v.closed(*v_pair))
+    # v u - id_X = D(s1, t1) and u v - id_Y = D(s2, t2).
+    ident_x = PolyMatrix.identity(x.ctx, x.rank)
+    ident_y = PolyMatrix.identity(x.ctx, y.rank)
+    hom_x.equate(
+        system, hom_x.compose(v_pair, u), hom_x.boundary(s1, t1, -1), rhs=(ident_x, ident_x)
     )
-    system.add_matrix_equation(
-        [(x.p1, v1, None, 1), (None, v0, y.p1, -1)], None, (x.rank, y.rank)
-    )
-    # v u - id_X = D(s1, t1).
-    system.add_matrix_equation(
-        [(None, v1, u.f1, 1), (x.p0, t1, None, -1), (None, s1, x.p1, -1)],
-        ident_x,
-        (x.rank, x.rank),
-    )
-    system.add_matrix_equation(
-        [(None, v0, u.f0, 1), (None, t1, x.p0, -1), (x.p1, s1, None, -1)],
-        ident_x,
-        (x.rank, x.rank),
-    )
-    # u v - id_Y = D(s2, t2).
-    system.add_matrix_equation(
-        [(u.f1, v1, None, 1), (y.p0, t2, None, -1), (None, s2, y.p1, -1)],
-        ident_y,
-        (y.rank, y.rank),
-    )
-    system.add_matrix_equation(
-        [(u.f0, v0, None, 1), (None, t2, y.p0, -1), (y.p1, s2, None, -1)],
-        ident_y,
-        (y.rank, y.rank),
+    hom_y.equate(
+        system, hom_y.compose(u, v_pair), hom_y.boundary(s2, t2, -1), rhs=(ident_y, ident_y)
     )
     sol = system.solve()
     if sol is None:
         return None
     v = morphism_new(y, x, sol["v1"], sol["v0"])
-    from .factorization import compose
-
     h_source = Homotopy(x, x, sol["s1"], sol["t1"])
     h_target = Homotopy(y, y, sol["s2"], sol["t2"])
     if not h_source.bounds(morphism_sub(compose(v, u), identity_morphism(x))):

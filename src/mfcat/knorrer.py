@@ -38,6 +38,15 @@ def extended_context(
     return RingContext(field=ctx.field, variables=variables, weights=weights, w0=ctx.w0)
 
 
+def _lift(big: RingContext, mat: PolyMatrix) -> PolyMatrix:
+    """The matrix over the extended ring, constant in the two new variables."""
+    rows = [
+        [Poly(big, {exp + (0, 0): c for exp, c in p.terms.items()}) for p in row]
+        for row in mat.entries
+    ]
+    return PolyMatrix(big, rows, cols=mat.cols)
+
+
 def knorrer(
     m: MatrixFactorization, x_var: str = "x", y_var: str = "y"
 ) -> MatrixFactorization:
@@ -55,21 +64,11 @@ def knorrer(
         dw = m.w.weighted_degree()
     big = extended_context(ctx, x_var, y_var, dw)
 
-    def lift(mat: PolyMatrix) -> PolyMatrix:
-        rows = [
-            [
-                Poly(big, {exp + (0, 0): c for exp, c in p.terms.items()})
-                for p in row
-            ]
-            for row in mat.entries
-        ]
-        return PolyMatrix(big, rows, cols=mat.cols)
-
     n = m.rank
     xm = PolyMatrix.scalar(big, big.variable(x_var), n)
     ym = PolyMatrix.scalar(big, big.variable(y_var), n)
-    p1 = lift(m.p1)
-    p0 = lift(m.p0)
+    p1 = _lift(big, m.p1)
+    p0 = _lift(big, m.p0)
     k1 = PolyMatrix.block([[p1, -ym], [xm, p0]])
     k0 = PolyMatrix.block([[p0, ym], [-xm, p1]])
     w_total = Poly(big, {exp + (0, 0): c for exp, c in m.w.terms.items()})
@@ -85,19 +84,8 @@ def knorrer_morphism(
     kx = knorrer(f.source, x_var, y_var)
     ky = knorrer(f.target, x_var, y_var)
     big = kx.ctx
-
-    def lift(mat: PolyMatrix) -> PolyMatrix:
-        rows = [
-            [
-                Poly(big, {exp + (0, 0): c for exp, c in p.terms.items()})
-                for p in row
-            ]
-            for row in mat.entries
-        ]
-        return PolyMatrix(big, rows, cols=mat.cols)
-
-    f1 = lift(f.f1)
-    f0 = lift(f.f0)
+    f1 = _lift(big, f.f1)
+    f0 = _lift(big, f.f0)
     zero_tf = PolyMatrix.zero(big, f.target.rank, f.source.rank)
     g1 = PolyMatrix.block([[f1, zero_tf], [zero_tf, f0]])
     g0 = PolyMatrix.block([[f0, zero_tf], [zero_tf, f1]])

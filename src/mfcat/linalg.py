@@ -41,9 +41,6 @@ def mat_mul(field: Field, a, b):
 def mat_add(field: Field, a, b):
     return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-def mat_sub(field: Field, a, b):
-    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
 def mat_scale(field: Field, c, a):
     return [[field.mul(c, x) for x in row] for row in a]
 

@@ -151,12 +151,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError("constant-superpotential: polynomial is not constant")
-        zero_exp = (0,) * self.ctx.nvars
-        return self.terms.get(zero_exp, self.ctx.field.zero())
-
     # -- degrees -------------------------------------------------------
 
     def degree(self) -> int:
@@ -181,17 +175,6 @@ class Poly:
 
     def is_quasi_homogeneous(self) -> bool:
         return len(self.weighted_degrees()) <= 1
-
-    def homogeneous_components(self) -> Dict[int, "Poly"]:
-        """Split into weighted-homogeneous parts, keyed by weighted degree."""
-        w = self.ctx.weights
-        if w is None:
-            raise ValueError("no-weights-configured: context has no weights")
-        parts: Dict[int, Dict[Exponent, Scalar]] = {}
-        for e, c in self.terms.items():
-            d = sum(wi * ei for wi, ei in zip(w, e))
-            parts.setdefault(d, {})[e] = c
-        return {d: Poly(self.ctx, t) for d, t in sorted(parts.items())}
 
     # -- arithmetic ----------------------------------------------------
 

@@ -291,6 +291,14 @@ def test_cli_error_exits(tmp_path, capsys):
     assert "context-mismatch" in capsys.readouterr().err
     assert cli.run(["an-table", "1"]) == 2
     assert "index-out-of-range" in capsys.readouterr().err
+    ctx = RingContext(QQ, ("z",), weights=(1,))
+    mixed = rank_one(
+        ctx, parse_poly(ctx, "z^3 + z^2"), parse_poly(ctx, "z"), parse_poly(ctx, "z^2 + z")
+    )
+    mixed_path = tmp_path / "mixed.json"
+    formats.save_mf(str(mixed_path), mixed)
+    assert cli.run(["knorrer", str(mixed_path), "--out", str(tmp_path)]) == 2
+    assert "non-quasi-homogeneous" in capsys.readouterr().err
 
 
 def test_cli_hom_field_mismatch(tmp_path, capsys):

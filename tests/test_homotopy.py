@@ -234,3 +234,40 @@ def test_bound_environment_override(monkeypatch):
     monkeypatch.delenv(ho.DEFAULT_BOUND_ENV)
     # derived default: max entry degree (3) plus fiber degree (5)
     assert ho.resolve_bound(None, v(5, 2)) == 8
+
+
+def _entries(m):
+    return [[str(p) for p in row] for row in m.entries]
+
+
+def test_pinned_witnesses():
+    # Canonical outputs of every solver built on the Hom-complex equations;
+    # a change of sign convention or of unknown order moves one of these.
+    f = morphism_from_polys(v(5, 2), v(5, 2), [["z^3"]], [["z^3"]])
+    bounded = find_null_homotopy(f, SearchPolicy(mode="bounded"))
+    assert (_entries(bounded.homotopy.s), _entries(bounded.homotopy.t)) == ([["0"]], [["1"]])
+    graded = find_null_homotopy(f, SearchPolicy(mode="graded"))
+    assert (_entries(graded.homotopy.s), _entries(graded.homotopy.t)) == ([["z"]], [["0"]])
+
+    basis = morphism_space_basis(v(5, 2), v(5, 3), 4)
+    assert [(_entries(b.f1), _entries(b.f0)) for b in basis] == [
+        ([["1"]], [["z"]]),
+        ([["z"]], [["z^2"]]),
+        ([["z^2"]], [["z^3"]]),
+        ([["z^3"]], [["z^4"]]),
+    ]
+
+    rot = andyn.realize_an_morphism(andyn.an_generator(QQ, 2, 1, 1), CTX)
+    _, g, _ = standard_triangle(rot)
+    r = is_iso_in_db(cone(g), mf_shift(rot.source), SearchPolicy(mode="bounded", bound=4))
+    assert r.status == "iso" and r.certificate["candidates_tried"] == 5
+    assert (_entries(r.u.f1), _entries(r.u.f0)) == ([["0", "1", "0"]],) * 2
+    assert (_entries(r.v.f1), _entries(r.v.f0)) == ([["0"], ["1"], ["-1"]],) * 2
+    lower = [["0", "0", "0"], ["0", "0", "0"], ["-1", "0", "0"]]
+    assert (_entries(r.source_homotopy.s), _entries(r.source_homotopy.t)) == (lower, lower)
+    assert (_entries(r.target_homotopy.s), _entries(r.target_homotopy.t)) == ([["0"]], [["0"]])
+
+    cert = andyn.certify_an_triangle(andyn.an_triangle(andyn.an_generator(QQ, 3, 1, 2)))
+    assert (cert["w1"], cert["w0"]) == ([["0"], ["1"]], [["1"], ["-z"]])
+
+    assert [bounded_stable_hom_estimate(v(3, 1), v(3, 1), b) for b in (0, 1, 3)] == [1, 1, 1]
