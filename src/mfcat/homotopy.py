@@ -43,6 +43,7 @@ from .factorization import (
     morphism_new,
     morphism_scale,
     morphism_sub,
+    _check_same_fiber,
 )
 from .matrices import PolyMatrix
 from .poly import Poly, RingContext, grlex_key
@@ -282,32 +283,22 @@ class LinearSystem:
         for key in keys:
             self.rows.append((buckets.get(key, {}), consts.get(key, field.zero())))
 
-    def _dense(self):
-        field = self.field
-        a = []
-        b = []
-        for row, const in self.rows:
-            dense = [field.zero()] * self.total
-            for idx, c in row.items():
-                dense[idx] = c
-            a.append(dense)
-            b.append(const)
-        return a, b
-
     def solve(self) -> Optional[Dict[str, PolyMatrix]]:
+        """One solution with free variables set to zero, or None.  The
+        constants form column `total`, so a pivot there is inconsistent."""
         field = self.field
-        if self.total == 0:
-            for _, const in self.rows:
-                if not field.is_zero(const):
-                    return None
-            return self._extract([])
-        a, b = self._dense()
-        if not a:
-            return self._extract([field.zero()] * self.total)
-        sol = linalg.solve(field, a, b)
-        if sol is None:
+        total = self.total
+        reduced = linalg.sparse_rref(
+            field,
+            [row if field.is_zero(const) else {**row, total: const} for row, const in self.rows],
+        )
+        if total in reduced:
             return None
-        return self._extract(sol)
+        zero = field.zero()
+        values = [zero] * total
+        for c, row in reduced.items():
+            values[c] = row.get(total, zero)
+        return self._extract(values)
 
     def _extract(self, values) -> Dict[str, PolyMatrix]:
         field = self.field
@@ -327,11 +318,11 @@ class LinearSystem:
             out[unk.name] = PolyMatrix(self.ctx, rows, cols=unk.cols)
         return out
 
+    def _coefficient_rref(self):
+        return linalg.sparse_rref(self.field, (row for row, _ in self.rows))
+
     def coefficient_rank(self) -> int:
-        if self.total == 0 or not self.rows:
-            return 0
-        a, _ = self._dense()
-        return linalg.rank(self.field, a)
+        return len(self._coefficient_rref())
 
     def nullspace_assignments(self) -> List[Dict[str, PolyMatrix]]:
         field = self.field
@@ -342,17 +333,7 @@ class LinearSystem:
 
     def homogeneous_nullspace(self) -> List[Dict[str, PolyMatrix]]:
         """Nullspace basis of the coefficient matrix, constants ignored."""
-        field = self.field
-        if self.total == 0:
-            return []
-        a, _ = self._dense()
-        if not a:
-            basis = [
-                [field.one() if i == j else field.zero() for i in range(self.total)]
-                for j in range(self.total)
-            ]
-        else:
-            basis = linalg.nullspace(field, a)
+        basis = linalg.null_basis(self.field, self._coefficient_rref(), self.total)
         return [self._extract(v) for v in basis]
 
 
@@ -366,6 +347,7 @@ class HomComplex:
     """
 
     def __init__(self, x: MatrixFactorization, y: MatrixFactorization):
+        _check_same_fiber(x, y)
         self.x = x
         self.y = y
         self.shape = (y.rank, x.rank)
@@ -492,10 +474,6 @@ def infer_generator_degrees(x: MatrixFactorization) -> Tuple[List[int], List[int
 
 
 def _graded_setup(x: MatrixFactorization, y: MatrixFactorization):
-    if x.ctx != y.ctx:
-        raise ValueError("context-mismatch: factorizations over different contexts")
-    if x.w != y.w:
-        raise ValueError("superpotential-mismatch: factorizations of different fibers")
     ax, bx = infer_generator_degrees(x)
     ay, by = infer_generator_degrees(y)
     dw = x.w.weighted_degree()
@@ -652,8 +630,8 @@ def graded_stable_hom_dim(
     differential is divided out.  The scan covers every degree up to the
     annihilation bound and stops after `window` consecutive empty degrees.
     """
-    ctx = x.ctx
-    weights = ctx.weights
+    weights = x.ctx.weights
+    hom = HomComplex(x, y)
     grading = _graded_setup(x, y)
     ax, bx, ay, by, dw = grading
     if x.rank == 0 or y.rank == 0:
@@ -663,7 +641,6 @@ def graded_stable_hom_dim(
     sigma = max(0, sum(dw - 2 * w for w in weights))
     phi_lo = min(offsets)
     scan_bound = max(offsets) + sigma + dw
-    hom = HomComplex(x, y)
     total = 0
     degrees = []
     zero_run = 0
@@ -829,6 +806,7 @@ def is_iso_in_db(
         policy = SearchPolicy()
     certificate: dict = {"mode": policy.mode}
     if x.rank == 0 and y.rank == 0:
+        _check_same_fiber(x, y)
         empty = PolyMatrix(x.ctx, [], cols=0)
         u = MFMorphism(x, y, empty, empty)
         v = MFMorphism(y, x, empty, empty)
@@ -847,9 +825,10 @@ def is_iso_in_db(
             if not (dim_xy == dim_xx == dim_yy):
                 certificate["obstruction"] = "stable dimension mismatch"
                 return IsoResult("not-iso", None, None, None, None, certificate)
-        except ValueError:
+        except ValueError as exc:
             # Data not gradable: fall through to the bounded witness search.
-            pass
+            if not str(exc).startswith("policy-infeasible"):
+                raise
     bound = resolve_bound(policy, x, y)
     certificate["bound"] = bound
     basis = morphism_space_basis(x, y, bound)

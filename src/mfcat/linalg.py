@@ -1,8 +1,23 @@
-"""Exact dense linear algebra over a coefficient field.
+"""Exact linear algebra over a coefficient field.
 
-Matrices are lists of row lists of raw scalars.  Everything is plain
-Gaussian elimination with deterministic pivoting (first nonzero entry),
-which keeps witnesses and quotient bases reproducible run to run.
+One eliminator, `sparse_rref`, does all the work.  It takes rows as sparse
+dicts {column: nonzero scalar} and returns the reduced row echelon form as
+{pivot column: reduced row}.  Each incoming row is cleared against the
+pivot rows found so far; its first remaining column becomes a new pivot,
+and that column is then cleared from the earlier pivot rows.  Only nonzero
+entries are ever touched.  Scalars are canonical field elements, so a
+scalar is zero exactly when it is falsy.
+
+The reduced row echelon form of a matrix depends only on the matrix and its
+column order, not on the order of the row operations that reach it.  The
+solution with free variables set to zero and the nullspace basis read off
+it (`null_basis`) are therefore canonical, which keeps witnesses and
+quotient bases reproducible.
+
+`LinearSystem` in `homotopy` feeds its sparse rows to `sparse_rref`
+directly.  Dense matrices, lists of row lists as used by `modules`, go
+through the adapters `rref`, `rank`, `solve`, `nullspace` and
+`row_space_contains`, which convert rows to dicts and back.
 """
 
 from __future__ import annotations
@@ -59,39 +74,79 @@ def mat_is_zero(field: Field, a) -> bool:
     return all(field.is_zero(x) for row in a for x in row)
 
 
-def rref(field: Field, matrix):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if not field.is_zero(m[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
+def sparse_rref(field: Field, rows):
+    """Reduced row echelon form of sparse rows {column: nonzero scalar}.
+
+    Returns {pivot column: reduced row} in ascending pivot order; each
+    reduced row holds 1 at its pivot and 0 (absent) at every other pivot
+    column.  The input rows are not modified.
+    """
+    inv, mul = field.inv, field.mul
+    one = field.one()
+    basis = {}
+    for row in rows:
+        r = dict(row)
+        # Basis rows vanish at each other's pivots, so clearing one pivot
+        # column of r leaves the others untouched.
+        for p in [c for c in r if c in basis]:
+            _subtract(field, r, r[p], basis[p])
+        if not r:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                factor = m[i][c]
-                m[i] = [field.sub(x, field.mul(factor, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+        p = min(r)
+        if r[p] != one:
+            scale = inv(r[p])
+            r = {c: mul(scale, v) for c, v in r.items()}
+        for other in basis.values():
+            if p in other:
+                _subtract(field, other, other[p], r)
+        basis[p] = r
+    return {p: basis[p] for p in sorted(basis)}
+
+
+def _subtract(field: Field, target, factor, row):
+    """target -= factor * row, in place, dropping entries that cancel."""
+    sub, mul, zero = field.sub, field.mul, field.zero()
+    for c, v in row.items():
+        x = sub(target.get(c, zero), mul(factor, v))
+        if x:
+            target[c] = x
+        else:
+            del target[c]
+
+
+def _sparse(matrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
+def null_basis(field: Field, reduced, ncols: int):
+    """Kernel basis of a reduced matrix with ncols columns: one vector per
+    non-pivot column f, with 1 at f and free variables 0."""
+    zero, one = field.zero(), field.one()
+    basis = []
+    for f in range(ncols):
+        if f in reduced:
+            continue
+        v = [zero] * ncols
+        v[f] = one
+        for c, row in reduced.items():
+            if f in row:
+                v[c] = field.neg(row[f])
+        basis.append(v)
+    return basis
+
+
+def rref(field: Field, matrix):
+    """Dense reduced row echelon form; returns (rows, pivot column list)."""
+    ncols = len(matrix[0]) if matrix else 0
+    reduced = sparse_rref(field, _sparse(matrix))
+    zero = field.zero()
+    rows = [[row.get(j, zero) for j in range(ncols)] for row in reduced.values()]
+    rows += [[zero] * ncols for _ in range(len(matrix) - len(rows))]
+    return rows, list(reduced)
 
 
 def rank(field: Field, matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(rref(field, matrix)[1])
+    return len(sparse_rref(field, _sparse(matrix)))
 
 
 def solve(field: Field, a, b):
@@ -102,19 +157,16 @@ def solve(field: Field, a, b):
     """
     vector_rhs = b and not isinstance(b[0], list)
     bcols = [[x] for x in b] if vector_rhs else [list(r) for r in b]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    ncols = len(a[0]) if a else 0
     nrhs = len(bcols[0]) if bcols else 0
-    aug = [list(a[i]) + bcols[i] for i in range(nrows)]
-    red, pivots = rref(field, aug)
+    reduced = sparse_rref(field, _sparse([list(a[i]) + bcols[i] for i in range(len(a))]))
     # Inconsistent if a pivot lands in the right-hand block.
-    for p in pivots:
-        if p >= ncols:
-            return None
+    if any(p >= ncols for p in reduced):
+        return None
     x = mat_zero(field, ncols, nrhs)
-    for r, c in enumerate(pivots):
+    for c, row in reduced.items():
         for j in range(nrhs):
-            x[c][j] = red[r][ncols + j]
+            x[c][j] = row.get(ncols + j, field.zero())
     if vector_rhs:
         return [row[0] for row in x]
     return x
@@ -122,26 +174,8 @@ def solve(field: Field, a, b):
 
 def nullspace(field: Field, a):
     """Basis of the right kernel of A, as a list of vectors."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [
-            [field.one() if i == j else field.zero() for i in range(ncols)]
-            for j in range(ncols)
-        ]
-    red, pivots = rref(field, a)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [field.zero()] * ncols
-        v[f] = field.one()
-        for r, c in enumerate(pivots):
-            v[c] = field.neg(red[r][f])
-        basis.append(v)
-    return basis
+    ncols = len(a[0]) if a else 0
+    return null_basis(field, sparse_rref(field, _sparse(a)), ncols)
 
 
 def row_space_contains(field: Field, basis_rows, vector) -> bool:

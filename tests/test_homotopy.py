@@ -206,6 +206,25 @@ def test_iso_search_unknown_is_not_a_negative():
     assert r.status == "unknown"
 
 
+@pytest.mark.parametrize("mode", ["graded", "bounded"])
+def test_iso_search_rejects_mismatched_fibers(mode):
+    # objects over z^3 and z^4, nonzero and zero: an input error, never
+    # "unknown" or "iso"
+    for x, y in ((v(3, 1), v(4, 1)), (v(3, 3), v(4, 4))):
+        with pytest.raises(ValueError, match="superpotential-mismatch"):
+            is_iso_in_db(x, y, SearchPolicy(mode=mode))
+
+
+def test_iso_search_ungradable_falls_back_to_witness_search():
+    ctx = RingContext(QQ, ("z",), weights=(1,))
+    x = rank_one(
+        ctx, parse_poly(ctx, "z^3 + z^4"), parse_poly(ctx, "z^2"), parse_poly(ctx, "z + z^2")
+    )
+    r = is_iso_in_db(x, x, SearchPolicy(mode="graded", bound=1))
+    assert r.status == "iso"
+    assert "stable_dims" not in r.certificate
+
+
 def test_rotation_iso():
     x, y = v(4, 1), v(4, 2)
     f = morphism_from_polys(x, y, [["1"]], [["z"]])
@@ -271,3 +290,41 @@ def test_pinned_witnesses():
     assert (cert["w1"], cert["w0"]) == ([["0"], ["1"]], [["1"], ["-z"]])
 
     assert [bounded_stable_hom_estimate(v(3, 1), v(3, 1), b) for b in (0, 1, 3)] == [1, 1, 1]
+
+
+def _constant(value):
+    return PolyMatrix(CTX, [[parse_poly(CTX, value)]], cols=1)
+
+
+def test_linear_system_without_unknowns():
+    # With no unknown coefficients a system is solvable exactly when every
+    # constant is zero, and its solution assigns nothing.
+    inconsistent = ho.LinearSystem(CTX)
+    inconsistent.add_matrix_equation([], _constant("2*z"), (1, 1))
+    assert inconsistent.total == 0 and inconsistent.rows
+    assert inconsistent.solve() is None
+    assert inconsistent.coefficient_rank() == 0
+    consistent = ho.LinearSystem(CTX)
+    consistent.add_matrix_equation([], _constant("0"), (1, 1))
+    assert consistent.solve() == {}
+    empty_support = ho.LinearSystem(CTX)
+    u = empty_support.unknown("u", 1, 1, lambda r, c: [])
+    empty_support.add_matrix_equation([(None, u, None, 1)], None, (1, 1))
+    assert empty_support.total == 0
+    assert _entries(empty_support.solve()["u"]) == [["0"]]
+    assert empty_support.homogeneous_nullspace() == []
+
+
+def test_linear_system_nullspace_edges():
+    system = ho.LinearSystem(CTX)
+    system.unknown("u", 1, 2, lambda r, c: [(0,), (1,)])
+    # no equations: every coefficient is free, one basis vector each
+    basis = [_entries(a["u"]) for a in system.nullspace_assignments()]
+    assert basis == [[["1", "0"]], [["z", "0"]], [["0", "1"]], [["0", "z"]]]
+    assert system.coefficient_rank() == 0
+    inhomogeneous = ho.LinearSystem(CTX)
+    u = inhomogeneous.unknown("u", 1, 1, lambda r, c: [(0,)])
+    inhomogeneous.add_matrix_equation([(None, u, None, 1)], _constant("1"), (1, 1))
+    assert _entries(inhomogeneous.solve()["u"]) == [["1"]]
+    with pytest.raises(ValueError, match="shape-mismatch"):
+        inhomogeneous.nullspace_assignments()
