@@ -36,7 +36,7 @@ from .factorization import (
     zero_morphism,
 )
 from .fields import QQ, Field
-from .homotopy import HomComplex, LinearSystem, _two_sided_inverse
+from .homotopy import HomComplex, LinearSystem, _find_invertible
 from .matrices import PolyMatrix
 from .modules import cok, cok_induced_map, cyclic_module, stable_hom
 from .poly import Poly, RingContext
@@ -269,20 +269,12 @@ def realize_an_sum(ctx: RingContext, n: int, indices: Sequence[int]) -> MatrixFa
         return mf_zero_object(ctx, an_w(ctx, n))
     z = ctx.variable(ctx.variables[0])
     rank = len(parts)
-    p1 = [
-        [z ** parts[i] if i == j else ctx.zero() for j in range(rank)]
-        for i in range(rank)
-    ]
-    p0 = [
-        [z ** (n - parts[i]) if i == j else ctx.zero() for j in range(rank)]
-        for i in range(rank)
-    ]
-    return mf_new(
-        ctx,
-        an_w(ctx, n),
-        PolyMatrix(ctx, p1, cols=rank),
-        PolyMatrix(ctx, p0, cols=rank),
-    )
+
+    def diagonal(exps):
+        rows = [[z ** e if i == j else ctx.zero() for j in range(rank)] for i, e in enumerate(exps)]
+        return PolyMatrix(ctx, rows, cols=rank)
+
+    return mf_new(ctx, an_w(ctx, n), diagonal(parts), diagonal([n - m for m in parts]))
 
 
 def realize_an_morphism(a: AnMorphism, ctx: RingContext) -> MFMorphism:
@@ -331,8 +323,6 @@ def an_module(field: Field, n: int, mu: int):
 def an_module_map(a: AnMorphism) -> List[List]:
     """The morphism as a nu x mu scalar matrix in the power bases."""
     field = a.field
-    if a.mu == 0 or a.nu == 0:
-        return [[field.zero()] * a.mu for _ in range(a.nu)]
     mat = [[field.zero()] * a.mu for _ in range(a.nu)]
     for lam, c in zip(a.peaks, a.coeffs):
         if field.is_zero(c):
@@ -456,9 +446,10 @@ def certify_an_triangle(
     """Certify the catalogue triangle against the cone of its first map.
 
     Solves for a comparison map w: T -> cone(f) making both squares
-    commute up to explicit homotopies, then checks that w is invertible
-    in the homotopy category.  Returns a certificate dict; "certified"
-    is False when no invertible comparison map was found.
+    commute up to explicit homotopies, then looks for an invertible one in
+    w + span(kernel) with `_find_invertible`; the kernel of the system is
+    computed only if w itself is not invertible.  Returns a certificate
+    dict; "certified" is False when no invertible comparison map was found.
     """
     if ctx is None:
         ctx = an_context(tri.field)
@@ -496,29 +487,21 @@ def certify_an_triangle(
     if particular is None:
         certificate["reason"] = "no comparison map up to the degree bound"
         return certificate
-    candidates = [(particular["w1"], particular["w0"])]
-    kernel = system.homogeneous_nullspace()
-    for assignment in kernel[:8]:
-        for c in (1, -1):
-            candidates.append(
-                (
-                    particular["w1"] + assignment["w1"].scale(ctx.field.coerce(c)),
-                    particular["w0"] + assignment["w0"].scale(ctx.field.coerce(c)),
-                )
-            )
-    for cand1, cand0 in candidates[:40]:
-        certificate["candidates_tried"] += 1
-        try:
-            w = morphism_new(t, cone_obj, cand1, cand0)
-        except ValueError:
-            continue
-        found = _two_sided_inverse(w, bound)
-        if found is not None:
-            certificate["certified"] = True
-            certificate["w1"] = [[str(p) for p in row] for row in cand1.entries]
-            certificate["w0"] = [[str(p) for p in row] for row in cand0.entries]
-            return certificate
-    certificate["reason"] = "comparison maps found but none invertible"
+
+    def directions():
+        parts = system.homogeneous_nullspace()
+        kernel = [morphism_new(t, cone_obj, a["w1"], a["w0"]) for a in parts]
+        return [d for d in kernel if not d.is_zero()]
+
+    base = morphism_new(t, cone_obj, particular["w1"], particular["w0"])
+    found = _find_invertible(certificate, bound, base, directions)
+    if found is None:
+        certificate["reason"] = "comparison maps found but none invertible"
+        return certificate
+    comparison = found[0]
+    certificate["certified"] = True
+    certificate["w1"] = [[str(p) for p in row] for row in comparison.f1.entries]
+    certificate["w0"] = [[str(p) for p in row] for row in comparison.f0.entries]
     return certificate
 
 

@@ -40,6 +40,7 @@ USAGE_ERROR_PREFIXES = (
     "not-composable",
     "shape-mismatch",
     "non-quasi-homogeneous",
+    "not-nilpotent-form",
 )
 
 
@@ -254,6 +255,7 @@ def cmd_an_verify(args) -> int:
 def cmd_verify_knorrer(args) -> int:
     field = field_from_token(args.field)
     n = args.n
+    andyn._check_n(n)
     ctx = andyn.an_context(field)
     pairs = []
     for mu in range(1, n):

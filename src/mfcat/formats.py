@@ -39,11 +39,21 @@ def field_to_json(field: Field):
     raise ValueError(f"context-mismatch: unknown field {field!r}")
 
 
+def _json_int(value, what: str) -> int:
+    """An int, or a string holding one, from a JSON file."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"parse-error: {what} must be an integer, got {value!r}")
+
+
 def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and set(obj) == {"Fp"}:
-        return PrimeField(int(obj["Fp"]))
+        return PrimeField(_json_int(obj["Fp"], "prime modulus"))
     raise ValueError(f"parse-error: bad field description {obj!r}")
 
 
@@ -105,7 +115,7 @@ def mf_from_dict(d: dict) -> MatrixFactorization:
         if key not in d:
             raise ValueError(f"parse-error: factorization file missing {key!r}")
     ctx = context_from_dict(d)
-    rank = int(d["rank"])
+    rank = _json_int(d["rank"], "rank")
     if len(d["p1"]) != rank or len(d["p0"]) != rank:
         raise ValueError("invalid-shape: matrix row count differs from rank")
     p1 = _matrix_from_strings(ctx, d["p1"], rank)
@@ -222,7 +232,7 @@ def module_from_dict(d: dict) -> QuotModule:
         raise ValueError("not-univariate: module files use one variable")
     ctx = RingContext(field=field, variables=variables)
     w = ctx.parse(d["W"])
-    dim = int(d["dim"])
+    dim = _json_int(d["dim"], "dim")
     z_rows = d["Z"]
     if len(z_rows) != dim or any(len(r) != dim for r in z_rows):
         raise ValueError("invalid-shape: action matrix must be dim x dim")

@@ -23,10 +23,15 @@ annihilation of the cohomology by all partial derivatives of W (top socle
 degree of the Jacobian quotient plus one period) and additionally requires
 a run of consecutive empty degrees, recording every degree examined in the
 certificate.
+
+Isomorphism search and triangle certification share `_find_invertible`: a
+fixed stream of maps in base + span(directions), each tested by one joint
+system for an inverse and both homotopies.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -46,10 +51,11 @@ from .factorization import (
     _check_same_fiber,
 )
 from .matrices import PolyMatrix
-from .poly import Poly, RingContext, grlex_key
+from .poly import Exponent, Poly, RingContext, grlex_key
 
 DEFAULT_BOUND_ENV = "MFCAT_DEFAULT_BOUND"
 DEFAULT_STALE_WINDOW = 3
+ISO_CANDIDATE_CAP = 240
 
 
 # -- policies and results ----------------------------------------------
@@ -148,18 +154,19 @@ def monomials_up_to_degree(nvars: int, bound: int) -> List[Tuple[int, ...]]:
     return out
 
 
-def monomials_of_weighted_degree(weights: Tuple[int, ...], target: int) -> List[Tuple[int, ...]]:
+@functools.lru_cache(maxsize=1024)
+def monomials_of_weighted_degree(weights: Tuple[int, ...], target: int) -> Tuple[Exponent, ...]:
     if target < 0:
-        return []
+        return ()
     if not weights:
-        return [()] if target == 0 else []
+        return ((),) if target == 0 else ()
     out = []
     head = weights[0]
     for e in range(target // head + 1):
         for rest in monomials_of_weighted_degree(weights[1:], target - e * head):
             out.append((e,) + rest)
     out.sort(key=grlex_key)
-    return out
+    return tuple(out)
 
 
 # -- linear systems in unknown polynomial matrices ---------------------
@@ -370,7 +377,7 @@ class HomComplex:
         """Supports of map degree phi: (f1, f0) of the even piece and
         (s, t) of the odd piece, for grading = _graded_setup(x, y)."""
         ax, bx, ay, by, dw = grading
-        weights = self.x.ctx.weights
+        weights = tuple(self.x.ctx.weights)
 
         def support(offset):
             return lambda r, c: monomials_of_weighted_degree(weights, phi + offset(r, c))
@@ -554,19 +561,12 @@ def _morphism_degree_components(f: MFMorphism, grading) -> Dict[int, Tuple[Dict,
 
 
 def _component_matrices(f: MFMorphism, slot) -> Tuple[PolyMatrix, PolyMatrix]:
-    ctx = f.source.ctx
-    f1_terms, f0_terms = slot
-    rows1 = [
-        [Poly(ctx, f1_terms.get((r, c), {})) for c in range(f.source.rank)]
-        for r in range(f.target.rank)
-    ]
-    rows0 = [
-        [Poly(ctx, f0_terms.get((r, c), {})) for c in range(f.source.rank)]
-        for r in range(f.target.rank)
-    ]
-    return (
-        PolyMatrix(ctx, rows1, cols=f.source.rank),
-        PolyMatrix(ctx, rows0, cols=f.source.rank),
+    ctx, rows, cols = f.source.ctx, range(f.target.rank), range(f.source.rank)
+    return tuple(
+        PolyMatrix(
+            ctx, [[Poly(ctx, terms.get((r, c), {})) for c in cols] for r in rows], cols=len(cols)
+        )
+        for terms in slot
     )
 
 
@@ -729,35 +729,6 @@ def morphism_space_basis(
     return out
 
 
-def _iso_candidates(basis: List[MFMorphism], cap: int = 240):
-    """Deterministic stream of nonzero candidate maps from a basis."""
-    seen = 0
-    for u in basis:
-        if seen >= cap:
-            return
-        seen += 1
-        yield u
-    coeffs = (1, -1, 2, -2)
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        for ci in (1,):
-            for cj in coeffs:
-                if seen >= cap:
-                    return
-                seen += 1
-                yield morphism_add(
-                    morphism_scale(basis[i], ci), morphism_scale(basis[j], cj)
-                )
-    for combo in itertools.combinations(range(len(basis)), 3):
-        for signs in itertools.product((1, -1), repeat=2):
-            if seen >= cap:
-                return
-            seen += 1
-            acc = basis[combo[0]]
-            acc = morphism_add(acc, morphism_scale(basis[combo[1]], signs[0]))
-            acc = morphism_add(acc, morphism_scale(basis[combo[2]], signs[1]))
-            yield acc
-
-
 def _two_sided_inverse(u: MFMorphism, bound: int) -> Optional[Tuple[MFMorphism, Homotopy, Homotopy]]:
     """Solve for v with v u ~ id and u v ~ id, with homotopy witnesses."""
     x, y = u.source, u.target
@@ -790,6 +761,45 @@ def _two_sided_inverse(u: MFMorphism, bound: int) -> Optional[Tuple[MFMorphism, 
     return v, h_source, h_target
 
 
+def _find_invertible(
+    certificate: dict,
+    bound: int,
+    base: Optional[MFMorphism],
+    directions: Callable[[], List[MFMorphism]],
+) -> Optional[Tuple[MFMorphism, MFMorphism, Homotopy, Homotopy]]:
+    """The first invertible u in base + span(directions()) as (u, v, h, k),
+    h bounding v u - id and k bounding u v - id, or None.  `base` is tried
+    first, even when zero; `directions()` runs only if it fails.  Then come
+    at most ISO_CANDIDATE_CAP combinations, zero ones skipped: each
+    direction, each pair with coefficients (1, 1 | -1 | 2 | -2), each triple
+    with (1, +-1, +-1).  Each candidate tried adds one to
+    certificate["candidates_tried"].
+    """
+
+    def combinations(basis):
+        yield from basis
+        for a, b in itertools.combinations(basis, 2):
+            for c in (1, -1, 2, -2):
+                yield morphism_add(a, morphism_scale(b, c))
+        for a, b, c in itertools.combinations(basis, 3):
+            for sb, sc in itertools.product((1, -1), repeat=2):
+                yield morphism_add(morphism_add(a, morphism_scale(b, sb)), morphism_scale(c, sc))
+
+    def candidates():
+        if base is not None:
+            yield base
+        for combo in itertools.islice(combinations(directions()), ISO_CANDIDATE_CAP):
+            if not combo.is_zero():
+                yield combo if base is None else morphism_add(base, combo)
+
+    for u in candidates():
+        certificate["candidates_tried"] += 1
+        found = _two_sided_inverse(u, bound)
+        if found is not None:
+            return (u,) + found
+    return None
+
+
 def is_iso_in_db(
     x: MatrixFactorization,
     y: MatrixFactorization,
@@ -798,9 +808,10 @@ def is_iso_in_db(
     """Decide isomorphism in the homotopy category by witness search.
 
     A graded dimension mismatch between End(X), End(Y) and Hom(X, Y) is a
-    certified negative; a found pair (u, v) with both composites homotopic
-    to identities is a certified positive; otherwise the answer is the
-    non-certified "unknown" (nothing found up to the bound).
+    certified negative; a pair (u, v) with both composites homotopic to
+    identities, u found by `_find_invertible` among combinations of a basis
+    of the morphisms up to the bound, is a certified positive; otherwise
+    the answer is the non-certified "unknown".
     """
     if policy is None:
         policy = SearchPolicy()
@@ -831,14 +842,8 @@ def is_iso_in_db(
                 raise
     bound = resolve_bound(policy, x, y)
     certificate["bound"] = bound
-    basis = morphism_space_basis(x, y, bound)
     certificate["candidates_tried"] = 0
-    for u in _iso_candidates(basis):
-        if u.is_zero():
-            continue
-        certificate["candidates_tried"] += 1
-        found = _two_sided_inverse(u, bound)
-        if found is not None:
-            v, h_source, h_target = found
-            return IsoResult("iso", u, v, h_source, h_target, certificate)
-    return IsoResult("unknown", None, None, None, None, certificate)
+    found = _find_invertible(certificate, bound, None, lambda: morphism_space_basis(x, y, bound))
+    if found is None:
+        return IsoResult("unknown", None, None, None, None, certificate)
+    return IsoResult("iso", *found, certificate)

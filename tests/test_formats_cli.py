@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -299,6 +300,61 @@ def test_cli_error_exits(tmp_path, capsys):
     formats.save_mf(str(mixed_path), mixed)
     assert cli.run(["knorrer", str(mixed_path), "--out", str(tmp_path)]) == 2
     assert "non-quasi-homogeneous" in capsys.readouterr().err
+    module = {"field": "Q", "W": "z^2 + z", "dim": 1, "Z": [["0"]]}
+    not_nilpotent = tmp_path / "not-nilpotent.json"
+    not_nilpotent.write_text(formats.canonical_json(module))
+    assert cli.run(["decompose", str(not_nilpotent)]) == 2
+    assert "not-nilpotent-form" in capsys.readouterr().err
+    for kind, key, value in (
+        ("factorization", "rank", "two"),
+        ("module", "dim", "one"),
+        ("module", "dim", 1.5),
+        ("factorization", "field", {"Fp": "seven"}),
+    ):
+        d3 = dict(formats.mf_to_dict(x) if kind == "factorization" else module)
+        d3[key] = value
+        bad_int = tmp_path / f"bad-{key}.json"
+        bad_int.write_text(formats.canonical_json(d3))
+        assert cli.run(["validate", str(bad_int)]) == 2
+        assert "parse-error" in capsys.readouterr().err
+    assert cli.run(["verify-knorrer", "1", "--out", str(tmp_path)]) == 2
+    assert "index-out-of-range" in capsys.readouterr().err
+
+
+# sha256 of stdout (output directory written as OUT) and of every emitted
+# file, recorded before the isomorphism and triangle searches were merged.
+GOLDEN = {
+    ("an-verify", "4"): (
+        "5c9044ec214d80b995d74619aa73e2e7d22b33e9086189d2e7049a2f3946759c",
+        {
+            "an4-triangle-fst-1-1.json": "a905cf7baa1777b5fbe596f8c64fc68f8dadc4cd2b17dbe25e1d0bf820849a29",
+            "an4-triangle-fst-1-2.json": "b680cd0c070b177f6a724540c49aaa97d6f77687e219a9635420d9ab4bb0eaf9",
+            "an4-triangle-fst-1-3.json": "e36c5d234e0cca92f9ea08c3302fba607beeb04961a4e9cd4e3707f68e6cba2c",
+            "an4-triangle-fst-2-1.json": "62d22346060c4505de876f19dde4dc1eab992afaa5e0ebc8df665de047350000",
+            "an4-triangle-fst-2-2.json": "4522bb6e58f6a03722d51f2ff3006e9ca150b9a730725e484dca463f53006103",
+            "an4-triangle-fst-2-3.json": "173e201cecfbd7bfb030acc8aca52788643be1d8cf99ea935783adbbb07af0dc",
+            "an4-triangle-fst-3-1.json": "1e543d70a1be2ed5ccfc6dcd77a453b85e8dfd41d26e449a136d24b4ee2d5b48",
+            "an4-triangle-fst-3-2.json": "0a5e1b1f308b49772097fc2d0f3f4a67e4eebde96ecdbf5da0989984934f5d16",
+            "an4-triangle-fst-3-3.json": "1ce3688fe8c64d83b7483391fd5ecdaab70967a6b359874ab6fa4c5753713eb6",
+            "an4-triangle-lst-3-2-2.json": "0d1e18aa947c9d2bdbe01fb7fdccfafb6ae6f7a28a4ce47db1b221e614e99a71",
+        },
+    ),
+    ("verify-knorrer", "3"): (
+        "dfcf1ca2bd27c23947b47384779442be6b6d2ae32124b5f1122c8698ba3ad7c4",
+        {"verify-knorrer-3-all.json": "478cc76dfb7da784c1be8e6dfbd01f030fd5bbac60cd7fb0a3a0ec1dd5f81a63"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_cli_golden_outputs(argv, tmp_path, capsys):
+    assert cli.run([*argv, "--out", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "OUT")
+    files = {}
+    for name in sorted(os.listdir(tmp_path)):
+        with open(tmp_path / name, "rb") as fh:
+            files[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert (hashlib.sha256(stdout.encode()).hexdigest(), files) == GOLDEN[argv]
 
 
 def test_cli_hom_field_mismatch(tmp_path, capsys):

@@ -21,6 +21,7 @@ from mfcat import (
     mf_shift,
     morphism_from_polys,
     morphism_space_basis,
+    morphism_sub,
     parse_poly,
     rank_one,
     standard_triangle,
@@ -223,6 +224,52 @@ def test_iso_search_ungradable_falls_back_to_witness_search():
     r = is_iso_in_db(x, x, SearchPolicy(mode="graded", bound=1))
     assert r.status == "iso"
     assert "stable_dims" not in r.certificate
+
+
+def test_invertibility_search_tries_the_base_first():
+    x = v(4, 2)
+    base = identity_morphism(x)
+
+    def directions():
+        pytest.fail("directions are needed only after the base fails")
+
+    certificate = {"candidates_tried": 0}
+    u, inverse, h_source, h_target = ho._find_invertible(certificate, 4, base, directions)
+    assert certificate["candidates_tried"] == 1 and u is base
+    assert h_source.bounds(morphism_sub(compose(inverse, u), identity_morphism(x)))
+    assert h_target.bounds(morphism_sub(compose(u, inverse), identity_morphism(x)))
+
+
+def test_invertibility_search_moves_off_a_zero_base():
+    # The zero endomorphism is tried (and fails) before base + direction.
+    x = v(4, 2)
+    certificate = {"candidates_tried": 0}
+    ident = identity_morphism(x)
+    found = ho._find_invertible(certificate, 4, zero_morphism(x, x), lambda: [ident])
+    assert certificate["candidates_tried"] == 2
+    assert (found[0].f1, found[0].f0) == (ident.f1, ident.f0)
+
+
+def test_invertibility_search_order(monkeypatch):
+    tried = []
+    monkeypatch.setattr(ho, "_two_sided_inverse", lambda u, bound: tried.append(_entries(u.f1)))
+    basis = morphism_space_basis(v(5, 2), v(5, 3), 4)  # f1 = 1, z, z^2, z^3
+    assert ho._find_invertible({"candidates_tried": 0}, 4, None, lambda: basis) is None
+    f1 = [entries[0][0] for entries in tried]
+    assert len(f1) == 44
+    assert f1[:8] == ["1", "z", "z^2", "z^3", "z + 1", "-z + 1", "2*z + 1", "-2*z + 1"]
+    assert f1[-4:] == ["z^3 + z^2 + z", "-z^3 + z^2 + z", "z^3 - z^2 + z", "-z^3 - z^2 + z"]
+
+
+@pytest.mark.parametrize(
+    "n, mu, nu, bound, tried", [(6, 2, 3, 4, 4 + 24 + 16), (4, 1, 2, 3, 19)]
+)
+def test_iso_search_enumeration_is_pinned(n, mu, nu, bound, tried):
+    # Basis maps, then pairs with coefficients 1, -1, 2, -2, then triples
+    # with signs +-1; the counts were recorded before the search was shared.
+    r = is_iso_in_db(v(n, mu), v(n, nu), SearchPolicy(mode="bounded", bound=bound))
+    assert r.status == "unknown"
+    assert r.certificate == {"mode": "bounded", "bound": bound, "candidates_tried": tried}
 
 
 def test_rotation_iso():
