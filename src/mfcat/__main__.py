@@ -1,0 +1,5 @@
+import sys
+
+from .cli import run
+
+sys.exit(run())

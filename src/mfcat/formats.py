@@ -49,6 +49,20 @@ def _json_int(value, what: str) -> int:
     raise ValueError(f"parse-error: {what} must be an integer, got {value!r}")
 
 
+def _json_strings(value, what: str) -> list:
+    """A list of strings from a JSON file."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"parse-error: {what} must be a list of strings, got {value!r}")
+    return value
+
+
+def _json_matrix(value, what: str) -> list:
+    """A matrix from a JSON file: a list of rows, each a list."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ValueError(f"parse-error: {what} must be a list of lists, got {value!r}")
+    return value
+
+
 def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
@@ -77,8 +91,11 @@ def _matrix_to_strings(m: PolyMatrix) -> List[List[str]]:
     return [[str(p) for p in row] for row in m.entries]
 
 
-def _matrix_from_strings(ctx: RingContext, rows, cols: int) -> PolyMatrix:
-    entries = [[ctx.parse(s) for s in row] for row in rows]
+def _matrix_from_strings(ctx: RingContext, rows, cols: int, what: str = "matrix") -> PolyMatrix:
+    entries = [
+        [ctx.parse(s) for s in _json_strings(row, f"a row of {what}")]
+        for row in _json_matrix(rows, what)
+    ]
     return PolyMatrix(ctx, entries, cols=cols)
 
 
@@ -104,8 +121,12 @@ def mf_to_dict(x: MatrixFactorization) -> dict:
 
 def context_from_dict(d: dict) -> RingContext:
     field = field_from_json(d["field"])
-    variables = tuple(d["vars"])
-    weights = tuple(d["weights"]) if "weights" in d and d["weights"] is not None else None
+    variables = tuple(_json_strings(d["vars"], "vars"))
+    weights = d.get("weights")
+    if weights is not None:
+        if not isinstance(weights, list):
+            raise ValueError(f"parse-error: weights must be a list, got {weights!r}")
+        weights = tuple(weights)
     w0 = scalar_from_json(field, d.get("w0", "0"))
     return RingContext(field=field, variables=variables, weights=weights, w0=w0)
 
@@ -116,10 +137,10 @@ def mf_from_dict(d: dict) -> MatrixFactorization:
             raise ValueError(f"parse-error: factorization file missing {key!r}")
     ctx = context_from_dict(d)
     rank = _json_int(d["rank"], "rank")
-    if len(d["p1"]) != rank or len(d["p0"]) != rank:
+    if len(_json_matrix(d["p1"], "p1")) != rank or len(_json_matrix(d["p0"], "p0")) != rank:
         raise ValueError("invalid-shape: matrix row count differs from rank")
-    p1 = _matrix_from_strings(ctx, d["p1"], rank)
-    p0 = _matrix_from_strings(ctx, d["p0"], rank)
+    p1 = _matrix_from_strings(ctx, d["p1"], rank, "p1")
+    p0 = _matrix_from_strings(ctx, d["p0"], rank, "p0")
     w = ctx.parse(d["W"])
     return mf_new(ctx, w, p1, p0)
 
@@ -159,8 +180,8 @@ def morphism_from_dict(d: dict, base_dir: Optional[str] = None) -> MFMorphism:
             raise ValueError(f"parse-error: morphism file missing {key!r}")
     x = load_mf(_resolve(base_dir, d["source"]))
     y = load_mf(_resolve(base_dir, d["target"]))
-    f1 = _matrix_from_strings(y.ctx, d["f1"], x.rank)
-    f0 = _matrix_from_strings(y.ctx, d["f0"], x.rank)
+    f1 = _matrix_from_strings(y.ctx, d["f1"], x.rank, "f1")
+    f0 = _matrix_from_strings(y.ctx, d["f0"], x.rank, "f0")
     return morphism_new(x, y, f1, f0)
 
 
@@ -191,8 +212,8 @@ def homotopy_from_dict(d: dict, base_dir: Optional[str] = None) -> Homotopy:
             raise ValueError(f"parse-error: homotopy file missing {key!r}")
     x = load_mf(_resolve(base_dir, d["source"]))
     y = load_mf(_resolve(base_dir, d["target"]))
-    s = _matrix_from_strings(y.ctx, d["s"], x.rank)
-    t = _matrix_from_strings(y.ctx, d["t"], x.rank)
+    s = _matrix_from_strings(y.ctx, d["s"], x.rank, "s")
+    t = _matrix_from_strings(y.ctx, d["t"], x.rank, "t")
     return Homotopy(x, y, s, t)
 
 
@@ -227,13 +248,13 @@ def module_from_dict(d: dict) -> QuotModule:
         if key not in d:
             raise ValueError(f"parse-error: module file missing {key!r}")
     field = field_from_json(d["field"])
-    variables = tuple(d.get("vars", ["z"]))
+    variables = tuple(_json_strings(d.get("vars", ["z"]), "vars"))
     if len(variables) != 1:
         raise ValueError("not-univariate: module files use one variable")
     ctx = RingContext(field=field, variables=variables)
     w = ctx.parse(d["W"])
     dim = _json_int(d["dim"], "dim")
-    z_rows = d["Z"]
+    z_rows = _json_matrix(d["Z"], "Z")
     if len(z_rows) != dim or any(len(r) != dim for r in z_rows):
         raise ValueError("invalid-shape: action matrix must be dim x dim")
     z = [[scalar_from_json(field, c) for c in row] for row in z_rows]

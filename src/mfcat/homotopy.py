@@ -22,7 +22,8 @@ certified.  The dimension scan terminates at a hard bound derived from the
 annihilation of the cohomology by all partial derivatives of W (top socle
 degree of the Jacobian quotient plus one period) and additionally requires
 a run of consecutive empty degrees, recording every degree examined in the
-certificate.
+certificate.  A nonzero degree past the bound means the Jacobian algebra is
+not finite, and the scan stops with policy-infeasible.
 
 Isomorphism search and triangle certification share `_find_invertible`: a
 fixed stream of maps in base + span(directions), each tested by one joint
@@ -172,8 +173,17 @@ def monomials_of_weighted_degree(weights: Tuple[int, ...], target: int) -> Tuple
 # -- linear systems in unknown polynomial matrices ---------------------
 
 
+def _pack(high: int, base: int, exp: Exponent) -> int:
+    """exp as one int: its total degree times high, plus its exponents as
+    digits in the given base."""
+    key = 0
+    for e in exp:
+        key = key * base + e
+    return sum(exp) * high + key
+
+
 class _Unknown:
-    __slots__ = ("name", "rows", "cols", "supports", "offsets", "base", "size")
+    __slots__ = ("name", "rows", "cols", "supports", "offsets", "base", "size", "degree")
 
     def __init__(self, name, rows, cols, supports, base):
         self.name = name
@@ -190,6 +200,7 @@ class _Unknown:
                 size += len(supports[r][c])
             self.offsets.append(row_offsets)
         self.size = size
+        self.degree = max((sum(e) for row in supports for s in row for e in s), default=0)
 
     def index(self, r, c, k):
         return self.base + self.offsets[r][c] + k
@@ -206,7 +217,7 @@ class LinearSystem:
         self.rows: List[Tuple[Dict[int, object], object]] = []
 
     def unknown(self, name: str, rows: int, cols: int, support: Callable[[int, int], Sequence[Tuple[int, ...]]]) -> _Unknown:
-        supports = [[list(support(r, c)) for c in range(cols)] for r in range(rows)]
+        supports = [[tuple(support(r, c)) for c in range(cols)] for r in range(rows)]
         unk = _Unknown(name, rows, cols, supports, self.total)
         self.unknowns.append(unk)
         self.total += unk.size
@@ -215,12 +226,10 @@ class LinearSystem:
     def add_matrix_equation(self, terms, rhs: Optional[PolyMatrix], shape: Tuple[int, int]):
         """Sum of sign * L @ U @ R over the terms equals rhs (entrywise)."""
         field = self.field
-        buckets: Dict[Tuple[int, int, Tuple[int, ...]], Dict[int, object]] = {}
-        consts: Dict[Tuple[int, int, Tuple[int, ...]], object] = {}
+        add, mul, zero, one = field.add, field.mul, field.zero(), field.one()
         nrows, ncols = shape
+        top = 0 if rhs is None else _max_entry_degree([rhs])
         for left, unk, right, sign in terms:
-            left_cols = unk.rows if left is None else left.cols
-            right_rows = unk.cols if right is None else right.rows
             if left is not None and (left.rows != nrows or left.cols != unk.rows):
                 raise ValueError("shape-mismatch: left factor in linear system")
             if right is not None and (right.rows != unk.cols or right.cols != ncols):
@@ -229,66 +238,82 @@ class LinearSystem:
                 raise ValueError("shape-mismatch: unknown rows in linear system")
             if right is None and unk.cols != ncols:
                 raise ValueError("shape-mismatch: unknown cols in linear system")
+            factors = [_max_entry_degree([m]) for m in (left, right) if m is not None]
+            top = max(top, sum(factors) + unk.degree)
+        if rhs is not None and (rhs.rows != nrows or rhs.cols != ncols):
+            raise ValueError("shape-mismatch: right-hand side in linear system")
+        # Row (i, j, e) has key (i * ncols + j) * stride + pack(e), digits in a base
+        # above every degree: adding keys adds exponents; int order is (i, j, grlex_key).
+        base = top + 1
+        nvars = self.ctx.nvars
+        stride = base ** (nvars + 1)
+        pack = functools.partial(_pack, base ** nvars, base)
+        buckets: Dict[int, Dict[int, object]] = {}
+        packed_supports: Dict[Tuple[Exponent, ...], List[int]] = {}
+        for left, unk, right, sign in terms:
             sgn = field.coerce(sign)
-            for k in range(unk.rows):
-                left_entries = (
-                    [(k, ((0,) * self.ctx.nvars, field.one()))]
-                    if left is None
-                    else [
-                        (i, term)
+            # lefts[k]: (key offset of row i plus monomial, sign * coefficient)
+            if left is None:
+                lefts = [[(k * ncols * stride, sgn)] for k in range(unk.rows)]
+            else:
+                lefts = [
+                    [
+                        (i * ncols * stride + pack(e), mul(sgn, c))
                         for i in range(nrows)
-                        for term in left.entries[i][k].terms.items()
+                        for e, c in left.entries[i][k].terms.items()
                     ]
-                )
-                if not left_entries:
+                    for k in range(unk.rows)
+                ]
+            if right is None:
+                rights = [[(l * stride, one)] for l in range(unk.cols)]
+            else:
+                rights = [
+                    [
+                        (j * stride + pack(e), c)
+                        for j in range(ncols)
+                        for e, c in right.entries[l][j].terms.items()
+                    ]
+                    for l in range(unk.cols)
+                ]
+            for k in range(unk.rows):
+                if not lefts[k]:
                     continue
                 for l in range(unk.cols):
                     support = unk.supports[k][l]
-                    if not support:
+                    if not support or not rights[l]:
                         continue
-                    right_entries = (
-                        [(l, ((0,) * self.ctx.nvars, field.one()))]
-                        if right is None
-                        else [
-                            (j, term)
-                            for j in range(ncols)
-                            for term in right.entries[l][j].terms.items()
-                        ]
-                    )
-                    if not right_entries:
-                        continue
-                    for i, (e_left, c_left) in left_entries:
-                        for j, (e_right, c_right) in right_entries:
-                            coeff = field.mul(sgn, field.mul(c_left, c_right))
-                            if field.is_zero(coeff):
+                    packed = packed_supports.get(support)
+                    if packed is None:
+                        packed = packed_supports[support] = [pack(e) for e in support]
+                    first = unk.index(k, l, 0)
+                    for key_left, c_left in lefts[k]:
+                        for key_right, c_right in rights[l]:
+                            coeff = mul(c_left, c_right)
+                            if not coeff:
                                 continue
-                            for k_idx, e_unk in enumerate(support):
-                                key = (
-                                    i,
-                                    j,
-                                    tuple(
-                                        a + b + c
-                                        for a, b, c in zip(e_left, e_unk, e_right)
-                                    ),
-                                )
-                                row = buckets.setdefault(key, {})
-                                var = unk.index(k, l, k_idx)
-                                acc = field.add(row.get(var, field.zero()), coeff)
-                                if field.is_zero(acc):
-                                    row.pop(var, None)
+                            key_lr = key_left + key_right
+                            for var, key_unk in enumerate(packed, first):
+                                key = key_lr + key_unk
+                                row = buckets.get(key)
+                                if row is None:
+                                    buckets[key] = {var: coeff}
+                                elif var in row:
+                                    acc = add(row[var], coeff)
+                                    if acc:
+                                        row[var] = acc
+                                    else:
+                                        del row[var]
                                 else:
-                                    row[var] = acc
+                                    row[var] = coeff
+        consts: Dict[int, object] = {}
         if rhs is not None:
-            if rhs.rows != nrows or rhs.cols != ncols:
-                raise ValueError("shape-mismatch: right-hand side in linear system")
             for i in range(nrows):
                 for j in range(ncols):
-                    for exp, c in rhs.entries[i][j].terms.items():
-                        key = (i, j, exp)
-                        consts[key] = field.add(consts.get(key, field.zero()), c)
-        keys = sorted(set(buckets) | set(consts), key=lambda k: (k[0], k[1], grlex_key(k[2])))
-        for key in keys:
-            self.rows.append((buckets.get(key, {}), consts.get(key, field.zero())))
+                    for e, c in rhs.entries[i][j].terms.items():
+                        key = (i * ncols + j) * stride + pack(e)
+                        consts[key] = add(consts.get(key, zero), c)
+        for key in sorted(buckets.keys() | consts.keys()):
+            self.rows.append((buckets.get(key, {}), consts.get(key, zero)))
 
     def solve(self) -> Optional[Dict[str, PolyMatrix]]:
         """One solution with free variables set to zero, or None.  The
@@ -370,7 +395,7 @@ class HomComplex:
 
     def bounded_supports(self, bound: int):
         """Every monomial of total degree <= bound, for both maps of a pair."""
-        support = monomials_up_to_degree(self.x.ctx.nvars, bound)
+        support = tuple(monomials_up_to_degree(self.x.ctx.nvars, bound))
         return (lambda r, c: support,) * 2
 
     def graded_supports(self, grading, phi: int):
@@ -629,6 +654,9 @@ def graded_stable_hom_dim(
     exactly and the image of the adjacent-parity piece under the morphism
     differential is divided out.  The scan covers every degree up to the
     annihilation bound and stops after `window` consecutive empty degrees.
+    The bound holds when the Jacobian algebra of W is finite; a nonzero
+    degree above it raises policy-infeasible (the singularity is not
+    isolated), so the scan never goes past scan_bound + window.
     """
     weights = x.ctx.weights
     hom = HomComplex(x, y)
@@ -647,6 +675,11 @@ def graded_stable_hom_dim(
     phi = phi_lo
     while phi <= scan_bound or zero_run < window:
         dim_phi = _slot_dimension(hom, grading, phi)
+        if dim_phi and phi > scan_bound:
+            raise ValueError(
+                f"policy-infeasible: non-isolated singularity: dimension {dim_phi} in "
+                f"degree {phi}, above the scan bound {scan_bound}"
+            )
         degrees.append([phi, dim_phi])
         total += dim_phi
         zero_run = 0 if dim_phi else zero_run + 1

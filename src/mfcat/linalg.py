@@ -8,11 +8,20 @@ and that column is then cleared from the earlier pivot rows.  Only nonzero
 entries are ever touched.  Scalars are canonical field elements, so a
 scalar is zero exactly when it is falsy.
 
+The loops run on plain ints.  Over F_p they are residues in [0, p) and
+every update is (a - f*v) % p.  Over Q each row is a primitive integer
+row (coprime entries), a nonzero multiple of the row it stands for, with a
+positive pivot entry; a column is cleared fraction-free, by the
+integer-preserving step of Bareiss (1968), and the content is divided out
+after each step.  Fractions appear only when rows are read in and when the
+reduced rows v / pivot entry are written out.
+
 The reduced row echelon form of a matrix depends only on the matrix and its
-column order, not on the order of the row operations that reach it.  The
-solution with free variables set to zero and the nullspace basis read off
-it (`null_basis`) are therefore canonical, which keeps witnesses and
-quotient bases reproducible.
+column order, not on the order of the row operations that reach it, nor on
+the scaling of the rows on the way.  The output of either kernel is
+therefore the same canonical form, and so are the solution with free
+variables set to zero and the nullspace basis read off it (`null_basis`),
+which keeps witnesses and quotient bases reproducible.
 
 `LinearSystem` in `homotopy` feeds its sparse rows to `sparse_rref`
 directly.  Dense matrices, lists of row lists as used by `modules`, go
@@ -22,7 +31,10 @@ through the adapters `rref`, `rank`, `solve`, `nullspace` and
 
 from __future__ import annotations
 
-from .fields import Field
+from fractions import Fraction
+from math import gcd, lcm
+
+from .fields import Field, PrimeField
 
 
 def mat_zero(field: Field, rows: int, cols: int):
@@ -81,37 +93,96 @@ def sparse_rref(field: Field, rows):
     reduced row holds 1 at its pivot and 0 (absent) at every other pivot
     column.  The input rows are not modified.
     """
-    inv, mul = field.inv, field.mul
-    one = field.one()
+    if isinstance(field, PrimeField):
+        basis = _rref_mod_p(field.p, rows)
+    else:
+        basis = _rref_rational(rows)
+    return {p: basis[p] for p in sorted(basis)}
+
+
+def _rref_mod_p(p: int, rows):
+    """Gauss-Jordan over F_p on canonical residues in [0, p)."""
     basis = {}
     for row in rows:
         r = dict(row)
         # Basis rows vanish at each other's pivots, so clearing one pivot
         # column of r leaves the others untouched.
-        for p in [c for c in r if c in basis]:
-            _subtract(field, r, r[p], basis[p])
+        for c in [c for c in r if c in basis]:
+            f = r[c]
+            for col, v in basis[c].items():
+                x = (r.get(col, 0) - f * v) % p
+                if x:
+                    r[col] = x
+                else:
+                    del r[col]
         if not r:
             continue
-        p = min(r)
-        if r[p] != one:
-            scale = inv(r[p])
-            r = {c: mul(scale, v) for c, v in r.items()}
+        piv = min(r)
+        if r[piv] != 1:
+            scale = pow(r[piv], p - 2, p)
+            r = {c: v * scale % p for c, v in r.items()}
         for other in basis.values():
-            if p in other:
-                _subtract(field, other, other[p], r)
-        basis[p] = r
-    return {p: basis[p] for p in sorted(basis)}
+            f = other.get(piv)
+            if f:
+                for col, v in r.items():
+                    x = (other.get(col, 0) - f * v) % p
+                    if x:
+                        other[col] = x
+                    else:
+                        del other[col]
+        basis[piv] = r
+    return basis
 
 
-def _subtract(field: Field, target, factor, row):
-    """target -= factor * row, in place, dropping entries that cancel."""
-    sub, mul, zero = field.sub, field.mul, field.zero()
-    for c, v in row.items():
-        x = sub(target.get(c, zero), mul(factor, v))
+def _rref_rational(rows):
+    """Fraction-free Gauss-Jordan over Q on primitive integer rows, each a
+    nonzero multiple of the row it stands for, pivot entries positive."""
+    basis = {}
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        r = _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+        for c in [c for c in r if c in basis]:
+            r = _eliminate(r, c, basis[c])
+        if not r:
+            continue
+        piv = min(r)
+        if r[piv] < 0:
+            r = {c: -v for c, v in r.items()}
+        for q, other in basis.items():
+            if piv in other:
+                basis[q] = _eliminate(other, piv, r)
+        basis[piv] = r
+    out = {}
+    for piv, r in basis.items():
+        d = r[piv]
+        out[piv] = {c: Fraction(v, d) for c, v in r.items()}
+    return out
+
+
+def _eliminate(r, c, b):
+    """The primitive integer row (d/g) r - (f/g) b, where d = b[c] > 0,
+    f = r[c] and g = gcd(d, f); it vanishes at c.  May update r in place."""
+    d, f = b[c], r[c]
+    g = gcd(d, f)
+    if g != d:
+        m = d // g
+        r = {col: m * v for col, v in r.items()}
+    f //= g
+    for col, v in b.items():
+        x = r.get(col, 0) - f * v
         if x:
-            target[c] = x
+            r[col] = x
         else:
-            del target[c]
+            del r[col]
+    return _primitive(r)
+
+
+def _primitive(r):
+    """r divided by the gcd of its entries."""
+    g = gcd(*r.values())
+    if g > 1:
+        return {c: v // g for c, v in r.items()}
+    return r
 
 
 def _sparse(matrix):

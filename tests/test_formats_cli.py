@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -317,8 +320,59 @@ def test_cli_error_exits(tmp_path, capsys):
         bad_int.write_text(formats.canonical_json(d3))
         assert cli.run(["validate", str(bad_int)]) == 2
         assert "parse-error" in capsys.readouterr().err
+    for kind, key, value in (
+        ("factorization", "p1", 5),
+        ("factorization", "p1", [5]),
+        ("factorization", "p0", [[5]]),
+        ("factorization", "vars", "z"),
+        ("factorization", "vars", [1]),
+        ("factorization", "weights", 3),
+        ("module", "Z", 3),
+        ("module", "Z", ["0"]),
+        ("module", "vars", "z"),
+    ):
+        d4 = dict(formats.mf_to_dict(x) if kind == "factorization" else module)
+        d4[key] = value
+        malformed = tmp_path / f"malformed-{kind}.json"
+        malformed.write_text(formats.canonical_json(d4))
+        assert cli.run(["validate", str(malformed)]) == 2, (kind, key, value)
+        assert "parse-error" in capsys.readouterr().err
+    formats.save_mf(str(tmp_path / "x.json"), x)
+    refs = {"source": "x.json", "target": "x.json"}
+    for name, data in (
+        ("morphism", {**refs, "f1": [["1"]], "f0": 0}),
+        ("homotopy", {**refs, "s": "z", "t": [["0"]]}),
+    ):
+        path = tmp_path / f"malformed-{name}.json"
+        path.write_text(formats.canonical_json(data))
+        assert cli.run(["validate", str(path)]) == 2, name
+        assert "parse-error" in capsys.readouterr().err
     assert cli.run(["verify-knorrer", "1", "--out", str(tmp_path)]) == 2
     assert "index-out-of-range" in capsys.readouterr().err
+
+
+def test_cli_hom_rejects_non_isolated_singularity(tmp_path, capsys):
+    # W = x^2 y is singular along the y-axis: End(X) is nonzero in every
+    # degree, so the graded scan has to stop at its bound, not run forever.
+    ctx = RingContext(QQ, ("x", "y"), weights=(1, 1))
+    x = rank_one(ctx, parse_poly(ctx, "x^2*y"), parse_poly(ctx, "x"), parse_poly(ctx, "x*y"))
+    path = str(tmp_path / "x.json")
+    formats.save_mf(path, x)
+    start = time.perf_counter()
+    assert cli.run(["hom", path, path, "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "policy-infeasible: non-isolated singularity" in err and "degree 6" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "mfcat", "an-table", "3"], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0
+    assert done.stdout == "1 1\n1 1\n"
 
 
 # sha256 of stdout (output directory written as OUT) and of every emitted

@@ -1,4 +1,5 @@
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from mfcat import (
     QQ,
     PolyMatrix,
+    PrimeField,
     RingContext,
     SearchPolicy,
     bounded_stable_hom_estimate,
@@ -375,3 +377,103 @@ def test_linear_system_nullspace_edges():
     assert _entries(inhomogeneous.solve()["u"]) == [["1"]]
     with pytest.raises(ValueError, match="shape-mismatch"):
         inhomogeneous.nullspace_assignments()
+
+
+# -- packed-key assembly against the tuple-keyed reference -----------------
+
+
+def _reference_add_matrix_equation(system, terms, rhs, shape):
+    """The rows `add_matrix_equation` appends, computed with exponent-tuple
+    keys sorted by grlex_key: the reference for the packed-int keys."""
+    field = system.field
+    buckets, consts = {}, {}
+    nrows, ncols = shape
+    one = ((0,) * system.ctx.nvars, field.one())
+    for left, unk, right, sign in terms:
+        sgn = field.coerce(sign)
+        for k in range(unk.rows):
+            lefts = [(k, one)] if left is None else [
+                (i, term) for i in range(nrows) for term in left.entries[i][k].terms.items()
+            ]
+            for l in range(unk.cols):
+                rights = [(l, one)] if right is None else [
+                    (j, term) for j in range(ncols) for term in right.entries[l][j].terms.items()
+                ]
+                for i, (e_left, c_left) in lefts:
+                    for j, (e_right, c_right) in rights:
+                        coeff = field.mul(sgn, field.mul(c_left, c_right))
+                        if field.is_zero(coeff):
+                            continue
+                        for k_idx, e_unk in enumerate(unk.supports[k][l]):
+                            exp = tuple(a + b + c for a, b, c in zip(e_left, e_unk, e_right))
+                            row = buckets.setdefault((i, j, exp), {})
+                            var = unk.index(k, l, k_idx)
+                            acc = field.add(row.get(var, field.zero()), coeff)
+                            if field.is_zero(acc):
+                                row.pop(var, None)
+                            else:
+                                row[var] = acc
+    if rhs is not None:
+        for i in range(nrows):
+            for j in range(ncols):
+                for exp, c in rhs.entries[i][j].terms.items():
+                    consts[i, j, exp] = field.add(consts.get((i, j, exp), field.zero()), c)
+    keys = sorted(set(buckets) | set(consts), key=lambda k: (k[0], k[1], ho.grlex_key(k[2])))
+    return [(buckets.get(key, {}), consts.get(key, field.zero())) for key in keys]
+
+
+def _random_poly(rng, ctx, nterms, max_exp):
+    field = ctx.field
+    terms = {}
+    for _ in range(nterms):
+        exp = tuple(rng.randrange(max_exp + 1) for _ in range(ctx.nvars))
+        c = field.coerce(F(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3])))
+        terms[exp] = field.add(terms.get(exp, field.zero()), c)
+    return ho.Poly(ctx, terms)
+
+
+def _random_matrix(rng, ctx, rows, cols, max_exp=2):
+    entries = [
+        [_random_poly(rng, ctx, rng.choice([0, 1, 1, 2, 3]), max_exp) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    return PolyMatrix(ctx, entries, cols=cols)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=lambda f: f.name)
+def test_packed_assembly_matches_tuple_reference(field):
+    rng = random.Random(5)
+    high_rhs = 0
+    for trial in range(90):
+        nvars = 1 + trial % 3
+        ctx = RingContext(field, ("x", "y", "z")[:nvars])
+        nrows, ncols = rng.randrange(1, 4), rng.randrange(1, 4)
+        system = ho.LinearSystem(ctx)
+        monomials = ho.monomials_up_to_degree(nvars, 2)
+        terms = []
+        term_degree = 0
+        for name in ("u", "v", "w")[: rng.randrange(1, 4)]:
+            kind = rng.choice(["left", "right", "both", "none"])
+            rows = nrows if kind in ("right", "none") else rng.randrange(1, 4)
+            cols = ncols if kind in ("left", "none") else rng.randrange(1, 4)
+            supports = {
+                (r, c): rng.sample(monomials, rng.randrange(len(monomials) + 1))
+                for r in range(rows)
+                for c in range(cols)
+            }
+            unk = system.unknown(name, rows, cols, lambda r, c: supports[r, c])
+            left = _random_matrix(rng, ctx, nrows, rows) if kind in ("left", "both") else None
+            right = _random_matrix(rng, ctx, cols, ncols) if kind in ("right", "both") else None
+            terms.append((left, unk, right, rng.choice([1, -1, 2])))
+            factors = [ho._max_entry_degree([m]) for m in (left, right) if m is not None]
+            term_degree = max(term_degree, sum(factors) + max(map(sum, monomials)))
+        rhs = None
+        if trial % 2:
+            rhs = _random_matrix(rng, ctx, nrows, ncols, max_exp=rng.choice([1, 9]))
+            high_rhs += ho._max_entry_degree([rhs]) > term_degree
+        want = _reference_add_matrix_equation(system, terms, rhs, (nrows, ncols))
+        system.add_matrix_equation(terms, rhs, (nrows, ncols))
+        assert system.rows == want
+        assert [list(row.items()) for row, _ in system.rows] == [list(row.items()) for row, _ in want]
+        assert [type(c) for _, c in system.rows] == [type(c) for _, c in want]
+    assert high_rhs > 5

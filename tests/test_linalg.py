@@ -141,10 +141,15 @@ def _reference_nullspace(field, a):
     return basis
 
 
-def _random_sparse(rng, field, nrows, ncols, density):
+SMALL = [-3, -2, -1, 1, 2, 3]
+# Denominators to clear, non-unit pivots and multi-digit entries.
+RATIONAL = [F(-1, 2), F(5, 3), F(7, 11), F(-13, 4), F(1000, 7), 1, -1, 12, -407, 65536]
+
+
+def _random_sparse(rng, field, nrows, ncols, density, values=SMALL):
     return [
         [
-            field.coerce(rng.choice([-3, -2, -1, 1, 2, 3])) if rng.random() < density else field.zero()
+            field.coerce(rng.choice(values)) if rng.random() < density else field.zero()
             for _ in range(ncols)
         ]
         for _ in range(nrows)
@@ -152,15 +157,18 @@ def _random_sparse(rng, field, nrows, ncols, density):
 
 
 FIELDS = [QQ, PrimeField(5), PrimeField(101)]
+KERNEL_CASES = [pytest.param(f, SMALL, id=f.name) for f in FIELDS] + [
+    pytest.param(QQ, RATIONAL, id="Q-rational")
+]
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
-def test_sparse_kernel_matches_dense_reference(field):
+@pytest.mark.parametrize("field, values", KERNEL_CASES)
+def test_sparse_kernel_matches_dense_reference(field, values):
     rng = random.Random(20)
     inconsistent = 0
     for trial in range(120):
         nrows, ncols = rng.randrange(0, 9), rng.randrange(0, 9)
-        a = _random_sparse(rng, field, nrows, ncols, rng.choice([0.1, 0.3, 0.6]))
+        a = _random_sparse(rng, field, nrows, ncols, rng.choice([0.1, 0.3, 0.6]), values)
         if nrows and trial % 4 == 0:
             a[rng.randrange(nrows)] = [field.zero()] * ncols
         red, pivots = _reference_rref(field, a)
@@ -171,6 +179,8 @@ def test_sparse_kernel_matches_dense_reference(field):
         assert list(sparse) == pivots
         for row, c in zip(red, pivots):
             assert sparse[c] == {j: x for j, x in enumerate(row) if x}
+        scalars = [x for row in sparse.values() for x in row.values()]
+        assert all(type(x) is (F if field == QQ else int) for x in scalars)
         assert linalg.rank(field, a) == len(pivots)
         assert linalg.nullspace(field, a) == _reference_nullspace(field, a)
         b = [field.coerce(rng.randrange(-2, 3)) for _ in range(nrows)]
