@@ -248,10 +248,14 @@ def an_context(field: Field = QQ, var: str = "z") -> RingContext:
     return RingContext(field=field, variables=(var,), weights=(1,))
 
 
+def _z_power(ctx: RingContext, k: int, c=1) -> Poly:
+    """c z^k, with z the first variable of the context, as one monomial."""
+    return ctx.monomial((k,) + (0,) * (ctx.nvars - 1), c)
+
+
 def an_w(ctx: RingContext, n: int) -> Poly:
     _check_n(n)
-    z = ctx.variable(ctx.variables[0])
-    return z ** n
+    return _z_power(ctx, n)
 
 
 def realize_an_object(ctx: RingContext, n: int, mu: int) -> MatrixFactorization:
@@ -259,43 +263,36 @@ def realize_an_object(ctx: RingContext, n: int, mu: int) -> MatrixFactorization:
     if pad(n, mu) == 0:
         return mf_zero_object(ctx, w)
     mu = pad(n, mu)
-    z = ctx.variable(ctx.variables[0])
-    return rank_one(ctx, w, z ** mu, z ** (n - mu))
+    return rank_one(ctx, w, _z_power(ctx, mu), _z_power(ctx, n - mu))
 
 
 def realize_an_sum(ctx: RingContext, n: int, indices: Sequence[int]) -> MatrixFactorization:
     parts = [pad(n, i) for i in indices if pad(n, i) != 0]
     if not parts:
         return mf_zero_object(ctx, an_w(ctx, n))
-    z = ctx.variable(ctx.variables[0])
     rank = len(parts)
 
     def diagonal(exps):
-        rows = [[z ** e if i == j else ctx.zero() for j in range(rank)] for i, e in enumerate(exps)]
+        rows = [[_z_power(ctx, e) if i == j else ctx.zero() for j in range(rank)] for i, e in enumerate(exps)]
         return PolyMatrix(ctx, rows, cols=rank)
 
     return mf_new(ctx, an_w(ctx, n), diagonal(parts), diagonal([n - m for m in parts]))
 
 
-def realize_an_morphism(a: AnMorphism, ctx: RingContext) -> MFMorphism:
-    """The basis element with peak lam becomes (z^(lam-nu), z^(lam-mu))."""
-    n = a.n
-    x = realize_an_object(ctx, n, a.mu)
-    y = realize_an_object(ctx, n, a.nu)
+def realize_an_morphism(a: AnMorphism, ctx: RingContext, built: Optional[dict] = None) -> MFMorphism:
+    """The basis element with peak lam becomes (z^(lam-nu), z^(lam-mu)).
+
+    `built` maps object indices to their realizations over `ctx`; without
+    it, both ends are realized here."""
+    if built is None:
+        built = {k: realize_an_object(ctx, a.n, k) for k in {a.mu, a.nu}}
+    x, y = built[a.mu], built[a.nu]
     if x.rank == 0 or y.rank == 0:
         return zero_morphism(x, y)
-    z = ctx.variable(ctx.variables[0])
-    field = ctx.field
-    f1 = ctx.zero()
-    f0 = ctx.zero()
-    for lam, c in zip(a.peaks, a.coeffs):
-        if field.is_zero(c):
-            continue
-        f1 = f1 + (z ** (lam - a.nu)).scale(c)
-        f0 = f0 + (z ** (lam - a.mu)).scale(c)
-    return morphism_new(
-        x, y, PolyMatrix(ctx, [[f1]], cols=1), PolyMatrix(ctx, [[f0]], cols=1)
-    )
+    # A zero coefficient gives the zero monomial.
+    f1 = sum((_z_power(ctx, lam - a.nu, c) for lam, c in zip(a.peaks, a.coeffs)), ctx.zero())
+    f0 = sum((_z_power(ctx, lam - a.mu, c) for lam, c in zip(a.peaks, a.coeffs)), ctx.zero())
+    return morphism_new(x, y, PolyMatrix(ctx, [[f1]], cols=1), PolyMatrix(ctx, [[f0]], cols=1))
 
 
 def shift_identification(ctx: RingContext, n: int, mu: int) -> MFMorphism:
@@ -419,23 +416,27 @@ def _stack_horizontal(ctx, components: Sequence[MFMorphism], target) -> Tuple[Po
 
 def realize_an_triangle(tri: AnTriangle, ctx: RingContext):
     """The triangle as matrix factorizations: (X, Y, T, f, g, h) where h
-    lands in the shift X[1] through the standard identification."""
+    lands in the shift X[1] through the standard identification.
+
+    Each catalogue object V_k is built once per call and shared by every
+    morphism that starts or ends at it."""
     n = tri.n
-    f = realize_an_morphism(tri.f, ctx)
+    back_index = pad(n, -tri.f.mu)
+    built = {k: realize_an_object(ctx, n, k) for k in {tri.f.mu, tri.f.nu, back_index, *tri.third}}
+    f = realize_an_morphism(tri.f, ctx, built)
     x, y = f.source, f.target
     t = realize_an_sum(ctx, n, tri.third)
-    g_parts = [realize_an_morphism(gi, ctx) for gi in tri.g]
-    h_parts = [realize_an_morphism(hi, ctx) for hi in tri.h]
+    g_parts = [realize_an_morphism(gi, ctx, built) for gi in tri.g]
+    h_parts = [realize_an_morphism(hi, ctx, built) for hi in tri.h]
     g1, g0 = _stack_vertical(ctx, g_parts, y)
     g = morphism_new(y, t, g1, g0)
-    back = realize_an_object(ctx, n, pad(n, -tri.f.mu))
+    back = built[back_index]
     h1, h0 = _stack_horizontal(ctx, h_parts, back)
     h_to_back = morphism_new(t, back, h1, h0)
-    # Reroute h into X[1] through the strict identification V_{n-mu} = X[1];
-    # the identification (-1, 1) is its own inverse.
-    iota = shift_identification(ctx, n, tri.f.mu)
-    shifted = iota.source
-    ident_back = morphism_new(back, shifted, iota.f1, iota.f0)
+    # Reroute h into X[1] through the strict identification V_{n-mu} = X[1]
+    # with components (-1, 1), as in `shift_identification`.
+    one = PolyMatrix.identity(ctx, 1)
+    ident_back = morphism_new(back, mf_shift(x), -one, one)
     h = compose(ident_back, h_to_back)
     return x, y, t, f, g, h
 

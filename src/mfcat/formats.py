@@ -76,7 +76,7 @@ def scalar_to_str(field: Field, c) -> str:
 
 
 def scalar_from_json(field: Field, s):
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return field.from_int(s)
     if isinstance(s, str):
         try:
@@ -126,7 +126,7 @@ def context_from_dict(d: dict) -> RingContext:
     if weights is not None:
         if not isinstance(weights, list):
             raise ValueError(f"parse-error: weights must be a list, got {weights!r}")
-        weights = tuple(weights)
+        weights = tuple(_json_int(w, "a weight") for w in weights)
     w0 = scalar_from_json(field, d.get("w0", "0"))
     return RingContext(field=field, variables=variables, weights=weights, w0=w0)
 

@@ -36,7 +36,7 @@ class PolyMatrix:
             for p in r:
                 if not isinstance(p, Poly):
                     p = ctx.constant(p)
-                if p.ctx != ctx:
+                if p.ctx is not ctx and p.ctx != ctx:
                     raise ValueError("context-mismatch: entry from a different context")
                 row.append(p)
             checked.append(tuple(row))

@@ -12,12 +12,18 @@ accepted expression, which is what makes file formats diff-stable.
 
 The zero polynomial has no degree: ``degree``/``weighted_degree`` raise on
 it rather than returning a sentinel value.
+
+Inputs are validated once, by ``Poly(ctx, terms)``.  The results of ``+``,
+``-`` and ``*`` are clean by construction (checked operands; a coefficient
+that cancels is dropped), so they skip the per-term checks, except that a
+product still checks its exponents against the machine-width bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Optional, Tuple
 
 from .fields import Field, QQ, Scalar
@@ -140,6 +146,14 @@ class Poly:
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _clean(cls, ctx: RingContext, terms: Dict[Exponent, Scalar]) -> "Poly":
+        """A Poly from terms already known to be valid and nonzero."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ctx", ctx)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -180,7 +194,7 @@ class Poly:
 
     def _coerce_other(self, other):
         if isinstance(other, Poly):
-            if other.ctx != self.ctx:
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise ValueError("context-mismatch: polynomials from different contexts")
             return other
         return self.ctx.constant(other)
@@ -190,18 +204,18 @@ class Poly:
         fld = self.ctx.field
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            acc = fld.add(terms.get(e, fld.zero()), c)
+            acc = fld.add(terms[e], c) if e in terms else c
             if fld.is_zero(acc):
-                terms.pop(e, None)
+                del terms[e]
             else:
                 terms[e] = acc
-        return Poly(self.ctx, terms)
+        return Poly._clean(self.ctx, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        fld = self.ctx.field
-        return Poly(self.ctx, {e: fld.neg(c) for e, c in self.terms.items()})
+        neg = self.ctx.field.neg
+        return Poly._clean(self.ctx, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce_other(other))
@@ -215,14 +229,16 @@ class Poly:
         out: Dict[Exponent, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                _check_exponents(e)
-                acc = fld.add(out.get(e, fld.zero()), fld.mul(c1, c2))
+                e = tuple(map(add, e1, e2))
+                if max(e, default=0) > EXPONENT_LIMIT:
+                    _check_exponents(e)
+                c = fld.mul(c1, c2)
+                acc = fld.add(out[e], c) if e in out else c
                 if fld.is_zero(acc):
-                    out.pop(e, None)
+                    del out[e]
                 else:
                     out[e] = acc
-        return Poly(self.ctx, out)
+        return Poly._clean(self.ctx, out)
 
     __rmul__ = __mul__
 
@@ -292,7 +308,7 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.ctx == other.ctx and self.terms == other.terms
+            return (self.ctx is other.ctx or self.ctx == other.ctx) and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             return self == self.ctx.constant(other)
         return NotImplemented

@@ -237,6 +237,25 @@ def test_certify_generator_triangle():
     assert "w1" in cert and "w0" in cert
 
 
+def test_certify_builds_each_catalogue_object_once(monkeypatch):
+    built = []
+    realize = andyn.realize_an_object
+
+    def counting(ctx, n, mu):
+        built.append(mu)
+        return realize(ctx, n, mu)
+
+    monkeypatch.setattr(andyn, "realize_an_object", counting)
+    for f, indices in (
+        (an_generator(QQ, 5, 2, 3), {1, 2, 3}),
+        (an_basis_morphism(QQ, 5, 2, 3, 4), {2, 3, 4}),
+        (an_generator(QQ, 4, 2, 2), {0, 2}),
+    ):
+        built.clear()
+        assert certify_an_triangle(an_triangle(f))["certified"]
+        assert sorted(built) == sorted(indices)
+
+
 def test_certify_rejects_flipped_sign():
     tri = an_triangle(an_generator(QQ, 4, 1, 2))
     bad = AnTriangle(

@@ -327,6 +327,10 @@ def test_cli_error_exits(tmp_path, capsys):
         ("factorization", "vars", "z"),
         ("factorization", "vars", [1]),
         ("factorization", "weights", 3),
+        ("factorization", "weights", ["a"]),
+        ("factorization", "weights", [1.5]),
+        ("factorization", "weights", [True]),
+        ("factorization", "w0", True),
         ("module", "Z", 3),
         ("module", "Z", ["0"]),
         ("module", "vars", "z"),

@@ -31,6 +31,7 @@ from mfcat import (
 )
 from mfcat import homotopy as ho
 from mfcat import andyn
+from mfcat.knorrer import knorrer
 
 
 F = Fraction
@@ -147,6 +148,61 @@ def test_graded_certificate_overscan_finds_nothing_late():
         if phi > cert["scan_bound"] and d > 0
     ]
     assert late == []
+
+
+def _nonzero_degrees(x, y):
+    return {phi: d for phi, d in graded_stable_hom_dim(x, y)[1]["degrees"] if d}
+
+
+def _lifted_catalogue(field, n, lifts):
+    ctx = andyn.an_context(field)
+    objects = []
+    for mu in range(1, n):
+        x = andyn.realize_an_object(ctx, n, mu)
+        for names in (("x", "y"), ("u", "v"))[:lifts]:
+            x = knorrer(x, *names)
+        objects.append(x)
+    return objects
+
+
+@pytest.mark.parametrize(
+    "field, n, lifts, pairs",
+    [
+        (QQ, 3, 0, None),
+        (QQ, 3, 1, None),
+        (QQ, 3, 2, [(0, 1)]),
+        (QQ, 5, 0, None),
+        (QQ, 5, 1, None),
+        (PrimeField(3), 3, 1, None),
+        (PrimeField(3), 4, 1, None),
+        (PrimeField(3), 6, 1, None),
+        (PrimeField(2), 4, 1, None),
+        (PrimeField(5), 5, 1, None),
+        (PrimeField(101), 6, 1, None),
+    ],
+)
+def test_graded_serre_duality_mirror(field, n, lifts, pairs):
+    # Graded Serre duality for an isolated quasi-homogeneous singularity in
+    # an odd number m of variables (Auslander 1978; Buchweitz 1986):
+    # H(X, Y)_phi and H(Y, X[1])_(c - phi) have the same dimension, with
+    # c = (d - sum w) + ((m - 1) / 2) d - (b_X[0] - a_X[0]) for d the
+    # weighted degree of W and (a_X, b_X) the inferred generator degrees.
+    # The scan computes both sides independently; the fields include
+    # p dividing n.
+    objects = _lifted_catalogue(field, n, lifts)
+    if pairs is None:
+        pairs = [(i, j) for i in range(len(objects)) for j in range(len(objects))]
+    for i, j in pairs:
+        x, y = objects[i], objects[j]
+        weights = x.ctx.weights
+        m, d = len(weights), x.w.weighted_degree()
+        assert m % 2 == 1
+        a_x, b_x = infer_generator_degrees(x)
+        c = (d - sum(weights)) + (m - 1) // 2 * d - (b_x[0] - a_x[0])
+        forward = _nonzero_degrees(x, y)
+        assert forward
+        mirrored = {c - phi: dim for phi, dim in forward.items()}
+        assert _nonzero_degrees(y, mf_shift(x)) == mirrored, (i, j)
 
 
 def test_bounded_estimate_matches_graded():

@@ -75,3 +75,15 @@ def test_context_mismatch():
     b = PolyMatrix(other, [[parse_poly(other, "x")]], cols=1)
     with pytest.raises(ValueError, match="context-mismatch"):
         m([["z"]]) + b
+
+
+def test_entry_context_compared_by_value():
+    twin = RingContext(QQ, ("z",))
+    assert twin is not CTX and twin == CTX
+    assert PolyMatrix(CTX, [[parse_poly(twin, "z")]]) == m([["z"]])
+    assert parse_poly(twin, "z") + parse_poly(CTX, "1") == parse_poly(CTX, "z + 1")
+    other = RingContext(QQ, ("z",), weights=(1,))
+    with pytest.raises(ValueError, match="context-mismatch"):
+        PolyMatrix(CTX, [[parse_poly(other, "z")]])
+    with pytest.raises(ValueError, match="context-mismatch"):
+        parse_poly(other, "z") * parse_poly(CTX, "z")

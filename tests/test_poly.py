@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from mfcat import QQ, PrimeField, RingContext, parse_poly
+from mfcat import QQ, Poly, PrimeField, RingContext, parse_poly
 
 
 ZX = RingContext(QQ, ("z", "x"))
@@ -108,3 +109,52 @@ def test_exponent_limit():
     ctx = RingContext(QQ, ("z",))
     with pytest.raises(ValueError, match="malformed-exponent"):
         parse_poly(ctx, "z^9999999999")
+
+
+def test_exponent_limit_in_products():
+    ctx = RingContext(QQ, ("z",))
+    top = ctx.monomial((2**31 - 1,))
+    with pytest.raises(ValueError, match="malformed-exponent"):
+        top * ctx.variable("z")
+
+
+def _evaluate(p, point):
+    fld = p.ctx.field
+    total = fld.zero()
+    for exp, c in p.terms.items():
+        for v, e in zip(point, exp):
+            c = fld.mul(c, v**e if isinstance(v, Fraction) else pow(v, e, fld.p))
+        total = fld.add(total, c)
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+def test_arithmetic_results_are_clean(field):
+    # Sums and products skip the constructor's per-term checks; each must
+    # still be a valid polynomial with no zero coefficient, and agree with
+    # pointwise evaluation.
+    ctx = RingContext(field, ("z", "x"))
+    rng = random.Random(11)
+
+    def random_poly():
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            exp = (rng.randint(0, 3), rng.randint(0, 2))
+            terms[exp] = field.coerce(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        return Poly(ctx, terms)
+
+    for _ in range(200):
+        a, b = random_poly(), random_poly()
+        b = b - a if rng.random() < 0.3 else b
+        point = [field.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(2)]
+        va, vb = _evaluate(a, point), _evaluate(b, point)
+        for result, value in (
+            (a + b, field.add(va, vb)),
+            (a - b, field.sub(va, vb)),
+            (-a, field.neg(va)),
+            (a * b, field.mul(va, vb)),
+            (a + (-a), field.zero()),
+        ):
+            assert result == Poly(ctx, result.terms)
+            assert not any(field.is_zero(c) for c in result.terms.values())
+            assert _evaluate(result, point) == value
