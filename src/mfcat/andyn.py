@@ -468,13 +468,9 @@ def certify_an_triangle(
     sh, th = hom_h.unknowns(system, ("sh", "th"), hom_h.bounded_supports(bound))
     hom_w.equate(system, hom_w.closed(*w))
     # First square: w g - g_std = D(sg, tg) as maps Y -> cone.
-    hom_g.equate(
-        system, hom_g.compose(w, g), hom_g.boundary(sg, tg, -1), rhs=(g_std.f1, g_std.f0)
-    )
+    hom_g.equate(system, hom_g.compose(w, g), hom_g.boundary(sg, tg, -1), rhs=g_std.f1)
     # Second square: h_std w - h = D(sh, th) as maps T -> X[1].
-    hom_h.equate(
-        system, hom_h.compose(h_std, w), hom_h.boundary(sh, th, -1), rhs=(h.f1, h.f0)
-    )
+    hom_h.equate(system, hom_h.compose(h_std, w), hom_h.boundary(sh, th, -1), rhs=h.f1)
     certificate = {
         "n": n,
         "mu": tri.f.mu,

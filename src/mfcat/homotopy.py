@@ -8,10 +8,24 @@ linear systems in the unknown coefficients.
 
 All of those systems live in the Z/2-graded complex Hom(X, Y) between
 X = (p1, p0) and Y = (q1, q0), and `HomComplex` is the one place that writes
-its equations.  An even pair f = (f1, f0) is a morphism exactly when
-f1 p0 = q0 f0 and q1 f1 = f0 p1; an odd pair (s, t) has the boundary
+its equations.  An even pair f = (f1, f0) is a morphism (is closed) exactly
+when f1 p0 = q0 f0 and q1 f1 = f0 p1; an odd pair (s, t) has the boundary
 D(s, t) = (q0 t + s p1, t p0 + q1 s), with no further signs.  The signs of
 a shifted object live in its matrices (X[1] = (-p0, -p1)), not here.
+
+Only the f1 slot (P1 -> Q1) of each equation is written, because for
+closed pairs the f0 slot (P0 -> Q0) follows from it.  Two identities,
+from p0 p1 = q1 q0 = (W - w0) I with W - w0 nonzero in the polynomial
+ring, a domain (Eisenbud 1980), give this:
+
+    q1 (f1 p0 - q0 f0) p1 = (W - w0) (q1 f1 - f0 p1),
+
+so f1 p0 = q0 f0 implies q1 f1 = f0 p1; and q0 is injective, so a closed
+pair g with g1 = 0 has q0 g0 = g1 p0 = 0 and hence g0 = 0.  The
+precondition is that every pair an equation relates is closed: constrained
+by `closed`, a boundary D(s, t), or a known MFMorphism or a graded
+component of one.  Each system then has the same solutions, and so the
+same reduced row echelon form and witnesses, as with both slots written.
 
 Degree-bounded mode can only certify presence: it tries ansatz bounds
 upward from zero and returns the first solution with free variables set to
@@ -350,11 +364,8 @@ class LinearSystem:
             out[unk.name] = PolyMatrix(self.ctx, rows, cols=unk.cols)
         return out
 
-    def _coefficient_rref(self):
-        return linalg.sparse_rref(self.field, (row for row, _ in self.rows))
-
     def coefficient_rank(self) -> int:
-        return len(self._coefficient_rref())
+        return linalg.sparse_rref(self.field, (row for row, _ in self.rows), rank_only=True)
 
     def nullspace_assignments(self) -> List[Dict[str, PolyMatrix]]:
         field = self.field
@@ -365,7 +376,8 @@ class LinearSystem:
 
     def homogeneous_nullspace(self) -> List[Dict[str, PolyMatrix]]:
         """Nullspace basis of the coefficient matrix, constants ignored."""
-        basis = linalg.null_basis(self.field, self._coefficient_rref(), self.total)
+        reduced = linalg.sparse_rref(self.field, (row for row, _ in self.rows))
+        basis = linalg.null_basis(self.field, reduced, self.total)
         return [self._extract(v) for v in basis]
 
 
@@ -374,8 +386,12 @@ class HomComplex:
 
     `closed` and `boundary` write the two conditions of the module
     docstring; `compose` writes a known morphism composed with an unknown
-    pair.  Each returns one term list per component, the f1 slot (P1 -> Q1)
-    first, and `equate` adds their sum as two equations in that order.
+    pair.  Each returns the term list of the f1 slot (P1 -> Q1) only, and
+    `equate` adds their sum as one matrix equation.  The f0 slot follows
+    from it by q1 (f1 p0 - q0 f0) p1 = (W - w0) (q1 f1 - f0 p1) and the
+    injectivity of q0, provided every pair related is closed (see the module
+    docstring): a free pair equated to a closed one must also be
+    constrained by `closed`.
     """
 
     def __init__(self, x: MatrixFactorization, y: MatrixFactorization):
@@ -412,35 +428,24 @@ class HomComplex:
         return even, odd
 
     def closed(self, f1: _Unknown, f0: _Unknown):
-        """f1 p0 - q0 f0 and q1 f1 - f0 p1: both vanish exactly on morphisms."""
-        x, y = self.x, self.y
-        return (
-            [(None, f1, x.p0, 1), (y.p0, f0, None, -1)],
-            [(y.p1, f1, None, 1), (None, f0, x.p1, -1)],
-        )
+        """f1 p0 - q0 f0: it vanishes exactly on morphisms."""
+        return [(None, f1, self.x.p0, 1), (self.y.p0, f0, None, -1)]
 
     def boundary(self, s: _Unknown, t: _Unknown, sign: int = 1):
-        """sign * D(s, t) = sign * (q0 t + s p1, t p0 + q1 s)."""
-        x, y = self.x, self.y
-        return (
-            [(y.p0, t, None, sign), (None, s, x.p1, sign)],
-            [(None, t, x.p0, sign), (y.p1, s, None, sign)],
-        )
+        """The f1 slot of sign * D(s, t), sign * (q0 t + s p1)."""
+        return [(self.y.p0, t, None, sign), (None, s, self.x.p1, sign)]
 
     def compose(self, g, f):
-        """g after f, where one of the two is a known MFMorphism and the
-        other a pair of unknowns."""
+        """The f1 slot of g after f, where one of the two is a known
+        MFMorphism and the other a pair of unknowns."""
         if isinstance(f, MFMorphism):
-            return [(None, g[0], f.f1, 1)], [(None, g[1], f.f0, 1)]
-        return [(g.f1, f[0], None, 1)], [(g.f0, f[1], None, 1)]
+            return [(None, g[0], f.f1, 1)]
+        return [(g.f1, f[0], None, 1)]
 
-    def equate(
-        self, system: LinearSystem, *parts, rhs: Optional[Tuple[PolyMatrix, PolyMatrix]] = None
-    ):
-        """The sum of the term pairs equals rhs = (rhs1, rhs0), or zero."""
-        rhs1, rhs0 = (None, None) if rhs is None else rhs
-        system.add_matrix_equation([term for part in parts for term in part[0]], rhs1, self.shape)
-        system.add_matrix_equation([term for part in parts for term in part[1]], rhs0, self.shape)
+    def equate(self, system: LinearSystem, *parts, rhs: Optional[PolyMatrix] = None):
+        """The sum of the term lists equals rhs, the f1 slot of a closed
+        pair, or zero."""
+        system.add_matrix_equation([term for part in parts for term in part], rhs, self.shape)
 
 
 # -- gradings ----------------------------------------------------------
@@ -515,10 +520,8 @@ def _graded_setup(x: MatrixFactorization, y: MatrixFactorization):
 # -- null-homotopy search ----------------------------------------------
 
 
-def _homotopy_system(
-    hom: HomComplex, supports, rhs: Tuple[PolyMatrix, PolyMatrix]
-) -> LinearSystem:
-    """D(s, t) = rhs."""
+def _homotopy_system(hom: HomComplex, supports, rhs: PolyMatrix) -> LinearSystem:
+    """D(s, t) = f for a closed f with f1 slot rhs."""
     system = LinearSystem(hom.x.ctx)
     s, t = hom.unknowns(system, ("s", "t"), supports)
     hom.equate(system, hom.boundary(s, t), rhs=rhs)
@@ -549,7 +552,7 @@ def _find_null_homotopy_bounded(f: MFMorphism, policy: SearchPolicy) -> SearchRe
     hom = HomComplex(x, y)
     bound = resolve_bound(policy, x, y, f)
     for b in range(bound + 1):
-        system = _homotopy_system(hom, hom.bounded_supports(b), (f.f1, f.f0))
+        system = _homotopy_system(hom, hom.bounded_supports(b), f.f1)
         sol = system.solve()
         if sol is not None:
             h = Homotopy(x, y, sol["s"], sol["t"])
@@ -585,13 +588,10 @@ def _morphism_degree_components(f: MFMorphism, grading) -> Dict[int, Tuple[Dict,
     return out
 
 
-def _component_matrices(f: MFMorphism, slot) -> Tuple[PolyMatrix, PolyMatrix]:
+def _component_matrix(f: MFMorphism, terms) -> PolyMatrix:
     ctx, rows, cols = f.source.ctx, range(f.target.rank), range(f.source.rank)
-    return tuple(
-        PolyMatrix(
-            ctx, [[Poly(ctx, terms.get((r, c), {})) for c in cols] for r in rows], cols=len(cols)
-        )
-        for terms in slot
+    return PolyMatrix(
+        ctx, [[Poly(ctx, terms.get((r, c), {})) for c in cols] for r in rows], cols=len(cols)
     )
 
 
@@ -609,7 +609,8 @@ def _find_null_homotopy_graded(f: MFMorphism, policy: SearchPolicy) -> SearchRes
     degrees = []
     for phi in sorted(components):
         _, odd = hom.graded_supports(grading, phi)
-        system = _homotopy_system(hom, odd, _component_matrices(f, components[phi]))
+        # A graded component of a morphism is closed: its f1 slot decides it.
+        system = _homotopy_system(hom, odd, _component_matrix(f, components[phi][0]))
         sol = system.solve()
         if sol is None:
             return SearchResult(
@@ -732,6 +733,9 @@ def bounded_stable_hom_estimate(
     # `cycles`, `boundaries` and `meets`.  Every D(s, t) is closed, so the
     # solutions of f = D(s, t) have dimension dim(Z meet B) + dim ker D, and
     # the answer dim(Z + B) - dim B = dim Z - dim(Z meet B) is V - C - D.
+    # With the f1 slot alone, f = D(s, t) needs f closed to imply the f0
+    # slot, so `meets` also constrains f; that leaves its solutions as they
+    # are.
     cycles = LinearSystem(x.ctx)
     f1, f0 = hom.unknowns(cycles, ("f1", "f0"), supports)
     hom.equate(cycles, hom.closed(f1, f0))
@@ -741,6 +745,7 @@ def bounded_stable_hom_estimate(
     meets = LinearSystem(x.ctx)
     f = hom.unknowns(meets, ("f1", "f0"), supports)
     s, t = hom.unknowns(meets, ("s", "t"), supports)
+    hom.equate(meets, hom.closed(*f))
     hom.equate(meets, hom.compose(identity_morphism(y), f), hom.boundary(s, t, -1))
     return meets.coefficient_rank() - cycles.coefficient_rank() - boundaries.coefficient_rank()
 
@@ -775,12 +780,8 @@ def _two_sided_inverse(u: MFMorphism, bound: int) -> Optional[Tuple[MFMorphism, 
     # v u - id_X = D(s1, t1) and u v - id_Y = D(s2, t2).
     ident_x = PolyMatrix.identity(x.ctx, x.rank)
     ident_y = PolyMatrix.identity(x.ctx, y.rank)
-    hom_x.equate(
-        system, hom_x.compose(v_pair, u), hom_x.boundary(s1, t1, -1), rhs=(ident_x, ident_x)
-    )
-    hom_y.equate(
-        system, hom_y.compose(u, v_pair), hom_y.boundary(s2, t2, -1), rhs=(ident_y, ident_y)
-    )
+    hom_x.equate(system, hom_x.compose(v_pair, u), hom_x.boundary(s1, t1, -1), rhs=ident_x)
+    hom_y.equate(system, hom_y.compose(u, v_pair), hom_y.boundary(s2, t2, -1), rhs=ident_y)
     sol = system.solve()
     if sol is None:
         return None

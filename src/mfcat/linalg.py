@@ -8,6 +8,14 @@ and that column is then cleared from the earlier pivot rows.  Only nonzero
 entries are ever touched.  Scalars are canonical field elements, so a
 scalar is zero exactly when it is falsy.
 
+A rank needs no reduced rows, so `sparse_rref(..., rank_only=True)` stops
+at echelon form: an incoming row is cleared only at its leading column, and
+again at each new leading column, until that column is not yet a pivot;
+non-leading entries stay, and no pivot is ever cleared from earlier rows.
+The pivot columns are those of the reduced form (the leading columns of any
+echelon basis are the leading columns of the row space), so their number
+is the rank.
+
 The loops run on plain ints.  Over F_p they are residues in [0, p) and
 every update is (a - f*v) % p.  Over Q each row is a primitive integer
 row (coprime entries), a nonzero multiple of the row it stands for, with a
@@ -86,72 +94,88 @@ def mat_is_zero(field: Field, a) -> bool:
     return all(field.is_zero(x) for row in a for x in row)
 
 
-def sparse_rref(field: Field, rows):
+def sparse_rref(field: Field, rows, rank_only: bool = False):
     """Reduced row echelon form of sparse rows {column: nonzero scalar}.
 
     Returns {pivot column: reduced row} in ascending pivot order; each
     reduced row holds 1 at its pivot and 0 (absent) at every other pivot
-    column.  The input rows are not modified.
+    column.  With rank_only, returns the number of pivots, found by forward
+    elimination alone.  The input rows are not modified.
     """
     if isinstance(field, PrimeField):
-        basis = _rref_mod_p(field.p, rows)
+        basis = _rref_mod_p(field.p, rows, rank_only)
     else:
-        basis = _rref_rational(rows)
+        basis = _rref_rational(rows, rank_only)
+    if rank_only:
+        return len(basis)
     return {p: basis[p] for p in sorted(basis)}
 
 
-def _rref_mod_p(p: int, rows):
-    """Gauss-Jordan over F_p on canonical residues in [0, p)."""
+def _rref_mod_p(p: int, rows, echelon: bool):
+    """Gauss-Jordan over F_p on canonical residues in [0, p), or forward
+    elimination only if echelon."""
     basis = {}
     for row in rows:
         r = dict(row)
-        # Basis rows vanish at each other's pivots, so clearing one pivot
-        # column of r leaves the others untouched.
-        for c in [c for c in r if c in basis]:
-            f = r[c]
-            for col, v in basis[c].items():
-                x = (r.get(col, 0) - f * v) % p
-                if x:
-                    r[col] = x
-                else:
-                    del r[col]
+        if echelon:
+            while r and (c := min(r)) in basis:
+                _eliminate_mod_p(p, r, c, basis[c])
+        else:
+            # Basis rows vanish at each other's pivots, so clearing one pivot
+            # column of r leaves the others untouched.
+            for c in [c for c in r if c in basis]:
+                _eliminate_mod_p(p, r, c, basis[c])
         if not r:
             continue
         piv = min(r)
         if r[piv] != 1:
             scale = pow(r[piv], p - 2, p)
             r = {c: v * scale % p for c, v in r.items()}
-        for other in basis.values():
-            f = other.get(piv)
-            if f:
-                for col, v in r.items():
-                    x = (other.get(col, 0) - f * v) % p
-                    if x:
-                        other[col] = x
-                    else:
-                        del other[col]
+        if not echelon:
+            for other in basis.values():
+                if piv in other:
+                    _eliminate_mod_p(p, other, piv, r)
         basis[piv] = r
     return basis
 
 
-def _rref_rational(rows):
+def _eliminate_mod_p(p, r, c, b):
+    """r - r[c] b in place, for b with 1 at c; it vanishes at c."""
+    f = r[c]
+    for col, v in b.items():
+        x = (r.get(col, 0) - f * v) % p
+        if x:
+            r[col] = x
+        else:
+            del r[col]
+
+
+def _rref_rational(rows, echelon: bool):
     """Fraction-free Gauss-Jordan over Q on primitive integer rows, each a
-    nonzero multiple of the row it stands for, pivot entries positive."""
+    nonzero multiple of the row it stands for, pivot entries positive; or
+    forward elimination only if echelon, returning the integer rows."""
     basis = {}
     for row in rows:
         den = lcm(*(v.denominator for v in row.values()))
         r = _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
-        for c in [c for c in r if c in basis]:
-            r = _eliminate(r, c, basis[c])
+        if echelon:
+            while r and (c := min(r)) in basis:
+                r = _eliminate(r, c, basis[c])
+        else:
+            for c in [c for c in r if c in basis]:
+                r = _eliminate(r, c, basis[c])
         if not r:
             continue
         piv = min(r)
         if r[piv] < 0:
             r = {c: -v for c, v in r.items()}
-        for q, other in basis.items():
-            if piv in other:
-                basis[q] = _eliminate(other, piv, r)
+        if not echelon:
+            for q, other in basis.items():
+                if piv in other:
+                    basis[q] = _eliminate(other, piv, r)
         basis[piv] = r
+    if echelon:
+        return basis
     out = {}
     for piv, r in basis.items():
         d = r[piv]
@@ -217,7 +241,7 @@ def rref(field: Field, matrix):
 
 
 def rank(field: Field, matrix) -> int:
-    return len(sparse_rref(field, _sparse(matrix)))
+    return sparse_rref(field, _sparse(matrix), rank_only=True)
 
 
 def solve(field: Field, a, b):

@@ -30,6 +30,7 @@ from mfcat import (
     zero_morphism,
 )
 from mfcat import homotopy as ho
+from mfcat import linalg
 from mfcat import andyn
 from mfcat.knorrer import knorrer
 
@@ -533,3 +534,129 @@ def test_packed_assembly_matches_tuple_reference(field):
         assert [list(row.items()) for row, _ in system.rows] == [list(row.items()) for row, _ in want]
         assert [type(c) for _, c in system.rows] == [type(c) for _, c in want]
     assert high_rhs > 5
+
+
+# -- f1-slot equations against the two-slot reference ---------------------
+
+
+def _exact_quotient(a, w):
+    """a / w for a multiple a of w, by leading terms in grlex order."""
+    field, lead = a.ctx.field, max(w.terms, key=ho.grlex_key)
+    quotient = a.ctx.zero()
+    while not a.is_zero():
+        top = max(a.terms, key=ho.grlex_key)
+        exp = tuple(e - l for e, l in zip(top, lead))
+        assert min(exp) >= 0, "not a multiple of W - w0"
+        term = a.ctx.monomial(exp, field.div(a.terms[top], w.terms[lead]))
+        quotient, a = quotient + term, a - term * w
+    return quotient
+
+
+class _TwoSlotComplex(ho.HomComplex):
+    """The Hom-complex writer that also writes the f0 slot (P0 -> Q0) of each
+    equation after its f1 slot: the reference for the f1-slot systems.  The
+    f0 slot of a right-hand side g1 is g0 = q1 g1 p0 / (W - w0), checked to
+    make (g1, g0) closed."""
+
+    def closed(self, f1, f0):
+        x, y = self.x, self.y
+        return super().closed(f1, f0), [(y.p1, f1, None, 1), (None, f0, x.p1, -1)]
+
+    def boundary(self, s, t, sign=1):
+        x, y = self.x, self.y
+        return super().boundary(s, t, sign), [(None, t, x.p0, sign), (y.p1, s, None, sign)]
+
+    def compose(self, g, f):
+        if isinstance(f, ho.MFMorphism):
+            return super().compose(g, f), [(None, g[1], f.f0, 1)]
+        return super().compose(g, f), [(g.f0, f[1], None, 1)]
+
+    def equate(self, system, *parts, rhs=None):
+        x, y = self.x, self.y
+        rhs0 = None
+        if rhs is not None:
+            rhs0 = (y.p1 @ rhs @ x.p0).map_entries(lambda p: _exact_quotient(p, x.w))
+            assert rhs @ x.p0 == y.p0 @ rhs0 and y.p1 @ rhs == rhs0 @ x.p1
+        super().equate(system, *(part[0] for part in parts), rhs=rhs)
+        system.add_matrix_equation([term for part in parts for term in part[1]], rhs0, self.shape)
+
+
+def _eliminated_systems(monkeypatch, writer, queries):
+    """(field, total, rows) of every system that the queries eliminate,
+    with `writer` as the Hom-complex writer."""
+    log = []
+    with monkeypatch.context() as m:
+        m.setattr(ho, "HomComplex", writer)
+        m.setattr(andyn, "HomComplex", writer)
+        for name in ("solve", "coefficient_rank", "homogeneous_nullspace"):
+            original = getattr(ho.LinearSystem, name)
+
+            def record(self, *args, _original=original):
+                log.append((self.field, self.total, list(self.rows)))
+                return _original(self, *args)
+
+            m.setattr(ho.LinearSystem, name, record)
+        for query in queries:
+            query()
+    return log
+
+
+def _canonical(reduced):
+    return [(p, list(row.items()), [type(x) for x in row.values()]) for p, row in reduced.items()]
+
+
+def _f1_slot_queries(field, n, lifted):
+    ctx = andyn.an_context(field)
+    objects = [andyn.realize_an_object(ctx, n, mu) for mu in range(1, n)]
+    f = andyn.realize_an_morphism(andyn.an_generator(field, n, 1, n - 2), ctx)
+    objects += [mf_shift(objects[0]), cone(f), andyn.realize_an_object(ctx, n, 0)]
+    if lifted:
+        objects = [knorrer(x, "x", "y") for x in objects[:2]]
+    pairs = [(x, y) for x in objects for y in objects[:2]] + [(objects[0], objects[-1])]
+    queries = []
+    for x, y in pairs:
+        queries += [
+            lambda x=x, y=y: graded_stable_hom_dim(x, y),
+            lambda x=x, y=y: bounded_stable_hom_estimate(x, y, 2),
+        ]
+    x, y = objects[0], objects[1]
+    for g in morphism_space_basis(x, y, 2)[:2] + [identity_morphism(x)]:
+        for mode in ("bounded", "graded"):
+            queries.append(lambda g=g, mode=mode: find_null_homotopy(g, SearchPolicy(mode, 3)))
+    queries += [
+        lambda: morphism_space_basis(x, y, 3),
+        lambda: ho._find_invertible({"candidates_tried": 0}, 2, identity_morphism(x), lambda: []),
+        lambda: is_iso_in_db(x, mf_shift(mf_shift(x)), SearchPolicy("bounded", 2)),
+    ]
+    if not lifted:
+        tri = andyn.an_triangle(andyn.an_generator(field, n, 1, n - 2))
+        queries.append(lambda: andyn.certify_an_triangle(tri, ctx))
+    return queries
+
+
+@pytest.mark.parametrize(
+    "field, n, lifted",
+    [(QQ, 3, False), (QQ, 5, False), (QQ, 3, True), (PrimeField(3), 3, False),
+     (PrimeField(3), 6, False), (PrimeField(101), 4, False)],
+    ids=["Q-3", "Q-5", "Q-3-lift", "F3-3", "F3-6", "F101-4"],
+)
+def test_f1_slot_systems_match_full_systems(monkeypatch, field, n, lifted):
+    # Every system written with the f1 slot alone has the reduced row echelon
+    # form it has with both slots written, augmented and without constants.
+    queries = _f1_slot_queries(field, n, lifted)
+    written = _eliminated_systems(monkeypatch, ho.HomComplex, queries)
+    full = _eliminated_systems(monkeypatch, _TwoSlotComplex, queries)
+    assert len(written) == len(full) > 10
+    halved = 0
+    for (fd, total, rows), (_, full_total, full_rows) in zip(written, full):
+        assert total == full_total and len(rows) <= len(full_rows)
+        halved += 2 * len(rows) <= len(full_rows)
+        augmented = [
+            [row if fd.is_zero(c) else {**row, total: c} for row, c in system]
+            for system in (rows, full_rows)
+        ]
+        a, b = (linalg.sparse_rref(fd, system) for system in augmented)
+        assert _canonical(a) == _canonical(b)
+        a, b = (linalg.sparse_rref(fd, [row for row, _ in system]) for system in (rows, full_rows))
+        assert _canonical(a) == _canonical(b)
+    assert halved > len(written) // 2

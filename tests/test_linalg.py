@@ -156,7 +156,7 @@ def _random_sparse(rng, field, nrows, ncols, density, values=SMALL):
     ]
 
 
-FIELDS = [QQ, PrimeField(5), PrimeField(101)]
+FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(101)]
 KERNEL_CASES = [pytest.param(f, SMALL, id=f.name) for f in FIELDS] + [
     pytest.param(QQ, RATIONAL, id="Q-rational")
 ]
@@ -171,12 +171,21 @@ def test_sparse_kernel_matches_dense_reference(field, values):
         a = _random_sparse(rng, field, nrows, ncols, rng.choice([0.1, 0.3, 0.6]), values)
         if nrows and trial % 4 == 0:
             a[rng.randrange(nrows)] = [field.zero()] * ncols
+        if nrows and trial % 3 == 1:
+            # A duplicate, a dependent and a zero row, in any order: forward
+            # elimination must clear each until its leading column is new.
+            i, j = rng.randrange(nrows), rng.randrange(nrows)
+            c = field.coerce(rng.choice(values))
+            a += [list(a[i]), [field.add(x, field.mul(c, y)) for x, y in zip(a[i], a[j])]]
+            a.append([field.zero()] * ncols)
+            rng.shuffle(a)
+            nrows = len(a)
         red, pivots = _reference_rref(field, a)
         assert linalg.rref(field, a) == (red, pivots)
-        sparse = linalg.sparse_rref(
-            field, [{j: x for j, x in enumerate(row) if x} for row in a]
-        )
+        rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+        sparse = linalg.sparse_rref(field, rows)
         assert list(sparse) == pivots
+        assert linalg.sparse_rref(field, rows, rank_only=True) == len(pivots)
         for row, c in zip(red, pivots):
             assert sparse[c] == {j: x for j, x in enumerate(row) if x}
         scalars = [x for row in sparse.values() for x in row.values()]
