@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -197,27 +198,21 @@ def _pack(high: int, base: int, exp: Exponent) -> int:
 
 
 class _Unknown:
-    __slots__ = ("name", "rows", "cols", "supports", "offsets", "base", "size", "degree")
+    __slots__ = ("name", "rows", "cols", "supports", "starts", "base", "size", "degree")
 
     def __init__(self, name, rows, cols, supports, base):
         self.name = name
         self.rows = rows
         self.cols = cols
         self.supports = supports
-        self.offsets = []
         self.base = base
-        size = 0
-        for r in range(rows):
-            row_offsets = []
-            for c in range(cols):
-                row_offsets.append(size)
-                size += len(supports[r][c])
-            self.offsets.append(row_offsets)
-        self.size = size
+        # starts[r * cols + c]: offset of the first coefficient of entry (r, c)
+        self.starts = list(itertools.accumulate((len(s) for row in supports for s in row), initial=0))
+        self.size = self.starts.pop()
         self.degree = max((sum(e) for row in supports for s in row for e in s), default=0)
 
     def index(self, r, c, k):
-        return self.base + self.offsets[r][c] + k
+        return self.base + self.starts[r * self.cols + c] + k
 
 
 class LinearSystem:
@@ -231,6 +226,9 @@ class LinearSystem:
         self.rows: List[Tuple[Dict[int, object], object]] = []
 
     def unknown(self, name: str, rows: int, cols: int, support: Callable[[int, int], Sequence[Tuple[int, ...]]]) -> _Unknown:
+        """A rows x cols unknown matrix whose entry (r, c) has a coefficient
+        for each exponent of support(r, c), a sequence of distinct, valid
+        exponent tuples."""
         supports = [[tuple(support(r, c)) for c in range(cols)] for r in range(rows)]
         unk = _Unknown(name, rows, cols, supports, self.total)
         self.unknowns.append(unk)
@@ -331,37 +329,40 @@ class LinearSystem:
 
     def solve(self) -> Optional[Dict[str, PolyMatrix]]:
         """One solution with free variables set to zero, or None.  The
-        constants form column `total`, so a pivot there is inconsistent."""
+        constants form column `total`, the one right-hand side, so the
+        elimination stops at the first equation that it reduces to
+        0 = a nonzero constant."""
         field = self.field
         total = self.total
-        reduced = linalg.sparse_rref(
+        solution = linalg.sparse_solve(
             field,
-            [row if field.is_zero(const) else {**row, total: const} for row, const in self.rows],
+            (row if field.is_zero(const) else {**row, total: const} for row, const in self.rows),
+            total,
         )
-        if total in reduced:
+        if solution is None:
             return None
-        zero = field.zero()
-        values = [zero] * total
-        for c, row in reduced.items():
-            values[c] = row.get(total, zero)
-        return self._extract(values)
+        return self._extract({c: x[total] for c, x in solution.items()})
 
-    def _extract(self, values) -> Dict[str, PolyMatrix]:
-        field = self.field
+    def _extract(self, values: Dict[int, object]) -> Dict[str, PolyMatrix]:
+        """The unknown matrices of the assignment {index: nonzero value},
+        every other coefficient zero.  Supports hold distinct, valid
+        exponents, so each entry is built without re-checking its terms."""
+        ctx = self.ctx
+        bases = [unk.base for unk in self.unknowns]
+        cells = [[{} for _ in range(unk.rows * unk.cols)] for unk in self.unknowns]
+        # In index order, so each entry's terms follow its support.
+        for i in sorted(values):
+            u = bisect_right(bases, i) - 1
+            unk = self.unknowns[u]
+            k = i - unk.base
+            cell = bisect_right(unk.starts, k) - 1
+            exp = unk.supports[cell // unk.cols][cell % unk.cols][k - unk.starts[cell]]
+            cells[u][cell][exp] = values[i]
         out = {}
-        for unk in self.unknowns:
-            rows = []
-            for r in range(unk.rows):
-                row = []
-                for c in range(unk.cols):
-                    terms = {}
-                    for k, exp in enumerate(unk.supports[r][c]):
-                        v = values[unk.index(r, c, k)]
-                        if not field.is_zero(v):
-                            terms[exp] = field.add(terms.get(exp, field.zero()), v)
-                    row.append(Poly(self.ctx, terms))
-                rows.append(row)
-            out[unk.name] = PolyMatrix(self.ctx, rows, cols=unk.cols)
+        for unk, terms in zip(self.unknowns, cells):
+            polys = [Poly._clean(ctx, t) for t in terms]
+            rows = [polys[r * unk.cols:(r + 1) * unk.cols] for r in range(unk.rows)]
+            out[unk.name] = PolyMatrix(ctx, rows, cols=unk.cols)
         return out
 
     def coefficient_rank(self) -> int:
@@ -377,8 +378,7 @@ class LinearSystem:
     def homogeneous_nullspace(self) -> List[Dict[str, PolyMatrix]]:
         """Nullspace basis of the coefficient matrix, constants ignored."""
         reduced = linalg.sparse_rref(self.field, (row for row, _ in self.rows))
-        basis = linalg.null_basis(self.field, reduced, self.total)
-        return [self._extract(v) for v in basis]
+        return [self._extract(v) for v in linalg.null_basis(self.field, reduced, self.total)]
 
 
 class HomComplex:

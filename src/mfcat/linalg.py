@@ -1,20 +1,23 @@
 """Exact linear algebra over a coefficient field.
 
-One eliminator, `sparse_rref`, does all the work.  It takes rows as sparse
-dicts {column: nonzero scalar} and returns the reduced row echelon form as
-{pivot column: reduced row}.  Each incoming row is cleared against the
-pivot rows found so far; its first remaining column becomes a new pivot,
-and that column is then cleared from the earlier pivot rows.  Only nonzero
-entries are ever touched.  Scalars are canonical field elements, so a
-scalar is zero exactly when it is falsy.
+One forward-elimination loop per field does all the elimination.  It takes
+rows as sparse dicts {column: nonzero scalar} and builds an echelon basis
+{leading column: row}: an incoming row is cleared at its leading column,
+and again at each new leading column, until that column is not yet a
+pivot; its non-leading entries stay, and no pivot is ever cleared from
+earlier rows.  Only nonzero entries are ever touched.  Scalars are
+canonical field elements, so a scalar is zero exactly when it is falsy.
 
-A rank needs no reduced rows, so `sparse_rref(..., rank_only=True)` stops
-at echelon form: an incoming row is cleared only at its leading column, and
-again at each new leading column, until that column is not yet a pivot;
-non-leading entries stay, and no pivot is ever cleared from earlier rows.
-The pivot columns are those of the reduced form (the leading columns of any
-echelon basis are the leading columns of the row space), so their number
-is the rank.
+Three entries sit on that loop.  `sparse_rref(..., rank_only=True)` returns
+the number of basis rows: the leading columns of any echelon basis are the
+pivot columns of the reduced form, so their number is the rank.
+`sparse_rref` returns the reduced row echelon form {pivot column: reduced
+row}, by one pass in descending pivot order that clears each row at the
+later pivots by their rows, already final.  `sparse_solve` treats the
+columns from a given one on as right-hand sides: it returns None as soon as
+a row leads at a right-hand column, and otherwise runs the same pass on the
+pivot and right-hand columns alone, which gives the solution with free
+variables set to zero.
 
 The loops run on plain ints.  Over F_p they are residues in [0, p) and
 every update is (a - f*v) % p.  Over Q each row is a primitive integer
@@ -31,16 +34,17 @@ therefore the same canonical form, and so are the solution with free
 variables set to zero and the nullspace basis read off it (`null_basis`),
 which keeps witnesses and quotient bases reproducible.
 
-`LinearSystem` in `homotopy` feeds its sparse rows to `sparse_rref`
-directly.  Dense matrices, lists of row lists as used by `modules`, go
-through the adapters `rref`, `rank`, `solve`, `nullspace` and
+`LinearSystem` in `homotopy` feeds its sparse rows to `sparse_rref` and
+`sparse_solve` directly.  Dense matrices, lists of row lists as used by
+`modules`, go through the adapters `rref`, `rank`, `solve`, `nullspace` and
 `row_space_contains`, which convert rows to dicts and back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from functools import partial
+from math import gcd, inf, lcm
 
 from .fields import Field, PrimeField
 
@@ -102,39 +106,53 @@ def sparse_rref(field: Field, rows, rank_only: bool = False):
     column.  With rank_only, returns the number of pivots, found by forward
     elimination alone.  The input rows are not modified.
     """
-    if isinstance(field, PrimeField):
-        basis = _rref_mod_p(field.p, rows, rank_only)
-    else:
-        basis = _rref_rational(rows, rank_only)
+    basis = _echelon(field, rows)
     if rank_only:
         return len(basis)
-    return {p: basis[p] for p in sorted(basis)}
+    return _reduced(field, basis, 0)
 
 
-def _rref_mod_p(p: int, rows, echelon: bool):
-    """Gauss-Jordan over F_p on canonical residues in [0, p), or forward
-    elimination only if echelon."""
+def sparse_solve(field: Field, rows, ncols: int):
+    """The solution with free variables set to zero of sparse rows whose
+    columns >= ncols are right-hand sides, or None if there is none.
+
+    Returns {pivot column: {right-hand column: nonzero value}}, the nonzero
+    right-hand blocks of the reduced rows: for right-hand column j, x[pivot]
+    is the value at j and every other x is zero.  Rows are read only up to
+    the first one whose leading column, once cleared, is a right-hand side.
+    The input rows are not modified.
+    """
+    basis = _echelon(field, rows, ncols)
+    if basis is None:
+        return None
+    # Free variables are zero, so only pivot and right-hand columns count.
+    basis = {p: {c: v for c, v in r.items() if c >= ncols or c in basis} for p, r in basis.items()}
+    return {p: r for p, r in _reduced(field, basis, ncols).items() if r}
+
+
+def _echelon(field: Field, rows, stop=inf):
+    """Echelon basis {leading column: row} by forward elimination, or None
+    at the first row that leads at a column >= stop."""
+    if isinstance(field, PrimeField):
+        return _echelon_mod_p(field.p, rows, stop)
+    return _echelon_rational(rows, stop)
+
+
+def _echelon_mod_p(p: int, rows, stop):
+    """Forward elimination over F_p on canonical residues in [0, p); each
+    basis row has 1 at its leading column."""
     basis = {}
     for row in rows:
         r = dict(row)
-        if echelon:
-            while r and (c := min(r)) in basis:
-                _eliminate_mod_p(p, r, c, basis[c])
-        else:
-            # Basis rows vanish at each other's pivots, so clearing one pivot
-            # column of r leaves the others untouched.
-            for c in [c for c in r if c in basis]:
-                _eliminate_mod_p(p, r, c, basis[c])
+        while r and (piv := min(r)) in basis:
+            _eliminate_mod_p(p, r, piv, basis[piv])
         if not r:
             continue
-        piv = min(r)
+        if piv >= stop:
+            return None
         if r[piv] != 1:
             scale = pow(r[piv], p - 2, p)
             r = {c: v * scale % p for c, v in r.items()}
-        if not echelon:
-            for other in basis.values():
-                if piv in other:
-                    _eliminate_mod_p(p, other, piv, r)
         basis[piv] = r
     return basis
 
@@ -148,39 +166,46 @@ def _eliminate_mod_p(p, r, c, b):
             r[col] = x
         else:
             del r[col]
+    return r
 
 
-def _rref_rational(rows, echelon: bool):
-    """Fraction-free Gauss-Jordan over Q on primitive integer rows, each a
-    nonzero multiple of the row it stands for, pivot entries positive; or
-    forward elimination only if echelon, returning the integer rows."""
+def _echelon_rational(rows, stop):
+    """Fraction-free forward elimination over Q on primitive integer rows,
+    each a nonzero multiple of the row it stands for, with a positive
+    leading entry."""
     basis = {}
     for row in rows:
         den = lcm(*(v.denominator for v in row.values()))
         r = _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
-        if echelon:
-            while r and (c := min(r)) in basis:
-                r = _eliminate(r, c, basis[c])
-        else:
-            for c in [c for c in r if c in basis]:
-                r = _eliminate(r, c, basis[c])
+        while r and (piv := min(r)) in basis:
+            r = _eliminate(r, piv, basis[piv])
         if not r:
             continue
-        piv = min(r)
+        if piv >= stop:
+            return None
         if r[piv] < 0:
             r = {c: -v for c, v in r.items()}
-        if not echelon:
-            for q, other in basis.items():
-                if piv in other:
-                    basis[q] = _eliminate(other, piv, r)
         basis[piv] = r
-    if echelon:
-        return basis
-    out = {}
-    for piv, r in basis.items():
-        d = r[piv]
-        out[piv] = {c: Fraction(v, d) for c, v in r.items()}
-    return out
+    return basis
+
+
+def _reduced(field: Field, basis, start: int):
+    """The reduced rows of an echelon basis, in ascending pivot order and
+    from column start on, as field elements.  Pivots are taken in
+    descending order, and each row is cleared at the later pivots by their
+    rows, which are final by then; this adds entries only in non-pivot
+    columns.  The basis rows are consumed."""
+    mod_p = isinstance(field, PrimeField)
+    eliminate = partial(_eliminate_mod_p, field.p) if mod_p else _eliminate
+    order = sorted(basis)
+    for piv in reversed(order):
+        r = basis[piv]
+        for c in [c for c in r if c != piv and c in basis]:
+            r = eliminate(r, c, basis[c])
+        basis[piv] = r
+    if mod_p:
+        return {p: {c: v for c, v in basis[p].items() if c >= start} for p in order}
+    return {p: {c: Fraction(v, basis[p][p]) for c, v in basis[p].items() if c >= start} for p in order}
 
 
 def _eliminate(r, c, b):
@@ -214,20 +239,16 @@ def _sparse(matrix):
 
 
 def null_basis(field: Field, reduced, ncols: int):
-    """Kernel basis of a reduced matrix with ncols columns: one vector per
-    non-pivot column f, with 1 at f and free variables 0."""
-    zero, one = field.zero(), field.one()
-    basis = []
-    for f in range(ncols):
-        if f in reduced:
-            continue
-        v = [zero] * ncols
-        v[f] = one
-        for c, row in reduced.items():
-            if f in row:
-                v[c] = field.neg(row[f])
-        basis.append(v)
-    return basis
+    """Kernel basis of a reduced matrix with ncols columns: one sparse
+    vector {column: nonzero value} per non-pivot column f, with 1 at f and
+    free variables 0."""
+    one = field.one()
+    basis = {f: {f: one} for f in range(ncols) if f not in reduced}
+    for c, row in reduced.items():
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = field.neg(x)
+    return list(basis.values())
 
 
 def rref(field: Field, matrix):
@@ -247,21 +268,22 @@ def rank(field: Field, matrix) -> int:
 def solve(field: Field, a, b):
     """One solution of A x = b with free variables set to zero, or None.
 
-    b may be a vector or a matrix of stacked right-hand-side columns; the
-    returned x has matching shape.
+    b may be a vector or a matrix of stacked right-hand-side columns, with
+    one entry or row per row of A; the returned x has matching shape.
     """
+    if len(b) != len(a):
+        raise ValueError(f"shape-mismatch: {len(a)} equations, {len(b)} right-hand sides")
     vector_rhs = b and not isinstance(b[0], list)
     bcols = [[x] for x in b] if vector_rhs else [list(r) for r in b]
     ncols = len(a[0]) if a else 0
     nrhs = len(bcols[0]) if bcols else 0
-    reduced = sparse_rref(field, _sparse([list(a[i]) + bcols[i] for i in range(len(a))]))
-    # Inconsistent if a pivot lands in the right-hand block.
-    if any(p >= ncols for p in reduced):
+    solution = sparse_solve(field, _sparse([list(a[i]) + bcols[i] for i in range(len(a))]), ncols)
+    if solution is None:
         return None
     x = mat_zero(field, ncols, nrhs)
-    for c, row in reduced.items():
-        for j in range(nrhs):
-            x[c][j] = row.get(ncols + j, field.zero())
+    for c, row in solution.items():
+        for j, v in row.items():
+            x[c][j - ncols] = v
     if vector_rhs:
         return [row[0] for row in x]
     return x
@@ -270,7 +292,9 @@ def solve(field: Field, a, b):
 def nullspace(field: Field, a):
     """Basis of the right kernel of A, as a list of vectors."""
     ncols = len(a[0]) if a else 0
-    return null_basis(field, sparse_rref(field, _sparse(a)), ncols)
+    zero = field.zero()
+    basis = null_basis(field, sparse_rref(field, _sparse(a)), ncols)
+    return [[v.get(j, zero) for j in range(ncols)] for v in basis]
 
 
 def row_space_contains(field: Field, basis_rows, vector) -> bool:

@@ -581,9 +581,10 @@ class _TwoSlotComplex(ho.HomComplex):
         system.add_matrix_equation([term for part in parts for term in part[1]], rhs0, self.shape)
 
 
-def _eliminated_systems(monkeypatch, writer, queries):
+def _eliminated_systems(monkeypatch, writer, queries, solved=None):
     """(field, total, rows) of every system that the queries eliminate,
-    with `writer` as the Hom-complex writer."""
+    with `writer` as the Hom-complex writer.  Each solved system and what
+    its `solve` returned are appended to `solved`, if given."""
     log = []
     with monkeypatch.context() as m:
         m.setattr(ho, "HomComplex", writer)
@@ -591,9 +592,12 @@ def _eliminated_systems(monkeypatch, writer, queries):
         for name in ("solve", "coefficient_rank", "homogeneous_nullspace"):
             original = getattr(ho.LinearSystem, name)
 
-            def record(self, *args, _original=original):
+            def record(self, *args, _original=original, _name=name):
                 log.append((self.field, self.total, list(self.rows)))
-                return _original(self, *args)
+                result = _original(self, *args)
+                if solved is not None and _name == "solve":
+                    solved.append((self, result))
+                return result
 
             m.setattr(ho.LinearSystem, name, record)
         for query in queries:
@@ -660,3 +664,84 @@ def test_f1_slot_systems_match_full_systems(monkeypatch, field, n, lifted):
         a, b = (linalg.sparse_rref(fd, [row for row, _ in system]) for system in (rows, full_rows))
         assert _canonical(a) == _canonical(b)
     assert halved > len(written) // 2
+
+
+def _assignment_from_rref(system):
+    """The solution of a system with free variables set to zero, read off
+    the full reduced form of its augmented rows into a dense vector, with
+    validating Poly constructors; None if the constants column is a pivot."""
+    field, total = system.field, system.total
+    reduced = linalg.sparse_rref(
+        field, [row if field.is_zero(c) else {**row, total: c} for row, c in system.rows]
+    )
+    if total in reduced:
+        return None
+    values = [field.zero()] * total
+    for p, row in reduced.items():
+        values[p] = row.get(total, field.zero())
+    return {
+        unk.name: PolyMatrix(
+            system.ctx,
+            [
+                [
+                    ho.Poly(system.ctx, {e: values[unk.index(r, c, k)] for k, e in enumerate(unk.supports[r][c])})
+                    for c in range(unk.cols)
+                ]
+                for r in range(unk.rows)
+            ],
+            cols=unk.cols,
+        )
+        for unk in system.unknowns
+    }
+
+
+def _typed_entries(assignment):
+    return {
+        name: [
+            [(type(p), list(p.terms.items()), [type(x) for x in p.terms.values()]) for p in row]
+            for row in m.entries
+        ]
+        for name, m in assignment.items()
+    }
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(101)], ids=["Q", "F3", "F101"])
+def test_solve_matches_reduced_form(monkeypatch, field):
+    # LinearSystem.solve stops at echelon form and back-substitutes the
+    # constants only; its answer, the inconsistent None included, is the one
+    # read off the full reduced form of the augmented rows.
+    ctx = andyn.an_context(field)
+    queries = [
+        lambda tri=andyn.an_triangle(andyn.an_generator(field, n, mu, nu)): andyn.certify_an_triangle(tri, ctx)
+        for n in (2, 3, 4)
+        for mu in range(1, n)
+        for nu in range(1, n)
+    ]
+    x, y = andyn.realize_an_object(ctx, 5, 2), andyn.realize_an_object(ctx, 5, 3)
+    # A boundary D(s, 0) on a cone, whose graded supports differ by entry,
+    # with s off the diagonal.
+    c = cone(andyn.realize_an_morphism(andyn.an_generator(field, 5, 1, 2), ctx))
+    s = PolyMatrix(ctx, [[ctx.zero(), ctx.zero()], [ctx.parse("z^3"), ctx.zero()]])
+    g = ho.morphism_new(c, c, s @ c.p1, c.p1 @ s)
+    bounded = SearchPolicy("bounded", 2)
+    queries += [
+        lambda: is_iso_in_db(x, mf_shift(mf_shift(x)), bounded),
+        lambda: is_iso_in_db(x, y, bounded),
+        lambda: find_null_homotopy(morphism_from_polys(x, x, [["z^3"]], [["z^3"]]), bounded),
+        lambda: find_null_homotopy(identity_morphism(x), bounded),
+        lambda: find_null_homotopy(g, SearchPolicy("bounded", 3)),
+        lambda: find_null_homotopy(g, SearchPolicy("graded")),
+    ]
+    solved = []
+    _eliminated_systems(monkeypatch, ho.HomComplex, queries, solved)
+    found = 0
+    for system, got in solved:
+        want = _assignment_from_rref(system)
+        if want is None:
+            assert got is None
+            continue
+        found += 1
+        assert got == want
+        assert _typed_entries(got) == _typed_entries(want)
+        assert all(type(m) is PolyMatrix for m in got.values())
+    assert found > 10 and len(solved) - found > 5

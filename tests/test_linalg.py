@@ -116,13 +116,15 @@ def _reference_rref(field, matrix):
 
 
 def _reference_solve(field, a, b):
+    """X with A X = B and free variables zero, for B given as one row of
+    right-hand sides per row of A, or None."""
     ncols = len(a[0]) if a else 0
-    red, pivots = _reference_rref(field, [list(row) + [x] for row, x in zip(a, b)])
-    if pivots and pivots[-1] == ncols:
+    red, pivots = _reference_rref(field, [list(row) + list(x) for row, x in zip(a, b)])
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [field.zero()] * ncols
+    x = [[field.zero()] * len(b[0]) if b else [] for _ in range(ncols)]
     for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
+        x[c] = red[r][ncols:]
     return x
 
 
@@ -192,11 +194,49 @@ def test_sparse_kernel_matches_dense_reference(field, values):
         assert all(type(x) is (F if field == QQ else int) for x in scalars)
         assert linalg.rank(field, a) == len(pivots)
         assert linalg.nullspace(field, a) == _reference_nullspace(field, a)
-        b = [field.coerce(rng.randrange(-2, 3)) for _ in range(nrows)]
-        want = _reference_solve(field, a, b)
-        inconsistent += want is None
-        assert linalg.solve(field, a, b) == want
-    assert inconsistent > 10
+        for nrhs in (1, rng.choice([2, 3])):
+            b = [[field.coerce(rng.randrange(-2, 3)) for _ in range(nrhs)] for _ in range(nrows)]
+            want = _reference_solve(field, a, b)
+            inconsistent += want is None
+            got = linalg.sparse_solve(field, [{**r, **_sparse_row(x, ncols)} for r, x in zip(rows, b)], ncols)
+            if want is None:
+                assert got is None
+            else:
+                assert got == {c: _sparse_row(x, ncols) for c, x in enumerate(want) if any(x)}
+                scalars = [x for row in got.values() for x in row.values()]
+                assert all(type(x) is (F if field == QQ else int) for x in scalars)
+            if nrhs == 1:
+                b, want = [x[0] for x in b], want and [x[0] for x in want]
+            assert linalg.solve(field, a, b) == want
+    assert inconsistent > 20
+
+
+def _sparse_row(values, start):
+    return {start + j: x for j, x in enumerate(values) if x}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+def test_solve_stops_at_first_inconsistent_row(field):
+    # x0 + x1 = 1, then 2 x0 + x2 = 3 and a dependent row, then
+    # x0 + x1 = 2 in a scaled form: its leading column is the constants.
+    c = field.coerce
+    rows = [
+        {0: c(1), 1: c(1), 3: c(1)},
+        {0: c(2), 2: c(1), 3: c(3)},
+        {1: c(2), 2: c(-1), 3: c(-1)},
+        {0: c(3), 1: c(3), 3: c(6)},
+    ]
+
+    def read():
+        yield from rows
+        raise AssertionError("read past the first inconsistent row")
+
+    assert linalg.sparse_solve(field, read(), 3) is None
+    consistent = linalg.sparse_solve(field, rows[:3], 3)
+    assert consistent == {0: {3: c(F(3, 2))}, 1: {3: c(F(-1, 2))}}
+    assert linalg.solve(field, [[r.get(j, c(0)) for j in range(3)] for r in rows[:3]], [r[3] for r in rows[:3]]) == [
+        c(F(3, 2)), c(F(-1, 2)), c(0)
+    ]
 
 
 def test_empty_and_zero_matrices():
@@ -213,6 +253,18 @@ def test_empty_and_zero_matrices():
     ]
     assert linalg.solve(QQ, zero, [F(0), F(0)]) == [F(0)] * 3
     assert linalg.solve(QQ, zero, [F(0), F(1)]) is None
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [([[F(1)]], []), ([[F(1)], [F(2)]], [F(1)]), ([], [F(1)])],
+    ids=["no-rhs", "short-rhs", "no-rows"],
+)
+def test_solve_rejects_mismatched_right_hand_side(a, b):
+    # One right-hand side per equation: [] = [1] stands for 0 = 1, not for
+    # an empty solution.
+    with pytest.raises(ValueError, match="shape-mismatch"):
+        linalg.solve(QQ, a, b)
 
 
 def test_inconsistent_augmented_column():
