@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .errors import MfcatError
 from .factorization import (
     MatrixFactorization,
     MFMorphism,
@@ -44,13 +45,13 @@ from .poly import Poly, RingContext
 
 def _check_n(n: int):
     if n < 2:
-        raise ValueError(f"index-out-of-range: need n >= 2, got {n}")
+        raise MfcatError("index-out-of-range", f"need n >= 2, got {n}")
 
 
 def _check_index(n: int, mu: int):
     _check_n(n)
     if not 1 <= mu <= n - 1:
-        raise ValueError(f"index-out-of-range: {mu} not in 1..{n - 1}")
+        raise MfcatError("index-out-of-range", f"{mu} not in 1..{n - 1}")
 
 
 def pad(n: int, mu: int) -> int:
@@ -98,11 +99,11 @@ class AnMorphism:
     def __init__(self, field: Field, n: int, mu: int, nu: int, coeffs: Sequence):
         _check_n(n)
         if not 0 <= mu <= n - 1 or not 0 <= nu <= n - 1:
-            raise ValueError(f"index-out-of-range: ({mu}, {nu}) for n={n}")
+            raise MfcatError("index-out-of-range", f"({mu}, {nu}) for n={n}")
         peaks = _basis_padded(n, mu, nu)
         if len(coeffs) != len(peaks):
-            raise ValueError(
-                f"shape-mismatch: {len(peaks)} basis peaks, {len(coeffs)} coefficients"
+            raise MfcatError(
+                "shape-mismatch", f"{len(peaks)} basis peaks, {len(coeffs)} coefficients"
             )
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
@@ -145,7 +146,7 @@ def an_zero(field: Field, n: int, mu: int, nu: int) -> AnMorphism:
 def an_basis_morphism(field: Field, n: int, mu: int, nu: int, lam: int) -> AnMorphism:
     peaks = _basis_padded(n, mu, nu)
     if lam not in peaks:
-        raise ValueError(f"index-out-of-range: peak {lam} not in basis {peaks}")
+        raise MfcatError("index-out-of-range", f"peak {lam} not in basis {peaks}")
     coeffs = [field.one() if p == lam else field.zero() for p in peaks]
     return AnMorphism(field, n, mu, nu, coeffs)
 
@@ -164,7 +165,7 @@ def an_identity(field: Field, n: int, mu: int) -> AnMorphism:
 
 def an_add(a: AnMorphism, b: AnMorphism) -> AnMorphism:
     if (a.n, a.mu, a.nu, a.field) != (b.n, b.mu, b.nu, b.field):
-        raise ValueError("shape-mismatch: adding morphisms of different types")
+        raise MfcatError("shape-mismatch", "adding morphisms of different types")
     field = a.field
     return AnMorphism(
         field, a.n, a.mu, a.nu,
@@ -181,8 +182,8 @@ def an_scale(a: AnMorphism, c) -> AnMorphism:
 def an_compose(a: AnMorphism, b: AnMorphism) -> AnMorphism:
     """a after b: b goes V_mu -> V_mid, a goes V_mid -> V_nu."""
     if a.field != b.field or a.n != b.n or a.mu != b.nu:
-        raise ValueError(
-            f"not-composable: V_{b.mu}->V_{b.nu} then V_{a.mu}->V_{a.nu}"
+        raise MfcatError(
+            "not-composable", f"V_{b.mu}->V_{b.nu} then V_{a.mu}->V_{a.nu}"
         )
     field = a.field
     n = a.n
@@ -208,7 +209,7 @@ def an_compose(a: AnMorphism, b: AnMorphism) -> AnMorphism:
 def an_translate_index(n: int, mu: int) -> int:
     _check_n(n)
     if not 0 <= mu <= n - 1:
-        raise ValueError(f"index-out-of-range: {mu} for n={n}")
+        raise MfcatError("index-out-of-range", f"{mu} for n={n}")
     return 0 if mu == 0 else n - mu
 
 
@@ -235,9 +236,9 @@ def an_end_ring(field: Field, n: int, mu: int) -> dict:
     x = powers[1] if d > 1 else an_zero(field, n, mu, mu)
     x_d = an_compose(x, powers[-1]) if d > 1 else x
     if not x_d.is_zero():
-        raise ValueError("relation-violated: generator power x^d is nonzero")
+        raise MfcatError("relation-violated", "generator power x^d is nonzero")
     if powers[-1].is_zero():
-        raise ValueError("relation-violated: generator power x^(d-1) vanished")
+        raise MfcatError("relation-violated", "generator power x^(d-1) vanished")
     return {"n": n, "mu": mu, "d": d, "generator": x, "powers": powers}
 
 
@@ -363,14 +364,14 @@ def an_triangle(f: AnMorphism) -> AnTriangle:
     field = f.field
     n, mu, nu = f.n, f.mu, f.nu
     if mu == 0 or nu == 0:
-        raise ValueError("invalid-shape: triangles need nonzero endpoints")
+        raise MfcatError("invalid-shape", "triangles need nonzero endpoints")
     unit = [
         (lam, c)
         for lam, c in zip(f.peaks, f.coeffs)
         if not field.is_zero(c)
     ]
     if len(unit) != 1 or unit[0][1] != field.one():
-        raise ValueError("invalid-shape: triangle input must be a basis morphism")
+        raise MfcatError("invalid-shape", "triangle input must be a basis morphism")
     lam = unit[0][0]
     if lam == max(mu, nu):
         t = pad(n, nu - mu)
@@ -388,32 +389,6 @@ def an_triangle(f: AnMorphism) -> AnTriangle:
     return AnTriangle(field, n, f, lam, (t1, t2), g, h)
 
 
-def _stack_vertical(ctx, components: Sequence[MFMorphism], source) -> Tuple[PolyMatrix, PolyMatrix]:
-    rows1 = []
-    rows0 = []
-    for comp in components:
-        rows1.extend(list(r) for r in comp.f1.entries)
-        rows0.extend(list(r) for r in comp.f0.entries)
-    return (
-        PolyMatrix(ctx, rows1, cols=source.rank),
-        PolyMatrix(ctx, rows0, cols=source.rank),
-    )
-
-
-def _stack_horizontal(ctx, components: Sequence[MFMorphism], target) -> Tuple[PolyMatrix, PolyMatrix]:
-    rows1 = [[] for _ in range(target.rank)]
-    rows0 = [[] for _ in range(target.rank)]
-    for comp in components:
-        for i in range(target.rank):
-            rows1[i].extend(comp.f1.entries[i])
-            rows0[i].extend(comp.f0.entries[i])
-    cols = sum(comp.source.rank for comp in components)
-    return (
-        PolyMatrix(ctx, rows1, cols=cols),
-        PolyMatrix(ctx, rows0, cols=cols),
-    )
-
-
 def realize_an_triangle(tri: AnTriangle, ctx: RingContext):
     """The triangle as matrix factorizations: (X, Y, T, f, g, h) where h
     lands in the shift X[1] through the standard identification.
@@ -428,10 +403,12 @@ def realize_an_triangle(tri: AnTriangle, ctx: RingContext):
     t = realize_an_sum(ctx, n, tri.third)
     g_parts = [realize_an_morphism(gi, ctx, built) for gi in tri.g]
     h_parts = [realize_an_morphism(hi, ctx, built) for hi in tri.h]
-    g1, g0 = _stack_vertical(ctx, g_parts, y)
+    g1 = PolyMatrix.block([[p.f1] for p in g_parts])
+    g0 = PolyMatrix.block([[p.f0] for p in g_parts])
     g = morphism_new(y, t, g1, g0)
     back = built[back_index]
-    h1, h0 = _stack_horizontal(ctx, h_parts, back)
+    h1 = PolyMatrix.block([[p.f1 for p in h_parts]])
+    h0 = PolyMatrix.block([[p.f0 for p in h_parts]])
     h_to_back = morphism_new(t, back, h1, h0)
     # Reroute h into X[1] through the strict identification V_{n-mu} = X[1]
     # with components (-1, 1), as in `shift_identification`.

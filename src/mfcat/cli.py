@@ -16,32 +16,12 @@ import sys
 from typing import List, Optional
 
 from . import andyn, critical, formats, homotopy
+from .errors import MfcatError
 from .factorization import mf_shift, standard_triangle
 from .fields import field_from_token
 from .knorrer import knorrer
 from .modules import cok, decompose, stabilize, stable_hom
 from .poly import RingContext
-
-USAGE_ERROR_PREFIXES = (
-    "parse-error",
-    "unknown-variable",
-    "malformed-exponent",
-    "non-invertible-denominator",
-    "invalid-shape",
-    "wrong-arity",
-    "variable-collision",
-    "not-univariate",
-    "index-out-of-range",
-    "context-mismatch",
-    "superpotential-mismatch",
-    "policy-infeasible",
-    "zero-superpotential",
-    "constant-superpotential",
-    "not-composable",
-    "shape-mismatch",
-    "non-quasi-homogeneous",
-    "not-nilpotent-form",
-)
 
 
 def _stem(path: str) -> str:
@@ -98,8 +78,7 @@ def cmd_shift(args) -> int:
 
 def cmd_cone(args) -> int:
     f = formats.load_morphism(args.file)
-    with open(args.file) as fh:
-        refs = json.load(fh)
+    refs = formats.read_json(args.file)
     base = os.path.dirname(os.path.abspath(args.file))
     source_ref = _abs(formats._resolve(base, refs["source"]))
     target_ref = _abs(formats._resolve(base, refs["target"]))
@@ -132,9 +111,9 @@ def cmd_hom(args) -> int:
     x = formats.load_mf(args.left)
     y = formats.load_mf(args.right)
     if x.ctx != y.ctx:
-        raise ValueError("context-mismatch: the two factorization files differ in ring data")
+        raise MfcatError("context-mismatch", "the two factorization files differ in ring data")
     if x.w != y.w:
-        raise ValueError("superpotential-mismatch: the two files factor different fibers")
+        raise MfcatError("superpotential-mismatch", "the two files factor different fibers")
     outdir = _outdir(args)
     stem = f"{_stem(args.left)}-{_stem(args.right)}"
     if args.bound is not None:
@@ -381,12 +360,9 @@ def run(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as e:
         print(f"no such file: {e.filename}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        message = str(e)
-        print(message, file=sys.stderr)
-        if message.startswith(USAGE_ERROR_PREFIXES):
-            return 2
-        return 1
+    except MfcatError as e:
+        print(e, file=sys.stderr)
+        return e.exit_status
 
 
 if __name__ == "__main__":

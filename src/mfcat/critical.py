@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from . import univariate as uni
+from .errors import MfcatError
 from .fields import QQ, RationalField
 from .poly import Poly
 
@@ -35,7 +36,7 @@ def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fracti
     """All rational roots of the polynomial with the given coefficients."""
     coeffs = uni.trim(field, coeffs)
     if not coeffs:
-        raise ValueError("zero-superpotential: resultant vanished identically")
+        raise MfcatError("zero-superpotential", "resultant vanished identically")
     # Strip powers of w dividing the polynomial; they contribute the root 0.
     low = 0
     while field.is_zero(coeffs[low]):
@@ -92,16 +93,16 @@ def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
     """
     ctx = w.ctx
     if not isinstance(ctx.field, RationalField):
-        raise ValueError("context-mismatch: critical values need the rational field")
+        raise MfcatError("context-mismatch", "critical values need the rational field")
     if len(ctx.variables) != 1:
-        raise ValueError("not-univariate: critical values need one variable")
+        raise MfcatError("not-univariate", "critical values need one variable")
     if w.is_zero() or w.is_constant():
-        raise ValueError("constant-superpotential: no critical fiber structure")
+        raise MfcatError("constant-superpotential", "no critical fiber structure")
     field = ctx.field
     wc = uni.from_poly(w, ctx.variables[0])
     deriv = uni.derivative(field, wc)
     if uni.is_zero(deriv):
-        raise ValueError("constant-superpotential: derivative vanishes identically")
+        raise MfcatError("constant-superpotential", "derivative vanishes identically")
     # R(t) = Res_z(W - t, W') has degree at most deg(W') in t; sample at
     # deg(W') + 2 points and interpolate.
     npoints = (uni.deg(deriv) or 0) + 2

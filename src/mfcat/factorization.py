@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from .errors import MfcatError
 from .matrices import PolyMatrix
 from .poly import Poly, RingContext
 
@@ -62,28 +63,28 @@ def mf_new(ctx: RingContext, w_total: Poly, p1: PolyMatrix, p0: PolyMatrix) -> M
     is W - w0 and must be nonzero.
     """
     if w_total.ctx != ctx:
-        raise ValueError("context-mismatch: W from a different context")
+        raise MfcatError("context-mismatch", "W from a different context")
     if p1.ctx != ctx or p0.ctx != ctx:
-        raise ValueError("context-mismatch: matrices from a different context")
+        raise MfcatError("context-mismatch", "matrices from a different context")
     w = w_total - ctx.constant(ctx.w0)
     if w.is_zero():
-        raise ValueError("zero-superpotential: W - w0 must be nonzero")
+        raise MfcatError("zero-superpotential", "W - w0 must be nonzero")
     if p1.rows != p1.cols or p0.rows != p0.cols or p1.rows != p0.rows:
-        raise ValueError(
-            f"invalid-shape: need equal square shapes, got {p1.rows}x{p1.cols} and {p0.rows}x{p0.cols}"
+        raise MfcatError(
+            "invalid-shape", f"need equal square shapes, got {p1.rows}x{p1.cols} and {p0.rows}x{p0.cols}"
         )
     rank = p1.rows
     w_ident = PolyMatrix.scalar(ctx, w, rank)
     prod10 = p1 @ p0
     if prod10 != w_ident:
-        raise ValueError(
-            "not-a-factorization: p1 * p0 differs from (W - w0) * I; "
+        raise MfcatError(
+            "not-a-factorization", "p1 * p0 differs from (W - w0) * I; "
             f"first offending entry {_first_difference(prod10, w_ident)}"
         )
     prod01 = p0 @ p1
     if prod01 != w_ident:
-        raise ValueError(
-            "not-a-factorization: p0 * p1 differs from (W - w0) * I; "
+        raise MfcatError(
+            "not-a-factorization", "p0 * p1 differs from (W - w0) * I; "
             f"first offending entry {_first_difference(prod01, w_ident)}"
         )
     return MatrixFactorization(ctx, w, rank, p1, p0)
@@ -141,9 +142,9 @@ def mf_direct_sum(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFacto
 
 def _check_same_fiber(x: MatrixFactorization, y: MatrixFactorization):
     if x.ctx != y.ctx:
-        raise ValueError("context-mismatch: factorizations over different contexts")
+        raise MfcatError("context-mismatch", "factorizations over different contexts")
     if x.w != y.w:
-        raise ValueError("superpotential-mismatch: factorizations of different fibers")
+        raise MfcatError("superpotential-mismatch", "factorizations of different fibers")
 
 
 class MFMorphism:
@@ -180,22 +181,22 @@ class MFMorphism:
 def morphism_new(x: MatrixFactorization, y: MatrixFactorization, f1: PolyMatrix, f0: PolyMatrix) -> MFMorphism:
     _check_same_fiber(x, y)
     if f1.rows != y.rank or f1.cols != x.rank or f0.rows != y.rank or f0.cols != x.rank:
-        raise ValueError(
-            f"invalid-shape: morphism components must be {y.rank}x{x.rank}, "
+        raise MfcatError(
+            "invalid-shape", f"morphism components must be {y.rank}x{x.rank}, "
             f"got {f1.rows}x{f1.cols} and {f0.rows}x{f0.cols}"
         )
     lhs = f1 @ x.p0
     rhs = y.p0 @ f0
     if lhs != rhs:
-        raise ValueError(
-            "not-a-morphism: f1 * p0 differs from q0 * f0; "
+        raise MfcatError(
+            "not-a-morphism", "f1 * p0 differs from q0 * f0; "
             f"first offending entry {_first_difference(lhs, rhs)}"
         )
     lhs2 = y.p1 @ f1
     rhs2 = f0 @ x.p1
     if lhs2 != rhs2:
-        raise ValueError(
-            "not-a-morphism: q1 * f1 differs from f0 * p1; "
+        raise MfcatError(
+            "not-a-morphism", "q1 * f1 differs from f0 * p1; "
             f"first offending entry {_first_difference(lhs2, rhs2)}"
         )
     return MFMorphism(x, y, f1, f0)
@@ -222,19 +223,19 @@ def zero_morphism(x: MatrixFactorization, y: MatrixFactorization) -> MFMorphism:
 def compose(g: MFMorphism, f: MFMorphism) -> MFMorphism:
     """g after f."""
     if f.target != g.source:
-        raise ValueError("not-composable: target of f is not source of g")
+        raise MfcatError("not-composable", "target of f is not source of g")
     return MFMorphism(f.source, g.target, g.f1 @ f.f1, g.f0 @ f.f0)
 
 
 def morphism_add(f: MFMorphism, g: MFMorphism) -> MFMorphism:
     if f.source != g.source or f.target != g.target:
-        raise ValueError("not-composable: morphisms between different objects")
+        raise MfcatError("not-composable", "morphisms between different objects")
     return MFMorphism(f.source, f.target, f.f1 + g.f1, f.f0 + g.f0)
 
 
 def morphism_sub(f: MFMorphism, g: MFMorphism) -> MFMorphism:
     if f.source != g.source or f.target != g.target:
-        raise ValueError("not-composable: morphisms between different objects")
+        raise MfcatError("not-composable", "morphisms between different objects")
     return MFMorphism(f.source, f.target, f.f1 - g.f1, f.f0 - g.f0)
 
 
@@ -270,8 +271,8 @@ class Homotopy:
 
     def __init__(self, source, target, s: PolyMatrix, t: PolyMatrix):
         if s.rows != target.rank or s.cols != source.rank or t.rows != target.rank or t.cols != source.rank:
-            raise ValueError(
-                f"invalid-shape: homotopy components must be {target.rank}x{source.rank}"
+            raise MfcatError(
+                "invalid-shape", f"homotopy components must be {target.rank}x{source.rank}"
             )
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -302,7 +303,7 @@ def cone(f: MFMorphism) -> MatrixFactorization:
     c0 = PolyMatrix.block([[y.p0, f.f1], [z, -x.p1]])
     w_ident = PolyMatrix.scalar(ctx, x.w, x.rank + y.rank)
     if c1 @ c0 != w_ident or c0 @ c1 != w_ident:
-        raise ValueError("not-a-factorization: cone blocks fail the product identity")
+        raise MfcatError("not-a-factorization", "cone blocks fail the product identity")
     return MatrixFactorization(ctx, x.w, x.rank + y.rank, c1, c0)
 
 
@@ -346,7 +347,7 @@ def cone_inclusion_homotopy(f: MFMorphism) -> Homotopy:
     t = PolyMatrix.block([[zero_block], [ident]])
     h = Homotopy(x, c, s, t)
     if not h.bounds(compose(g, f)):
-        raise ValueError("not-a-morphism: cone inclusion witness failed")
+        raise MfcatError("not-a-morphism", "cone inclusion witness failed")
     return h
 
 
@@ -365,7 +366,7 @@ def partial_derivative_homotopy(x: MatrixFactorization, var: str) -> Tuple[MFMor
     f = multiplication_morphism(x, x.w.partial_derivative(var))
     h = Homotopy(x, x, x.p0.partial_derivative(var), x.p1.partial_derivative(var))
     if not h.bounds(f):
-        raise ValueError("not-a-morphism: derivative homotopy identity failed")
+        raise MfcatError("not-a-morphism", "derivative homotopy identity failed")
     return f, h
 
 
@@ -374,5 +375,5 @@ def w_multiplication_homotopy(x: MatrixFactorization) -> Tuple[MFMorphism, Homot
     f = multiplication_morphism(x, x.w)
     h = Homotopy(x, x, x.p0, PolyMatrix.zero(x.ctx, x.rank, x.rank))
     if not h.bounds(f):
-        raise ValueError("not-a-morphism: fiber multiplication witness failed")
+        raise MfcatError("not-a-morphism", "fiber multiplication witness failed")
     return f, h

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import MfcatError
+
 Scalar = Union[Fraction, int]
 
 
@@ -47,10 +49,10 @@ class RationalField:
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, bool):
-            raise ValueError("context-mismatch: bool is not a rational scalar")
+            raise MfcatError("context-mismatch", "bool is not a rational scalar")
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
-        raise ValueError(f"context-mismatch: cannot coerce {value!r} into Q")
+        raise MfcatError("context-mismatch", f"cannot coerce {value!r} into Q")
 
     def add(self, a: Fraction, b: Fraction) -> Fraction:
         return a + b
@@ -79,7 +81,7 @@ class RationalField:
 
     def from_fraction(self, num: int, den: int) -> Fraction:
         if den == 0:
-            raise ValueError("non-invertible-denominator: zero denominator")
+            raise MfcatError("non-invertible-denominator", "zero denominator")
         return Fraction(num, den)
 
     def is_negative(self, a: Fraction) -> bool:
@@ -101,7 +103,7 @@ class PrimeField:
 
     def __post_init__(self):
         if not isinstance(self.p, int) or not _is_prime(self.p):
-            raise ValueError(f"context-mismatch: {self.p!r} is not a prime modulus")
+            raise MfcatError("context-mismatch", f"{self.p!r} is not a prime modulus")
 
     @property
     def name(self) -> str:
@@ -118,12 +120,12 @@ class PrimeField:
 
     def coerce(self, value) -> int:
         if isinstance(value, bool):
-            raise ValueError("context-mismatch: bool is not a prime-field scalar")
+            raise MfcatError("context-mismatch", "bool is not a prime-field scalar")
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
             return self.from_fraction(value.numerator, value.denominator)
-        raise ValueError(f"context-mismatch: cannot coerce {value!r} into F_{self.p}")
+        raise MfcatError("context-mismatch", f"cannot coerce {value!r} into F_{self.p}")
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -151,10 +153,10 @@ class PrimeField:
 
     def from_fraction(self, num: int, den: int) -> int:
         if den == 0:
-            raise ValueError("non-invertible-denominator: zero denominator")
+            raise MfcatError("non-invertible-denominator", "zero denominator")
         if den % self.p == 0:
-            raise ValueError(
-                f"non-invertible-denominator: {den} is not invertible mod {self.p}"
+            raise MfcatError(
+                "non-invertible-denominator", f"{den} is not invertible mod {self.p}"
             )
         return self.mul(num % self.p, self.inv(den % self.p))
 
@@ -182,6 +184,6 @@ def field_from_token(token: str) -> Field:
         try:
             p = int(token[3:])
         except ValueError:
-            raise ValueError(f"context-mismatch: bad field token {token!r}") from None
+            raise MfcatError("context-mismatch", f"bad field token {token!r}") from None
         return PrimeField(p)
-    raise ValueError(f"context-mismatch: bad field token {token!r} (want Q or Fp:<p>)")
+    raise MfcatError("context-mismatch", f"bad field token {token!r} (want Q or Fp:<p>)")

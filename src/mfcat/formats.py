@@ -17,6 +17,7 @@ import os
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from .errors import MfcatError
 from .factorization import (
     Homotopy,
     MatrixFactorization,
@@ -36,7 +37,7 @@ def field_to_json(field: Field):
         return "Q"
     if isinstance(field, PrimeField):
         return {"Fp": field.p}
-    raise ValueError(f"context-mismatch: unknown field {field!r}")
+    raise MfcatError("context-mismatch", f"unknown field {field!r}")
 
 
 def _json_int(value, what: str) -> int:
@@ -46,20 +47,20 @@ def _json_int(value, what: str) -> int:
             return int(value)
         except ValueError:
             pass
-    raise ValueError(f"parse-error: {what} must be an integer, got {value!r}")
+    raise MfcatError("parse-error", f"{what} must be an integer, got {value!r}")
 
 
 def _json_strings(value, what: str) -> list:
     """A list of strings from a JSON file."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ValueError(f"parse-error: {what} must be a list of strings, got {value!r}")
+        raise MfcatError("parse-error", f"{what} must be a list of strings, got {value!r}")
     return value
 
 
 def _json_matrix(value, what: str) -> list:
     """A matrix from a JSON file: a list of rows, each a list."""
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
-        raise ValueError(f"parse-error: {what} must be a list of lists, got {value!r}")
+        raise MfcatError("parse-error", f"{what} must be a list of lists, got {value!r}")
     return value
 
 
@@ -68,7 +69,7 @@ def field_from_json(obj) -> Field:
         return QQ
     if isinstance(obj, dict) and set(obj) == {"Fp"}:
         return PrimeField(_json_int(obj["Fp"], "prime modulus"))
-    raise ValueError(f"parse-error: bad field description {obj!r}")
+    raise MfcatError("parse-error", f"bad field description {obj!r}")
 
 
 def scalar_to_str(field: Field, c) -> str:
@@ -82,9 +83,9 @@ def scalar_from_json(field: Field, s):
         try:
             fr = Fraction(s)
         except (ValueError, ZeroDivisionError) as e:
-            raise ValueError(f"parse-error: bad scalar {s!r}") from e
+            raise MfcatError("parse-error", f"bad scalar {s!r}") from e
         return field.from_fraction(fr.numerator, fr.denominator)
-    raise ValueError(f"parse-error: bad scalar {s!r}")
+    raise MfcatError("parse-error", f"bad scalar {s!r}")
 
 
 def _matrix_to_strings(m: PolyMatrix) -> List[List[str]]:
@@ -101,6 +102,19 @@ def _matrix_from_strings(ctx: RingContext, rows, cols: int, what: str = "matrix"
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def read_json(path: str):
+    """The JSON document in a file.  Malformed JSON stays a JSONDecodeError;
+    undecodable text, or an integer longer than int() reads, is a
+    parse-error."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as e:
+            raise MfcatError("parse-error", f"{path}: {e}") from None
 
 
 # -- factorization files -----------------------------------------------
@@ -125,7 +139,7 @@ def context_from_dict(d: dict) -> RingContext:
     weights = d.get("weights")
     if weights is not None:
         if not isinstance(weights, list):
-            raise ValueError(f"parse-error: weights must be a list, got {weights!r}")
+            raise MfcatError("parse-error", f"weights must be a list, got {weights!r}")
         weights = tuple(_json_int(w, "a weight") for w in weights)
     w0 = scalar_from_json(field, d.get("w0", "0"))
     return RingContext(field=field, variables=variables, weights=weights, w0=w0)
@@ -134,11 +148,11 @@ def context_from_dict(d: dict) -> RingContext:
 def mf_from_dict(d: dict) -> MatrixFactorization:
     for key in ("field", "vars", "W", "rank", "p1", "p0"):
         if key not in d:
-            raise ValueError(f"parse-error: factorization file missing {key!r}")
+            raise MfcatError("parse-error", f"factorization file missing {key!r}")
     ctx = context_from_dict(d)
     rank = _json_int(d["rank"], "rank")
     if len(_json_matrix(d["p1"], "p1")) != rank or len(_json_matrix(d["p0"], "p0")) != rank:
-        raise ValueError("invalid-shape: matrix row count differs from rank")
+        raise MfcatError("invalid-shape", "matrix row count differs from rank")
     p1 = _matrix_from_strings(ctx, d["p1"], rank, "p1")
     p0 = _matrix_from_strings(ctx, d["p0"], rank, "p0")
     w = ctx.parse(d["W"])
@@ -152,8 +166,7 @@ def save_mf(path: str, x: MatrixFactorization) -> str:
 
 
 def load_mf(path: str) -> MatrixFactorization:
-    with open(path) as fh:
-        return mf_from_dict(json.load(fh))
+    return mf_from_dict(read_json(path))
 
 
 # -- morphism and homotopy files ---------------------------------------
@@ -177,7 +190,7 @@ def _resolve(base_dir: Optional[str], ref: str) -> str:
 def morphism_from_dict(d: dict, base_dir: Optional[str] = None) -> MFMorphism:
     for key in ("source", "target", "f1", "f0"):
         if key not in d:
-            raise ValueError(f"parse-error: morphism file missing {key!r}")
+            raise MfcatError("parse-error", f"morphism file missing {key!r}")
     x = load_mf(_resolve(base_dir, d["source"]))
     y = load_mf(_resolve(base_dir, d["target"]))
     f1 = _matrix_from_strings(y.ctx, d["f1"], x.rank, "f1")
@@ -192,9 +205,7 @@ def save_morphism(path: str, f: MFMorphism, source_ref: str, target_ref: str) ->
 
 
 def load_morphism(path: str) -> MFMorphism:
-    with open(path) as fh:
-        d = json.load(fh)
-    return morphism_from_dict(d, os.path.dirname(os.path.abspath(path)))
+    return morphism_from_dict(read_json(path), os.path.dirname(os.path.abspath(path)))
 
 
 def homotopy_to_dict(h: Homotopy, source_ref: str, target_ref: str) -> dict:
@@ -209,7 +220,7 @@ def homotopy_to_dict(h: Homotopy, source_ref: str, target_ref: str) -> dict:
 def homotopy_from_dict(d: dict, base_dir: Optional[str] = None) -> Homotopy:
     for key in ("source", "target", "s", "t"):
         if key not in d:
-            raise ValueError(f"parse-error: homotopy file missing {key!r}")
+            raise MfcatError("parse-error", f"homotopy file missing {key!r}")
     x = load_mf(_resolve(base_dir, d["source"]))
     y = load_mf(_resolve(base_dir, d["target"]))
     s = _matrix_from_strings(y.ctx, d["s"], x.rank, "s")
@@ -224,9 +235,7 @@ def save_homotopy(path: str, h: Homotopy, source_ref: str, target_ref: str) -> s
 
 
 def load_homotopy(path: str) -> Homotopy:
-    with open(path) as fh:
-        d = json.load(fh)
-    return homotopy_from_dict(d, os.path.dirname(os.path.abspath(path)))
+    return homotopy_from_dict(read_json(path), os.path.dirname(os.path.abspath(path)))
 
 
 # -- module files ------------------------------------------------------
@@ -246,17 +255,17 @@ def module_to_dict(m: QuotModule) -> dict:
 def module_from_dict(d: dict) -> QuotModule:
     for key in ("field", "W", "dim", "Z"):
         if key not in d:
-            raise ValueError(f"parse-error: module file missing {key!r}")
+            raise MfcatError("parse-error", f"module file missing {key!r}")
     field = field_from_json(d["field"])
     variables = tuple(_json_strings(d.get("vars", ["z"]), "vars"))
     if len(variables) != 1:
-        raise ValueError("not-univariate: module files use one variable")
+        raise MfcatError("not-univariate", "module files use one variable")
     ctx = RingContext(field=field, variables=variables)
     w = ctx.parse(d["W"])
     dim = _json_int(d["dim"], "dim")
     z_rows = _json_matrix(d["Z"], "Z")
     if len(z_rows) != dim or any(len(r) != dim for r in z_rows):
-        raise ValueError("invalid-shape: action matrix must be dim x dim")
+        raise MfcatError("invalid-shape", "action matrix must be dim x dim")
     z = [[scalar_from_json(field, c) for c in row] for row in z_rows]
     return module_new(w, z)
 
@@ -268,8 +277,7 @@ def save_module(path: str, m: QuotModule) -> str:
 
 
 def load_module(path: str) -> QuotModule:
-    with open(path) as fh:
-        return module_from_dict(json.load(fh))
+    return module_from_dict(read_json(path))
 
 
 # -- kind sniffing for validate ----------------------------------------
@@ -277,10 +285,9 @@ def load_module(path: str) -> QuotModule:
 
 def classify_file(path: str) -> Tuple[str, dict]:
     """Identify a JSON file as factorization, morphism, homotopy, or module."""
-    with open(path) as fh:
-        d = json.load(fh)
+    d = read_json(path)
     if not isinstance(d, dict):
-        raise ValueError("parse-error: expected a JSON object")
+        raise MfcatError("parse-error", "expected a JSON object")
     keys = set(d)
     if {"p1", "p0"} <= keys:
         return "factorization", d
@@ -290,4 +297,4 @@ def classify_file(path: str) -> Tuple[str, dict]:
         return "homotopy", d
     if {"Z", "dim"} <= keys:
         return "module", d
-    raise ValueError("parse-error: unrecognized file contents")
+    raise MfcatError("parse-error", "unrecognized file contents")

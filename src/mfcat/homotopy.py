@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
+from .errors import MfcatError
 from .factorization import (
     Homotopy,
     MatrixFactorization,
@@ -83,15 +84,12 @@ class SearchPolicy:
 
     mode: str = "bounded"  # "bounded" or "graded"
     bound: Optional[int] = None
-    window: int = DEFAULT_STALE_WINDOW
 
     def __post_init__(self):
         if self.mode not in ("bounded", "graded"):
-            raise ValueError(f"policy-infeasible: unknown mode {self.mode!r}")
+            raise MfcatError("policy-infeasible", f"unknown mode {self.mode!r}")
         if self.bound is not None and self.bound < 0:
-            raise ValueError("policy-infeasible: negative degree bound")
-        if self.window < 1:
-            raise ValueError("policy-infeasible: stale window must be positive")
+            raise MfcatError("policy-infeasible", "negative degree bound")
 
 
 @dataclass
@@ -128,9 +126,9 @@ def resolve_bound(policy: Optional[SearchPolicy], *objects_and_maps) -> int:
         try:
             value = int(env)
         except ValueError:
-            raise ValueError(f"policy-infeasible: bad {DEFAULT_BOUND_ENV}={env!r}") from None
+            raise MfcatError("policy-infeasible", f"bad {DEFAULT_BOUND_ENV}={env!r}") from None
         if value < 0:
-            raise ValueError(f"policy-infeasible: negative {DEFAULT_BOUND_ENV}")
+            raise MfcatError("policy-infeasible", f"negative {DEFAULT_BOUND_ENV}")
         return value
     matrices = []
     fiber = None
@@ -243,17 +241,17 @@ class LinearSystem:
         top = 0 if rhs is None else _max_entry_degree([rhs])
         for left, unk, right, sign in terms:
             if left is not None and (left.rows != nrows or left.cols != unk.rows):
-                raise ValueError("shape-mismatch: left factor in linear system")
+                raise MfcatError("shape-mismatch", "left factor in linear system")
             if right is not None and (right.rows != unk.cols or right.cols != ncols):
-                raise ValueError("shape-mismatch: right factor in linear system")
+                raise MfcatError("shape-mismatch", "right factor in linear system")
             if left is None and unk.rows != nrows:
-                raise ValueError("shape-mismatch: unknown rows in linear system")
+                raise MfcatError("shape-mismatch", "unknown rows in linear system")
             if right is None and unk.cols != ncols:
-                raise ValueError("shape-mismatch: unknown cols in linear system")
+                raise MfcatError("shape-mismatch", "unknown cols in linear system")
             factors = [_max_entry_degree([m]) for m in (left, right) if m is not None]
             top = max(top, sum(factors) + unk.degree)
         if rhs is not None and (rhs.rows != nrows or rhs.cols != ncols):
-            raise ValueError("shape-mismatch: right-hand side in linear system")
+            raise MfcatError("shape-mismatch", "right-hand side in linear system")
         # Row (i, j, e) has key (i * ncols + j) * stride + pack(e), digits in a base
         # above every degree: adding keys adds exponents; int order is (i, j, grlex_key).
         base = top + 1
@@ -372,7 +370,7 @@ class LinearSystem:
         field = self.field
         for _, const in self.rows:
             if not field.is_zero(const):
-                raise ValueError("shape-mismatch: nullspace of an inhomogeneous system")
+                raise MfcatError("shape-mismatch", "nullspace of an inhomogeneous system")
         return self.homogeneous_nullspace()
 
     def homogeneous_nullspace(self) -> List[Dict[str, PolyMatrix]]:
@@ -411,6 +409,8 @@ class HomComplex:
 
     def bounded_supports(self, bound: int):
         """Every monomial of total degree <= bound, for both maps of a pair."""
+        if bound < 0:
+            raise MfcatError("policy-infeasible", "negative degree bound")
         support = tuple(monomials_up_to_degree(self.x.ctx.nvars, bound))
         return (lambda r, c: support,) * 2
 
@@ -456,9 +456,9 @@ def infer_generator_degrees(x: MatrixFactorization) -> Tuple[List[int], List[int
     p0 of degree deg W, or policy-infeasible if no such grading exists."""
     ctx = x.ctx
     if ctx.weights is None:
-        raise ValueError("policy-infeasible: graded mode requires configured weights")
+        raise MfcatError("policy-infeasible", "graded mode requires configured weights")
     if not x.w.is_quasi_homogeneous():
-        raise ValueError("policy-infeasible: non-quasi-homogeneous fiber polynomial")
+        raise MfcatError("policy-infeasible", "non-quasi-homogeneous fiber polynomial")
     dw = x.w.weighted_degree()
     n = x.rank
     # Nodes 0..n-1 are P0 generators, n..2n-1 are P1 generators.
@@ -469,8 +469,8 @@ def infer_generator_degrees(x: MatrixFactorization) -> Tuple[List[int], List[int
             return None
         degs = p.weighted_degrees()
         if len(degs) != 1:
-            raise ValueError(
-                "policy-infeasible: non-quasi-homogeneous entry "
+            raise MfcatError(
+                "policy-infeasible", "non-quasi-homogeneous entry "
                 f"{p} for weights {ctx.weights}"
             )
         return degs.pop()
@@ -499,8 +499,8 @@ def infer_generator_degrees(x: MatrixFactorization) -> Tuple[List[int], List[int
                 want = degree[node] - diff
                 if other in degree:
                     if degree[other] != want:
-                        raise ValueError(
-                            "policy-infeasible: entries admit no consistent grading"
+                        raise MfcatError(
+                            "policy-infeasible", "entries admit no consistent grading"
                         )
                 else:
                     degree[other] = want
@@ -557,7 +557,7 @@ def _find_null_homotopy_bounded(f: MFMorphism, policy: SearchPolicy) -> SearchRe
         if sol is not None:
             h = Homotopy(x, y, sol["s"], sol["t"])
             if not h.bounds(f):
-                raise ValueError("not-a-morphism: solver returned a bad witness")
+                raise MfcatError("not-a-morphism", "solver returned a bad witness")
             return SearchResult(
                 "found", h, {"mode": "bounded", "bound": bound, "bound_used": b}
             )
@@ -600,7 +600,7 @@ def _find_null_homotopy_graded(f: MFMorphism, policy: SearchPolicy) -> SearchRes
     ctx = x.ctx
     weights = ctx.weights
     if weights is None:
-        raise ValueError("policy-infeasible: graded mode requires configured weights")
+        raise MfcatError("policy-infeasible", "graded mode requires configured weights")
     hom = HomComplex(x, y)
     grading = _graded_setup(x, y)
     components = _morphism_degree_components(f, grading)
@@ -628,7 +628,7 @@ def _find_null_homotopy_graded(f: MFMorphism, policy: SearchPolicy) -> SearchRes
         degrees.append(phi)
     h = Homotopy(x, y, total_s, total_t)
     if not h.bounds(f):
-        raise ValueError("not-a-morphism: solver returned a bad witness")
+        raise MfcatError("not-a-morphism", "solver returned a bad witness")
     return SearchResult("found", h, {"mode": "graded", "degrees": degrees})
 
 
@@ -643,28 +643,24 @@ def is_contractible(x: MatrixFactorization, policy: Optional[SearchPolicy] = Non
 # -- graded stable morphism dimensions ---------------------------------
 
 
-def graded_stable_hom_dim(
-    x: MatrixFactorization,
-    y: MatrixFactorization,
-    window: int = DEFAULT_STALE_WINDOW,
-) -> Tuple[int, dict]:
+def graded_stable_hom_dim(x: MatrixFactorization, y: MatrixFactorization) -> Tuple[int, dict]:
     """Dimension of degree-zero morphisms in the homotopy category,
     computed one weighted degree at a time with a certificate.
 
     In each internal degree the space of closed morphism pairs is computed
     exactly and the image of the adjacent-parity piece under the morphism
     differential is divided out.  The scan covers every degree up to the
-    annihilation bound and stops after `window` consecutive empty degrees.
-    The bound holds when the Jacobian algebra of W is finite; a nonzero
+    annihilation bound and stops after DEFAULT_STALE_WINDOW consecutive
+    empty degrees.  The bound holds when the Jacobian algebra of W is finite; a nonzero
     degree above it raises policy-infeasible (the singularity is not
-    isolated), so the scan never goes past scan_bound + window.
+    isolated), so the scan never goes past scan_bound + DEFAULT_STALE_WINDOW.
     """
     weights = x.ctx.weights
     hom = HomComplex(x, y)
     grading = _graded_setup(x, y)
     ax, bx, ay, by, dw = grading
     if x.rank == 0 or y.rank == 0:
-        return 0, {"degrees": [], "total": 0, "scan_bound": 0, "window": window}
+        return 0, {"degrees": [], "total": 0, "scan_bound": 0, "window": DEFAULT_STALE_WINDOW}
     offsets = [by[r] - bx[c] for r in range(y.rank) for c in range(x.rank)]
     offsets += [ay[r] - ax[c] for r in range(y.rank) for c in range(x.rank)]
     sigma = max(0, sum(dw - 2 * w for w in weights))
@@ -674,11 +670,11 @@ def graded_stable_hom_dim(
     degrees = []
     zero_run = 0
     phi = phi_lo
-    while phi <= scan_bound or zero_run < window:
+    while phi <= scan_bound or zero_run < DEFAULT_STALE_WINDOW:
         dim_phi = _slot_dimension(hom, grading, phi)
         if dim_phi and phi > scan_bound:
-            raise ValueError(
-                f"policy-infeasible: non-isolated singularity: dimension {dim_phi} in "
+            raise MfcatError(
+                "policy-infeasible", f"non-isolated singularity: dimension {dim_phi} in "
                 f"degree {phi}, above the scan bound {scan_bound}"
             )
         degrees.append([phi, dim_phi])
@@ -689,7 +685,7 @@ def graded_stable_hom_dim(
         "total": total,
         "degrees": degrees,
         "scan_bound": scan_bound,
-        "window": window,
+        "window": DEFAULT_STALE_WINDOW,
         "weights": list(weights),
     }
     return total, certificate
@@ -714,7 +710,7 @@ def _slot_dimension(hom: HomComplex, grading, phi: int) -> int:
     boundary_dim = boundary.coefficient_rank()
     dim_phi = cycle_dim - boundary_dim
     if dim_phi < 0:
-        raise ValueError("not-a-factorization: boundary space escapes the cycle space")
+        raise MfcatError("not-a-factorization", "boundary space escapes the cycle space")
     return dim_phi
 
 
@@ -789,9 +785,9 @@ def _two_sided_inverse(u: MFMorphism, bound: int) -> Optional[Tuple[MFMorphism, 
     h_source = Homotopy(x, x, sol["s1"], sol["t1"])
     h_target = Homotopy(y, y, sol["s2"], sol["t2"])
     if not h_source.bounds(morphism_sub(compose(v, u), identity_morphism(x))):
-        raise ValueError("not-a-morphism: inverse witness failed on the source")
+        raise MfcatError("not-a-morphism", "inverse witness failed on the source")
     if not h_target.bounds(morphism_sub(compose(u, v), identity_morphism(y))):
-        raise ValueError("not-a-morphism: inverse witness failed on the target")
+        raise MfcatError("not-a-morphism", "inverse witness failed on the target")
     return v, h_source, h_target
 
 
@@ -859,9 +855,9 @@ def is_iso_in_db(
         return IsoResult("iso", u, v, h, h, {"trivial": True})
     if x.ctx.weights is not None and policy.mode == "graded":
         try:
-            dim_xy, _ = graded_stable_hom_dim(x, y, policy.window)
-            dim_xx, _ = graded_stable_hom_dim(x, x, policy.window)
-            dim_yy, _ = graded_stable_hom_dim(y, y, policy.window)
+            dim_xy, _ = graded_stable_hom_dim(x, y)
+            dim_xx, _ = graded_stable_hom_dim(x, x)
+            dim_yy, _ = graded_stable_hom_dim(y, y)
             certificate["stable_dims"] = {
                 "hom": dim_xy,
                 "end_source": dim_xx,
@@ -870,9 +866,9 @@ def is_iso_in_db(
             if not (dim_xy == dim_xx == dim_yy):
                 certificate["obstruction"] = "stable dimension mismatch"
                 return IsoResult("not-iso", None, None, None, None, certificate)
-        except ValueError as exc:
+        except MfcatError as exc:
             # Data not gradable: fall through to the bounded witness search.
-            if not str(exc).startswith("policy-infeasible"):
+            if exc.code != "policy-infeasible":
                 raise
     bound = resolve_bound(policy, x, y)
     certificate["bound"] = bound

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
+from .errors import MfcatError
 from .factorization import MatrixFactorization, MFMorphism, mf_new, morphism_new
 from .matrices import PolyMatrix
 from .poly import Poly, RingContext
@@ -24,15 +25,15 @@ def extended_context(
     needs dw >= 2.
     """
     if x_var == y_var or x_var in ctx.variables or y_var in ctx.variables:
-        raise ValueError(
-            f"variable-collision: {x_var!r}, {y_var!r} against {ctx.variables}"
+        raise MfcatError(
+            "variable-collision", f"{x_var!r}, {y_var!r} against {ctx.variables}"
         )
     variables = ctx.variables + (x_var, y_var)
     weights = None
     if ctx.weights is not None:
         if dw is None or dw < 2:
-            raise ValueError(
-                "non-quasi-homogeneous: hyperbolic extension needs fiber degree >= 2"
+            raise MfcatError(
+                "non-quasi-homogeneous", "hyperbolic extension needs fiber degree >= 2"
             )
         weights = ctx.weights + (math.ceil(dw / 2), math.floor(dw / 2))
     return RingContext(field=ctx.field, variables=variables, weights=weights, w0=ctx.w0)
@@ -60,7 +61,7 @@ def knorrer(
     dw = None
     if ctx.weights is not None:
         if not m.w.is_quasi_homogeneous():
-            raise ValueError("non-quasi-homogeneous: fiber polynomial")
+            raise MfcatError("non-quasi-homogeneous", "fiber polynomial")
         dw = m.w.weighted_degree()
     big = extended_context(ctx, x_var, y_var, dw)
 

@@ -46,6 +46,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd, inf, lcm
 
+from .errors import MfcatError
 from .fields import Field, PrimeField
 
 
@@ -62,7 +63,7 @@ def mat_identity(field: Field, n: int):
 def mat_mul(field: Field, a, b):
     rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     if a and len(a[0]) != inner:
-        raise ValueError(f"shape-mismatch: {len(a[0])} vs {inner}")
+        raise MfcatError("shape-mismatch", f"{len(a[0])} vs {inner}")
     out = mat_zero(field, rows, cols)
     for i in range(rows):
         ai = a[i]
@@ -272,7 +273,7 @@ def solve(field: Field, a, b):
     one entry or row per row of A; the returned x has matching shape.
     """
     if len(b) != len(a):
-        raise ValueError(f"shape-mismatch: {len(a)} equations, {len(b)} right-hand sides")
+        raise MfcatError("shape-mismatch", f"{len(a)} equations, {len(b)} right-hand sides")
     vector_rhs = b and not isinstance(b[0], list)
     bcols = [[x] for x in b] if vector_rhs else [list(r) for r in b]
     ncols = len(a[0]) if a else 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple
 
+from .errors import MfcatError
 from .poly import Poly, RingContext
 
 
@@ -24,12 +25,12 @@ class PolyMatrix:
         else:
             widths = {len(r) for r in entries}
             if len(widths) != 1:
-                raise ValueError(f"shape-mismatch: ragged rows with widths {sorted(widths)}")
+                raise MfcatError("shape-mismatch", f"ragged rows with widths {sorted(widths)}")
             width = widths.pop()
             if cols is None:
                 cols = width
             elif cols != width:
-                raise ValueError(f"shape-mismatch: declared {cols} columns, rows have {width}")
+                raise MfcatError("shape-mismatch", f"declared {cols} columns, rows have {width}")
         checked: List[Tuple[Poly, ...]] = []
         for r in entries:
             row = []
@@ -37,7 +38,7 @@ class PolyMatrix:
                 if not isinstance(p, Poly):
                     p = ctx.constant(p)
                 if p.ctx is not ctx and p.ctx != ctx:
-                    raise ValueError("context-mismatch: entry from a different context")
+                    raise MfcatError("context-mismatch", "entry from a different context")
                 row.append(p)
             checked.append(tuple(row))
         object.__setattr__(self, "ctx", ctx)
@@ -72,20 +73,20 @@ class PolyMatrix:
     def block(grid: Sequence[Sequence["PolyMatrix"]]) -> "PolyMatrix":
         """Assemble a block matrix from a grid of compatible blocks."""
         if not grid or not grid[0]:
-            raise ValueError("shape-mismatch: empty block grid")
+            raise MfcatError("shape-mismatch", "empty block grid")
         ctx = grid[0][0].ctx
         for row in grid:
             for blockm in row:
                 if blockm.ctx != ctx:
-                    raise ValueError("context-mismatch: blocks from different contexts")
+                    raise MfcatError("context-mismatch", "blocks from different contexts")
         widths = [b.cols for b in grid[0]]
         entries: List[List[Poly]] = []
         for row in grid:
             if [b.cols for b in row] != widths:
-                raise ValueError("shape-mismatch: inconsistent block column widths")
+                raise MfcatError("shape-mismatch", "inconsistent block column widths")
             height = {b.rows for b in row}
             if len(height) != 1:
-                raise ValueError("shape-mismatch: inconsistent block row heights")
+                raise MfcatError("shape-mismatch", "inconsistent block row heights")
             h = height.pop()
             for i in range(h):
                 flat: List[Poly] = []
@@ -98,10 +99,10 @@ class PolyMatrix:
 
     def _check_same_shape(self, other: "PolyMatrix"):
         if self.ctx != other.ctx:
-            raise ValueError("context-mismatch: matrices from different contexts")
+            raise MfcatError("context-mismatch", "matrices from different contexts")
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError(
-                f"shape-mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
+            raise MfcatError(
+                "shape-mismatch", f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -133,9 +134,9 @@ class PolyMatrix:
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.ctx != other.ctx:
-            raise ValueError("context-mismatch: matrices from different contexts")
+            raise MfcatError("context-mismatch", "matrices from different contexts")
         if self.cols != other.rows:
-            raise ValueError(f"shape-mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+            raise MfcatError("shape-mismatch", f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         zero = self.ctx.zero()
         out: List[List[Poly]] = []
         for i in range(self.rows):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg, univariate as uni
+from .errors import MfcatError
 from .factorization import MatrixFactorization, mf_new
 from .fields import Field
 from .matrices import PolyMatrix
@@ -31,23 +32,23 @@ class QuotModule:
 
     def __init__(self, ctx: RingContext, w: Poly, z_rows: Sequence[Sequence]):
         if ctx.nvars != 1:
-            raise ValueError(f"not-univariate: context has variables {ctx.variables}")
+            raise MfcatError("not-univariate", f"context has variables {ctx.variables}")
         if not isinstance(w, Poly) or w.ctx != ctx:
-            raise ValueError("context-mismatch: W must live in the module context")
+            raise MfcatError("context-mismatch", "W must live in the module context")
         if w.is_zero():
-            raise ValueError("zero-superpotential: fiber polynomial is zero")
+            raise MfcatError("zero-superpotential", "fiber polynomial is zero")
         field = ctx.field
         dim = len(z_rows)
         rows = []
         for r in z_rows:
             row = [field.coerce(x) for x in r]
             if len(row) != dim:
-                raise ValueError(f"wrong-arity: Z must be {dim}x{dim}, got a row of {len(row)}")
+                raise MfcatError("wrong-arity", f"Z must be {dim}x{dim}, got a row of {len(row)}")
             rows.append(tuple(row))
         z = tuple(rows)
         wz = _eval_on_matrix(field, uni.from_poly(w, ctx.variables[0]), [list(r) for r in z])
         if not linalg.mat_is_zero(field, wz):
-            raise ValueError("superpotential-mismatch: W(Z) is not zero")
+            raise MfcatError("superpotential-mismatch", "W(Z) is not zero")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "dim", dim)
@@ -102,7 +103,7 @@ def zn_context(field: Field, var: str = "z") -> RingContext:
 def cyclic_module(field: Field, n: int, mu: int, var: str = "z") -> QuotModule:
     """The quotient k[z]/(z^mu) as a module over k[z]/(z^n), 0 <= mu <= n."""
     if not (0 <= mu <= n):
-        raise ValueError(f"index-out-of-range: need 0 <= {mu} <= {n}")
+        raise MfcatError("index-out-of-range", f"need 0 <= {mu} <= {n}")
     ctx = zn_context(field, var)
     w = ctx.variable(var) ** n
     z = [[field.zero()] * mu for _ in range(mu)]
@@ -113,7 +114,7 @@ def cyclic_module(field: Field, n: int, mu: int, var: str = "z") -> QuotModule:
 
 def direct_sum_modules(m: QuotModule, n: QuotModule) -> QuotModule:
     if m.ctx != n.ctx or m.w != n.w:
-        raise ValueError("superpotential-mismatch: cannot sum modules over different fibers")
+        raise MfcatError("superpotential-mismatch", "cannot sum modules over different fibers")
     field = m.field
     d = m.dim + n.dim
     z = linalg.mat_zero(field, d, d)
@@ -132,7 +133,7 @@ def direct_sum_modules(m: QuotModule, n: QuotModule) -> QuotModule:
 def hom_space(m: QuotModule, n: QuotModule) -> List[List[List]]:
     """Basis of the space of module morphisms M -> N (scalar matrices)."""
     if m.ctx != n.ctx or m.w != n.w:
-        raise ValueError("superpotential-mismatch: modules over different fibers")
+        raise MfcatError("superpotential-mismatch", "modules over different fibers")
     field = m.field
     nm, nn = m.dim, n.dim
     if nm == 0 or nn == 0:
@@ -178,7 +179,7 @@ class StableHom:
 
     def __init__(self, m: QuotModule, n: QuotModule):
         if m.ctx != n.ctx or m.w != n.w:
-            raise ValueError("superpotential-mismatch: modules over different fibers")
+            raise MfcatError("superpotential-mismatch", "modules over different fibers")
         field = m.field
         self.source = m
         self.target = n
@@ -221,25 +222,25 @@ class StableHom:
 
     def is_stably_zero(self, f) -> bool:
         if not is_module_morphism(self.source, self.target, f):
-            raise ValueError("not-a-morphism: matrix does not intertwine the actions")
+            raise MfcatError("not-a-morphism", "matrix does not intertwine the actions")
         return linalg.row_space_contains(self.field, self.factoring_rref, _flatten(f))
 
     def stable_coordinates(self, f):
         """Coordinates of the stable class of f in the quotient basis."""
         if not is_module_morphism(self.source, self.target, f):
-            raise ValueError("not-a-morphism: matrix does not intertwine the actions")
+            raise MfcatError("not-a-morphism", "matrix does not intertwine the actions")
         field = self.field
         columns = [_flatten(q) for q in self.quotient_basis] + [
             list(r) for r in self.factoring_rref
         ]
         if not columns:
             if any(not field.is_zero(x) for x in _flatten(f)):
-                raise ValueError("not-a-morphism: nonzero map in a zero Hom space")
+                raise MfcatError("not-a-morphism", "nonzero map in a zero Hom space")
             return []
         a = [[col[i] for col in columns] for i in range(len(columns[0]))]
         sol = linalg.solve(field, a, _flatten(f))
         if sol is None:
-            raise ValueError("not-a-morphism: map outside the Hom space")
+            raise MfcatError("not-a-morphism", "map outside the Hom space")
         return sol[: len(self.quotient_basis)]
 
 
@@ -268,7 +269,7 @@ def decompose(m: QuotModule) -> Dict[int, int]:
     """Multiplicities of the cyclic summands when W is a pure power z^n."""
     terms = list(m.w.terms.items())
     if len(terms) != 1 or sum(terms[0][0]) == 0:
-        raise ValueError(f"not-nilpotent-form: fiber polynomial {m.w} is not a pure power")
+        raise MfcatError("not-nilpotent-form", f"fiber polynomial {m.w} is not a pure power")
     n = sum(terms[0][0])
     field = m.field
     z = m.z_matrix()
@@ -281,7 +282,7 @@ def decompose(m: QuotModule) -> Dict[int, int]:
     for mu in range(1, n + 1):
         mult = ranks[mu - 1] - 2 * ranks[mu] + ranks[mu + 1]
         if mult < 0:
-            raise ValueError("not-nilpotent-form: inconsistent rank profile")
+            raise MfcatError("not-nilpotent-form", "inconsistent rank profile")
         if mult:
             out[mu] = mult
     return out
@@ -301,7 +302,7 @@ class CokPresentation:
     def __init__(self, x: MatrixFactorization):
         ctx = x.ctx
         if ctx.nvars != 1:
-            raise ValueError(f"not-univariate: context has variables {ctx.variables}")
+            raise MfcatError("not-univariate", f"context has variables {ctx.variables}")
         field = ctx.field
         var = ctx.variables[0]
         self.ctx = ctx
@@ -318,9 +319,9 @@ class CokPresentation:
         offset = 0
         for d in self.snf.diagonal:
             if uni.is_zero(d):
-                raise ValueError("not-a-factorization: p1 is singular")
+                raise MfcatError("not-a-factorization", "p1 is singular")
             if not uni.divides(field, d, wc):
-                raise ValueError("superpotential-mismatch: invariant factor outside the fiber")
+                raise MfcatError("superpotential-mismatch", "invariant factor outside the fiber")
             if uni.deg(d) >= 1:
                 self.blocks.append((offset, d))
                 offset += uni.deg(d)
@@ -371,7 +372,7 @@ class CokPresentation:
                     c = self.snf.u_inv[r][diag_index]
                     column.append(uni.mul(field, c, [field.zero()] * power + [field.one()]))
                 return [uni.to_poly(self.ctx, self.var, c) for c in column]
-        raise ValueError(f"index-out-of-range: {index} not below {self.dim}")
+        raise MfcatError("index-out-of-range", f"{index} not below {self.dim}")
 
 
 def cok(x: MatrixFactorization) -> CokPresentation:
@@ -381,7 +382,7 @@ def cok(x: MatrixFactorization) -> CokPresentation:
 def cok_induced_map(src: CokPresentation, dst: CokPresentation, f) -> List[List]:
     """Matrix of the induced module morphism cok(X) -> cok(Y) of f = (f1, f0)."""
     if src.ctx != dst.ctx:
-        raise ValueError("context-mismatch: presentations over different contexts")
+        raise MfcatError("context-mismatch", "presentations over different contexts")
     columns = []
     for b in range(src.dim):
         lift = src.lift_of_basis(b)

@@ -14,6 +14,7 @@ names raise unknown-variable, bad exponents raise malformed-exponent.
 
 from __future__ import annotations
 
+from .errors import MfcatError
 from .poly import EXPONENT_LIMIT, Poly, RingContext
 
 
@@ -45,7 +46,7 @@ class _Tokens:
                 self.items.append((ch, ch, i))
                 i += 1
                 continue
-            raise ValueError(f"parse-error: unexpected character {ch!r} at position {i}")
+            raise MfcatError("parse-error", f"unexpected character {ch!r} at position {i}")
         self.pos = 0
 
     def peek(self):
@@ -64,7 +65,7 @@ def parse_poly(ctx: RingContext, text: str) -> Poly:
     result = _expression(ctx, toks)
     kind, val, pos = toks.peek()
     if kind != "end":
-        raise ValueError(f"parse-error: unexpected {val!r} at position {pos}")
+        raise MfcatError("parse-error", f"unexpected {val!r} at position {pos}")
     return result
 
 
@@ -103,17 +104,24 @@ def _term(ctx: RingContext, toks: _Tokens) -> Poly:
     return acc
 
 
+def _int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # a digit outside 0-9, or more digits than int() reads
+        raise MfcatError("parse-error", f"unreadable integer at position {pos}") from None
+
+
 def _coeff(ctx: RingContext, toks: _Tokens) -> Poly:
     kind, val, pos = toks.next()
     if kind != "int":
-        raise ValueError(f"parse-error: expected integer at position {pos}")
-    num = int(val)
+        raise MfcatError("parse-error", f"expected integer at position {pos}")
+    num = _int(val, pos)
     if toks.peek()[0] == "/":
         toks.next()
         dkind, dval, dpos = toks.next()
         if dkind != "int":
-            raise ValueError(f"parse-error: expected denominator at position {dpos}")
-        den = int(dval)
+            raise MfcatError("parse-error", f"expected denominator at position {dpos}")
+        den = _int(dval, dpos)
         return ctx.constant(ctx.field.from_fraction(num, den))
     return ctx.constant(ctx.field.from_int(num))
 
@@ -124,22 +132,22 @@ def _factor(ctx: RingContext, toks: _Tokens) -> Poly:
         inner = _expression(ctx, toks)
         ckind, cval, cpos = toks.next()
         if ckind != ")":
-            raise ValueError(f"parse-error: expected ')' at position {cpos}, got {cval!r}")
+            raise MfcatError("parse-error", f"expected ')' at position {cpos}, got {cval!r}")
         return inner
     if kind == "name":
         if val not in ctx.variables:
-            raise ValueError(f"unknown-variable: {val!r} at position {pos}")
+            raise MfcatError("unknown-variable", f"{val!r} at position {pos}")
         base = ctx.variable(val)
         if toks.peek()[0] == "^":
             toks.next()
             ekind, eval_, epos = toks.next()
             if ekind != "int":
-                raise ValueError(
-                    f"malformed-exponent: expected unsigned integer at position {epos}, got {eval_!r}"
+                raise MfcatError(
+                    "malformed-exponent", f"expected unsigned integer at position {epos}, got {eval_!r}"
                 )
-            e = int(eval_)
+            e = _int(eval_, epos)
             if e > EXPONENT_LIMIT:
-                raise ValueError(f"malformed-exponent: {e} exceeds the machine-width bound")
+                raise MfcatError("malformed-exponent", f"{e} exceeds the machine-width bound")
             return base**e
         return base
-    raise ValueError(f"parse-error: unexpected {val!r} at position {pos}")
+    raise MfcatError("parse-error", f"unexpected {val!r} at position {pos}")

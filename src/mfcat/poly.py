@@ -26,6 +26,7 @@ from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Optional, Tuple
 
+from .errors import MfcatError
 from .fields import Field, QQ, Scalar
 
 # Exponents live in machine range; arithmetic checks sums explicitly.
@@ -45,20 +46,20 @@ class RingContext:
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
-            raise ValueError(f"variable-collision: duplicate names in {self.variables}")
+            raise MfcatError("variable-collision", f"duplicate names in {self.variables}")
         for v in self.variables:
             if not v or not (v[0].isalpha() or v[0] == "_") or not all(
                 ch.isalnum() or ch == "_" for ch in v
             ):
-                raise ValueError(f"unknown-variable: {v!r} is not a valid name")
+                raise MfcatError("unknown-variable", f"{v!r} is not a valid name")
         if self.weights is not None:
             if len(self.weights) != len(self.variables):
-                raise ValueError(
-                    "shape-mismatch: weights must match variables "
+                raise MfcatError(
+                    "shape-mismatch", "weights must match variables "
                     f"({len(self.weights)} vs {len(self.variables)})"
                 )
             if any((not isinstance(w, int)) or w <= 0 for w in self.weights):
-                raise ValueError(f"shape-mismatch: weights must be positive integers, got {self.weights}")
+                raise MfcatError("shape-mismatch", f"weights must be positive integers, got {self.weights}")
         object.__setattr__(self, "w0", self.field.coerce(self.w0))
 
     @property
@@ -69,7 +70,7 @@ class RingContext:
         try:
             return self.variables.index(name)
         except ValueError:
-            raise ValueError(f"unknown-variable: {name!r} not in {self.variables}") from None
+            raise MfcatError("unknown-variable", f"{name!r} not in {self.variables}") from None
 
     def zero(self) -> "Poly":
         return Poly(self, {})
@@ -91,7 +92,7 @@ class RingContext:
     def monomial(self, exponents: Iterable[int], coeff=1) -> "Poly":
         exp = tuple(exponents)
         if len(exp) != self.nvars:
-            raise ValueError(f"shape-mismatch: exponent tuple {exp} for {self.nvars} variables")
+            raise MfcatError("shape-mismatch", f"exponent tuple {exp} for {self.nvars} variables")
         c = self.field.coerce(coeff)
         if self.field.is_zero(c):
             return self.zero()
@@ -118,9 +119,9 @@ class RingContext:
 def _check_exponents(exp: Exponent) -> None:
     for e in exp:
         if not isinstance(e, int) or e < 0:
-            raise ValueError(f"malformed-exponent: {e!r}")
+            raise MfcatError("malformed-exponent", f"{e!r}")
         if e > EXPONENT_LIMIT:
-            raise ValueError(f"malformed-exponent: {e} exceeds the machine-width bound")
+            raise MfcatError("malformed-exponent", f"{e} exceeds the machine-width bound")
 
 
 def grlex_key(exp: Exponent):
@@ -137,8 +138,8 @@ class Poly:
         fld = ctx.field
         for exp, c in terms.items():
             if len(exp) != ctx.nvars:
-                raise ValueError(
-                    f"shape-mismatch: exponent tuple {exp} for {ctx.nvars} variables"
+                raise MfcatError(
+                    "shape-mismatch", f"exponent tuple {exp} for {ctx.nvars} variables"
                 )
             _check_exponents(exp)
             if not fld.is_zero(c):
@@ -169,22 +170,22 @@ class Poly:
 
     def degree(self) -> int:
         if not self.terms:
-            raise ValueError("degree of the zero polynomial is undefined")
+            raise MfcatError("zero-polynomial", "degree of the zero polynomial is undefined")
         return max(sum(e) for e in self.terms)
 
     def weighted_degree(self) -> int:
         w = self.ctx.weights
         if w is None:
-            raise ValueError("no-weights-configured: context has no weights")
+            raise MfcatError("no-weights-configured", "context has no weights")
         if not self.terms:
-            raise ValueError("degree of the zero polynomial is undefined")
+            raise MfcatError("zero-polynomial", "degree of the zero polynomial is undefined")
         return max(sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms)
 
     def weighted_degrees(self) -> set:
         """Set of weighted degrees of the individual terms."""
         w = self.ctx.weights
         if w is None:
-            raise ValueError("no-weights-configured: context has no weights")
+            raise MfcatError("no-weights-configured", "context has no weights")
         return {sum(wi * ei for wi, ei in zip(w, e)) for e in self.terms}
 
     def is_quasi_homogeneous(self) -> bool:
@@ -195,7 +196,7 @@ class Poly:
     def _coerce_other(self, other):
         if isinstance(other, Poly):
             if other.ctx is not self.ctx and other.ctx != self.ctx:
-                raise ValueError("context-mismatch: polynomials from different contexts")
+                raise MfcatError("context-mismatch", "polynomials from different contexts")
             return other
         return self.ctx.constant(other)
 
@@ -244,7 +245,7 @@ class Poly:
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
-            raise ValueError(f"malformed-exponent: {n!r}")
+            raise MfcatError("malformed-exponent", f"{n!r}")
         result = self.ctx.one()
         base = self
         while n:
@@ -294,7 +295,7 @@ class Poly:
         i = self.ctx.var_index(var)
         others = [v for v in self.used_variables() if v != var]
         if others:
-            raise ValueError(f"not-univariate: also uses {others}")
+            raise MfcatError("not-univariate", f"also uses {others}")
         fld = self.ctx.field
         if not self.terms:
             return []

@@ -353,6 +353,9 @@ def test_cli_error_exits(tmp_path, capsys):
         assert "parse-error" in capsys.readouterr().err
     assert cli.run(["verify-knorrer", "1", "--out", str(tmp_path)]) == 2
     assert "index-out-of-range" in capsys.readouterr().err
+    x_path = str(tmp_path / "x.json")
+    assert cli.run(["hom", x_path, x_path, "--bound", "-1", "--out", str(tmp_path)]) == 2
+    assert "policy-infeasible: negative degree bound" in capsys.readouterr().err
 
 
 def test_cli_hom_rejects_non_isolated_singularity(tmp_path, capsys):

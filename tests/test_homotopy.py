@@ -138,17 +138,12 @@ def test_graded_stable_hom_frozen_table():
 
 
 def test_graded_certificate_overscan_finds_nothing_late():
-    # scanning far beyond the certified bound must not change the answer
+    # the degrees just past the certified bound hold nothing
     x, y = v(5, 2), v(5, 3)
-    dim, cert = graded_stable_hom_dim(x, y)
-    wide_dim, wide_cert = graded_stable_hom_dim(x, y, window=cert["scan_bound"] + 5)
-    assert wide_dim == dim
-    late = [
-        (phi, d)
-        for phi, d in wide_cert["degrees"]
-        if phi > cert["scan_bound"] and d > 0
-    ]
-    assert late == []
+    _, cert = graded_stable_hom_dim(x, y)
+    hom, grading = ho.HomComplex(x, y), ho._graded_setup(x, y)
+    late = range(cert["scan_bound"] + 1, cert["scan_bound"] + 6)
+    assert [ho._slot_dimension(hom, grading, phi) for phi in late] == [0] * 5
 
 
 def _nonzero_degrees(x, y):
@@ -345,8 +340,8 @@ def test_policy_validation():
         SearchPolicy(mode="exhaustive")
     with pytest.raises(ValueError, match="policy-infeasible"):
         SearchPolicy(bound=-1)
-    with pytest.raises(ValueError, match="policy-infeasible"):
-        SearchPolicy(window=0)
+    with pytest.raises(ValueError, match="policy-infeasible: negative degree bound"):
+        bounded_stable_hom_estimate(v(3, 1), v(3, 1), -1)
 
 
 def test_bound_environment_override(monkeypatch):
