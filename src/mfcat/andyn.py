@@ -38,6 +38,7 @@ from .factorization import (
 )
 from .fields import QQ, Field
 from .homotopy import HomComplex, LinearSystem, _find_invertible
+from .linalg import mat_mul
 from .matrices import PolyMatrix
 from .modules import cok, cok_induced_map, cyclic_module, stable_hom
 from .poly import Poly, RingContext
@@ -522,31 +523,20 @@ def an_verify(
     for mu in range(1, n):
         for mid in range(1, n):
             for nu in range(1, n):
-                sh = stable_for(mu, nu)
-                ok = True
+                # Module products, then catalogue composites, in one solve.
+                products, composites = [], []
                 for lam_b in an_hom_basis(n, mu, mid):
                     for lam_a in an_hom_basis(n, mid, nu):
                         a = an_basis_morphism(field, n, mid, nu, lam_a)
                         b = an_basis_morphism(field, n, mu, mid, lam_b)
-                        cat = an_compose(a, b)
-                        ma = an_module_map(a)
-                        mb = an_module_map(b)
-                        prod = [
-                            [
-                                _dot(field, ma[i], [mb[k][j] for k in range(len(mb))])
-                                for j in range(mu)
-                            ]
-                            for i in range(nu)
-                        ]
-                        lhs = sh.stable_coordinates(prod)
-                        rhs = sh.stable_coordinates(an_module_map(cat))
-                        if lhs != rhs:
-                            ok = False
+                        products.append(mat_mul(field, an_module_map(a), an_module_map(b)))
+                        composites.append(an_module_map(an_compose(a, b)))
+                coords = stable_for(mu, nu).stable_coordinates_many(products + composites)
                 checks.append(
                     {
                         "check": "compose",
                         "params": {"mu": mu, "mid": mid, "nu": nu},
-                        "ok": ok,
+                        "ok": coords[: len(products)] == coords[len(products) :],
                     }
                 )
 
@@ -602,9 +592,3 @@ def an_verify(
 
     return {"n": n, "ok": all(c["ok"] for c in checks), "checks": checks}
 
-
-def _dot(field, row, col):
-    acc = field.zero()
-    for a, b in zip(row, col):
-        acc = field.add(acc, field.mul(a, b))
-    return acc

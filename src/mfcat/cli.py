@@ -80,8 +80,8 @@ def cmd_cone(args) -> int:
     f = formats.load_morphism(args.file)
     refs = formats.read_json(args.file)
     base = os.path.dirname(os.path.abspath(args.file))
-    source_ref = _abs(formats._resolve(base, refs["source"]))
-    target_ref = _abs(formats._resolve(base, refs["target"]))
+    source_ref = _abs(formats._resolve(base, refs, "source"))
+    target_ref = _abs(formats._resolve(base, refs, "target"))
     cone_obj, g, h = standard_triangle(f)
     outdir = _outdir(args)
     stem = _stem(args.file)

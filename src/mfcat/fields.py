@@ -19,16 +19,35 @@ from .errors import MfcatError
 Scalar = Union[Fraction, int]
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PROVEN_BELOW (Sorenson and Webster, Math. Comp. 86, 2017).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PROVEN_BELOW = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Whether 2 <= p < PROVEN_BELOW is prime, by deterministic Miller-Rabin."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= PROVEN_BELOW:
+        raise MfcatError(
+            "context-mismatch", f"modulus {p} is too large to prove prime (bound {PROVEN_BELOW})"
+        )
+    if p in _BASES or any(p % b == 0 for b in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

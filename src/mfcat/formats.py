@@ -50,6 +50,13 @@ def _json_int(value, what: str) -> int:
     raise MfcatError("parse-error", f"{what} must be an integer, got {value!r}")
 
 
+def _json_str(value, what: str) -> str:
+    """A string from a JSON file."""
+    if not isinstance(value, str):
+        raise MfcatError("parse-error", f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _json_strings(value, what: str) -> list:
     """A list of strings from a JSON file."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
@@ -105,16 +112,17 @@ def canonical_json(obj) -> str:
 
 
 def read_json(path: str):
-    """The JSON document in a file.  Malformed JSON stays a JSONDecodeError;
-    undecodable text, or an integer longer than int() reads, is a
-    parse-error."""
-    with open(path) as fh:
-        try:
+    """The JSON document in a file.  A missing file stays a
+    FileNotFoundError and malformed JSON a JSONDecodeError; a path that
+    cannot be read otherwise (a directory, no permission), undecodable text,
+    or an integer longer than int() reads, is a parse-error."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except json.JSONDecodeError:
-            raise
-        except ValueError as e:
-            raise MfcatError("parse-error", f"{path}: {e}") from None
+    except (FileNotFoundError, json.JSONDecodeError):
+        raise
+    except (OSError, ValueError) as e:
+        raise MfcatError("parse-error", f"{path}: {e}") from None
 
 
 # -- factorization files -----------------------------------------------
@@ -155,7 +163,7 @@ def mf_from_dict(d: dict) -> MatrixFactorization:
         raise MfcatError("invalid-shape", "matrix row count differs from rank")
     p1 = _matrix_from_strings(ctx, d["p1"], rank, "p1")
     p0 = _matrix_from_strings(ctx, d["p0"], rank, "p0")
-    w = ctx.parse(d["W"])
+    w = ctx.parse(_json_str(d["W"], "W"))
     return mf_new(ctx, w, p1, p0)
 
 
@@ -181,7 +189,8 @@ def morphism_to_dict(f: MFMorphism, source_ref: str, target_ref: str) -> dict:
     }
 
 
-def _resolve(base_dir: Optional[str], ref: str) -> str:
+def _resolve(base_dir: Optional[str], d: dict, key: str) -> str:
+    ref = _json_str(d[key], key)
     if os.path.isabs(ref) or base_dir is None:
         return ref
     return os.path.join(base_dir, ref)
@@ -191,8 +200,8 @@ def morphism_from_dict(d: dict, base_dir: Optional[str] = None) -> MFMorphism:
     for key in ("source", "target", "f1", "f0"):
         if key not in d:
             raise MfcatError("parse-error", f"morphism file missing {key!r}")
-    x = load_mf(_resolve(base_dir, d["source"]))
-    y = load_mf(_resolve(base_dir, d["target"]))
+    x = load_mf(_resolve(base_dir, d, "source"))
+    y = load_mf(_resolve(base_dir, d, "target"))
     f1 = _matrix_from_strings(y.ctx, d["f1"], x.rank, "f1")
     f0 = _matrix_from_strings(y.ctx, d["f0"], x.rank, "f0")
     return morphism_new(x, y, f1, f0)
@@ -221,8 +230,8 @@ def homotopy_from_dict(d: dict, base_dir: Optional[str] = None) -> Homotopy:
     for key in ("source", "target", "s", "t"):
         if key not in d:
             raise MfcatError("parse-error", f"homotopy file missing {key!r}")
-    x = load_mf(_resolve(base_dir, d["source"]))
-    y = load_mf(_resolve(base_dir, d["target"]))
+    x = load_mf(_resolve(base_dir, d, "source"))
+    y = load_mf(_resolve(base_dir, d, "target"))
     s = _matrix_from_strings(y.ctx, d["s"], x.rank, "s")
     t = _matrix_from_strings(y.ctx, d["t"], x.rank, "t")
     return Homotopy(x, y, s, t)
@@ -261,7 +270,7 @@ def module_from_dict(d: dict) -> QuotModule:
     if len(variables) != 1:
         raise MfcatError("not-univariate", "module files use one variable")
     ctx = RingContext(field=field, variables=variables)
-    w = ctx.parse(d["W"])
+    w = ctx.parse(_json_str(d["W"], "W"))
     dim = _json_int(d["dim"], "dim")
     z_rows = _json_matrix(d["Z"], "Z")
     if len(z_rows) != dim or any(len(r) != dim for r in z_rows):

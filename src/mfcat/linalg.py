@@ -34,10 +34,11 @@ therefore the same canonical form, and so are the solution with free
 variables set to zero and the nullspace basis read off it (`null_basis`),
 which keeps witnesses and quotient bases reproducible.
 
-`LinearSystem` in `homotopy` feeds its sparse rows to `sparse_rref` and
-`sparse_solve` directly.  Dense matrices, lists of row lists as used by
-`modules`, go through the adapters `rref`, `rank`, `solve`, `nullspace` and
-`row_space_contains`, which convert rows to dicts and back.
+`LinearSystem` in `homotopy` and the module side in `modules` feed their
+sparse rows to these entries directly; `pivot_columns` gives the pivot
+columns from forward elimination alone.  The dense helpers left, on lists
+of row lists, are the `mat_*` products and sums, and `rref`, which
+converts rows to dicts and back for callers outside the package.
 """
 
 from __future__ import annotations
@@ -84,20 +85,6 @@ def mat_add(field: Field, a, b):
 def mat_scale(field: Field, c, a):
     return [[field.mul(c, x) for x in row] for row in a]
 
-def mat_eq(field: Field, a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if not field.is_zero(field.sub(x, y)):
-                return False
-    return True
-
-def mat_is_zero(field: Field, a) -> bool:
-    return all(field.is_zero(x) for row in a for x in row)
-
 
 def sparse_rref(field: Field, rows, rank_only: bool = False):
     """Reduced row echelon form of sparse rows {column: nonzero scalar}.
@@ -111,6 +98,13 @@ def sparse_rref(field: Field, rows, rank_only: bool = False):
     if rank_only:
         return len(basis)
     return _reduced(field, basis, 0)
+
+
+def pivot_columns(field: Field, rows):
+    """The pivot columns of sparse rows in ascending order, by forward
+    elimination alone: a column is one exactly when it is not a combination
+    of the columns before it.  The input rows are not modified."""
+    return sorted(_echelon(field, rows))
 
 
 def sparse_solve(field: Field, rows, ncols: int):
@@ -235,7 +229,8 @@ def _primitive(r):
     return r
 
 
-def _sparse(matrix):
+def sparse_rows(matrix):
+    """The rows of a dense matrix as sparse rows {column: nonzero entry}."""
     return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
@@ -255,54 +250,8 @@ def null_basis(field: Field, reduced, ncols: int):
 def rref(field: Field, matrix):
     """Dense reduced row echelon form; returns (rows, pivot column list)."""
     ncols = len(matrix[0]) if matrix else 0
-    reduced = sparse_rref(field, _sparse(matrix))
+    reduced = sparse_rref(field, sparse_rows(matrix))
     zero = field.zero()
     rows = [[row.get(j, zero) for j in range(ncols)] for row in reduced.values()]
     rows += [[zero] * ncols for _ in range(len(matrix) - len(rows))]
     return rows, list(reduced)
-
-
-def rank(field: Field, matrix) -> int:
-    return sparse_rref(field, _sparse(matrix), rank_only=True)
-
-
-def solve(field: Field, a, b):
-    """One solution of A x = b with free variables set to zero, or None.
-
-    b may be a vector or a matrix of stacked right-hand-side columns, with
-    one entry or row per row of A; the returned x has matching shape.
-    """
-    if len(b) != len(a):
-        raise MfcatError("shape-mismatch", f"{len(a)} equations, {len(b)} right-hand sides")
-    vector_rhs = b and not isinstance(b[0], list)
-    bcols = [[x] for x in b] if vector_rhs else [list(r) for r in b]
-    ncols = len(a[0]) if a else 0
-    nrhs = len(bcols[0]) if bcols else 0
-    solution = sparse_solve(field, _sparse([list(a[i]) + bcols[i] for i in range(len(a))]), ncols)
-    if solution is None:
-        return None
-    x = mat_zero(field, ncols, nrhs)
-    for c, row in solution.items():
-        for j, v in row.items():
-            x[c][j - ncols] = v
-    if vector_rhs:
-        return [row[0] for row in x]
-    return x
-
-
-def nullspace(field: Field, a):
-    """Basis of the right kernel of A, as a list of vectors."""
-    ncols = len(a[0]) if a else 0
-    zero = field.zero()
-    basis = null_basis(field, sparse_rref(field, _sparse(a)), ncols)
-    return [[v.get(j, zero) for j in range(ncols)] for v in basis]
-
-
-def row_space_contains(field: Field, basis_rows, vector) -> bool:
-    """Whether the vector lies in the span of the given rows."""
-    if all(field.is_zero(x) for x in vector):
-        return True
-    if not basis_rows:
-        return False
-    base_rank = rank(field, basis_rows)
-    return rank(field, list(basis_rows) + [vector]) == base_rank

@@ -9,7 +9,11 @@ vector of the target.
 
 This side of the engine is deliberately elementary (finite exact linear
 algebra only) so it can serve as an independent check of the homotopy
-category computations.
+category computations.  Matrices are dense lists of rows where they enter
+or leave (the action, Hom bases, maps).  Eliminations run on sparse rows
+{column: nonzero scalar} through `linalg`'s sparse kernel, and so do the
+products of the W(Z) = 0 check, of `is_module_morphism` and of
+`decompose`, which skip zero entries.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ class QuotModule:
                 raise MfcatError("wrong-arity", f"Z must be {dim}x{dim}, got a row of {len(row)}")
             rows.append(tuple(row))
         z = tuple(rows)
-        wz = _eval_on_matrix(field, uni.from_poly(w, ctx.variables[0]), [list(r) for r in z])
-        if not linalg.mat_is_zero(field, wz):
+        wz = _eval_on_matrix(field, uni.from_poly(w, ctx.variables[0]), linalg.sparse_rows(z))
+        if any(wz):
             raise MfcatError("superpotential-mismatch", "W(Z) is not zero")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "w", w)
@@ -77,14 +81,32 @@ class QuotModule:
         return f"QuotModule(W={self.w}, dim={self.dim})"
 
 
+def _mul(field: Field, a, b):
+    """The product of two matrices given as sparse rows, as sparse rows.
+    Only nonzero entries are multiplied; sums that cancel are dropped."""
+    add, mul = field.add, field.mul
+    out = []
+    for ra in a:
+        acc = {}
+        for k, x in ra.items():
+            for j, y in b[k].items():
+                acc[j] = add(acc[j], mul(x, y)) if j in acc else mul(x, y)
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
 def _eval_on_matrix(field: Field, coeffs, z):
-    """W(Z) by Horner's rule on a scalar matrix."""
-    n = len(z)
-    acc = linalg.mat_zero(field, n, n)
+    """W(Z) as sparse rows, by Horner's rule on the sparse rows of Z."""
+    acc = [{} for _ in z]
     for c in reversed(coeffs):
-        acc = linalg.mat_mul(field, acc, z)
-        for i in range(n):
-            acc[i][i] = field.add(acc[i][i], c)
+        acc = _mul(field, acc, z)
+        if c:
+            for i, row in enumerate(acc):
+                v = field.add(row[i], c) if i in row else c
+                if v:
+                    row[i] = v
+                else:
+                    del row[i]
     return acc
 
 
@@ -134,6 +156,12 @@ def hom_space(m: QuotModule, n: QuotModule) -> List[List[List]]:
     """Basis of the space of module morphisms M -> N (scalar matrices)."""
     if m.ctx != n.ctx or m.w != n.w:
         raise MfcatError("superpotential-mismatch", "modules over different fibers")
+    return [_unflatten(m.field, v, n.dim, m.dim) for v in _hom_vectors(m, n)]
+
+
+def _hom_vectors(m: QuotModule, n: QuotModule):
+    """Basis of Hom(M, N) as sparse vectors: the nn x nm matrices F with
+    F Zm = Zn F, flattened row by row, as the reduced kernel basis."""
     field = m.field
     nm, nn = m.dim, n.dim
     if nm == 0 or nn == 0:
@@ -149,23 +177,26 @@ def hom_space(m: QuotModule, n: QuotModule) -> List[List[List]]:
             for k in range(nn):
                 row[k * nm + j] = field.sub(row[k * nm + j], n.z_action[i][k])
             rows.append(row)
-    basis = linalg.nullspace(field, rows)
-    return [_unflatten(v, nn, nm) for v in basis]
+    rows = linalg.sparse_rows(rows)
+    return linalg.null_basis(field, linalg.sparse_rref(field, rows), nn * nm)
 
 
-def _unflatten(vec, rows, cols):
-    return [[vec[i * cols + j] for j in range(cols)] for i in range(rows)]
+def _unflatten(field: Field, vec, rows, cols):
+    zero = field.zero()
+    return [[vec.get(i * cols + j, zero) for j in range(cols)] for i in range(rows)]
 
 
-def _flatten(mat):
-    return [x for row in mat for x in row]
+def _join(rows, cols):
+    """Sparse rows flattened row by row into one sparse vector."""
+    return {i * cols + j: x for i, row in enumerate(rows) for j, x in row.items()}
 
 
 def is_module_morphism(m: QuotModule, n: QuotModule, f) -> bool:
-    field = m.field
-    lhs = linalg.mat_mul(field, f, m.z_matrix())
-    rhs = linalg.mat_mul(field, n.z_matrix(), f)
-    return linalg.mat_eq(field, lhs, rhs)
+    if len(f) != n.dim or any(len(row) != m.dim for row in f):
+        raise MfcatError("shape-mismatch", f"a map M -> N is {n.dim}x{m.dim}")
+    f = linalg.sparse_rows(f)
+    zm, zn = linalg.sparse_rows(m.z_action), linalg.sparse_rows(n.z_action)
+    return _mul(m.field, f, zm) == _mul(m.field, zn, f)
 
 
 class StableHom:
@@ -175,6 +206,12 @@ class StableHom:
     morphism is stably zero exactly when it lies in the image of
     Hom(M, A^g) -> Hom(M, N) under the fixed surjection.  For the zero
     target the cover has no generators and nothing is divided out.
+
+    The factoring maps and the Hom basis, in that order, are the columns of
+    one sparse system over the entries of a map.  Its pivot columns pick a
+    basis of the factoring span and the quotient basis: each Hom basis
+    vector independent of the factoring span and of the earlier ones.  The
+    system on those columns alone gives the stable coordinates.
     """
 
     def __init__(self, m: QuotModule, n: QuotModule):
@@ -184,7 +221,8 @@ class StableHom:
         self.source = m
         self.target = n
         self.field = field
-        self.hom_basis = hom_space(m, n)
+        hom = _hom_vectors(m, n)
+        self.hom_basis = [_unflatten(field, v, n.dim, m.dim) for v in hom]
         wc = uni.from_poly(m.w, m.var)
         free_rank_one = _ring_as_module(m.ctx, wc)
         hom_to_free = hom_space(m, free_rank_one)
@@ -198,50 +236,48 @@ class StableHom:
         for j in range(n.dim):
             pj = [[powers[k][i][j] for k in range(deg_w)] for i in range(n.dim)]
             for h in hom_to_free:
-                factoring.append(linalg.mat_mul(field, pj, h))
-        self.factoring_span = [_flatten(f) for f in factoring]
-        if self.factoring_span:
-            red, pivots = linalg.rref(field, self.factoring_span)
-            self.factoring_rref = red[: len(pivots)]
-        else:
-            self.factoring_rref = []
-        self.dim = len(self.hom_basis) - len(self.factoring_rref)
-        # Quotient basis: hom basis vectors independent modulo the factoring span.
-        quotient = []
-        acc = [list(r) for r in self.factoring_rref]
-        acc_rank = len(self.factoring_rref)
-        for h in self.hom_basis:
-            v = _flatten(h)
-            cand = acc + [v]
-            r = linalg.rank(field, cand)
-            if r > acc_rank:
-                quotient.append(h)
-                acc = cand
-                acc_rank = r
-        self.quotient_basis = quotient
+                factoring.append(_join(linalg.sparse_rows(linalg.mat_mul(field, pj, h)), m.dim))
+        rows = [{} for _ in range(n.dim * m.dim)]
+        for col, vec in enumerate(factoring + hom):
+            for e, v in vec.items():
+                rows[e][col] = v
+        kept = linalg.pivot_columns(field, rows)
+        quotient = [c - len(factoring) for c in kept if c >= len(factoring)]
+        self.quotient_basis = [self.hom_basis[c] for c in quotient]
+        self.dim = len(quotient)
+        # Quotient columns first, then the factoring basis.
+        order = {c: i for i, c in enumerate(sorted(kept, key=lambda c: c < len(factoring)))}
+        self._rows = [{order[c]: v for c, v in row.items() if c in order} for row in rows]
+        self._ncols = len(order)
 
     def is_stably_zero(self, f) -> bool:
-        if not is_module_morphism(self.source, self.target, f):
-            raise MfcatError("not-a-morphism", "matrix does not intertwine the actions")
-        return linalg.row_space_contains(self.field, self.factoring_rref, _flatten(f))
+        return not any(self.stable_coordinates(f))
 
     def stable_coordinates(self, f):
         """Coordinates of the stable class of f in the quotient basis."""
-        if not is_module_morphism(self.source, self.target, f):
-            raise MfcatError("not-a-morphism", "matrix does not intertwine the actions")
-        field = self.field
-        columns = [_flatten(q) for q in self.quotient_basis] + [
-            list(r) for r in self.factoring_rref
-        ]
-        if not columns:
-            if any(not field.is_zero(x) for x in _flatten(f)):
-                raise MfcatError("not-a-morphism", "nonzero map in a zero Hom space")
+        return self.stable_coordinates_many([f])[0]
+
+    def stable_coordinates_many(self, maps):
+        """The stable coordinates of each map, by one solve with one
+        right-hand side per map."""
+        for f in maps:
+            if not is_module_morphism(self.source, self.target, f):
+                raise MfcatError("not-a-morphism", "matrix does not intertwine the actions")
+        if not maps:
             return []
-        a = [[col[i] for col in columns] for i in range(len(columns[0]))]
-        sol = linalg.solve(field, a, _flatten(f))
-        if sol is None:
+        ncols = self._ncols
+        rows = [dict(r) for r in self._rows]
+        for j, f in enumerate(maps):
+            for e, x in _join(linalg.sparse_rows(f), self.source.dim).items():
+                rows[e][ncols + j] = x
+        solution = linalg.sparse_solve(self.field, rows, ncols)
+        if solution is None:
             raise MfcatError("not-a-morphism", "map outside the Hom space")
-        return sol[: len(self.quotient_basis)]
+        zero = self.field.zero()
+        return [
+            [solution.get(k, {}).get(ncols + j, zero) for k in range(self.dim)]
+            for j in range(len(maps))
+        ]
 
 
 def _ring_as_module(ctx: RingContext, wc) -> QuotModule:
@@ -272,12 +308,12 @@ def decompose(m: QuotModule) -> Dict[int, int]:
         raise MfcatError("not-nilpotent-form", f"fiber polynomial {m.w} is not a pure power")
     n = sum(terms[0][0])
     field = m.field
-    z = m.z_matrix()
+    z = linalg.sparse_rows(m.z_action)
     ranks = [m.dim]
-    power = linalg.mat_identity(field, m.dim)
+    power = [{i: field.one()} for i in range(m.dim)]
     for _ in range(n + 1):
-        power = linalg.mat_mul(field, power, z)
-        ranks.append(linalg.rank(field, power))
+        power = _mul(field, power, z)
+        ranks.append(linalg.sparse_rref(field, power, rank_only=True))
     out: Dict[int, int] = {}
     for mu in range(1, n + 1):
         mult = ranks[mu - 1] - 2 * ranks[mu] + ranks[mu + 1]

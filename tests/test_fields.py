@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mfcat import QQ, PrimeField, RationalField, field_from_token
+from mfcat.fields import _is_prime
 
 
 def test_rational_basics():
@@ -52,6 +53,30 @@ def test_prime_field_rejects_bad_modulus():
         PrimeField(1)
     PrimeField(2)
     PrimeField(101)
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert [p for p in range(-3, 10**5) if _is_prime(p)] == [
+        p for p in range(-3, 10**5) if _trial_division(p)
+    ]
+
+
+def test_primality_of_large_moduli():
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7, and
+    # 318665857834031151167461 to each of the first 12 primes.
+    for composite in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not a prime modulus"):
+            PrimeField(composite)
+    assert PrimeField(1000000000000000003).p == 10**18 + 3
+    assert PrimeField(2**64 - 59).p == 2**64 - 59
+    # Above the Sorenson-Webster bound no answer would be proven, even for
+    # the Mersenne prime 2^89 - 1.
+    with pytest.raises(ValueError, match="context-mismatch: modulus .* too large"):
+        PrimeField(2**89 - 1)
 
 
 def test_prime_field_noninvertible():

@@ -154,6 +154,13 @@ def test_cli_an_table(capsys):
     assert capsys.readouterr().out.splitlines()[1] == "1 2 2 1"
 
 
+def test_cli_an_table_over_a_large_prime(capsys):
+    start = time.perf_counter()
+    assert cli.run(["an-table", "3", "--field", "Fp:1000000000000000003"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "1 1\n1 1\n"
+
+
 def test_cli_hom_against_contractible(tmp_path, capsys):
     x = v(5, 2)
     ctx = x.ctx
@@ -274,6 +281,8 @@ def test_cli_an_verify_and_knorrer_check(tmp_path, capsys):
 def test_cli_error_exits(tmp_path, capsys):
     assert cli.run(["validate", str(tmp_path / "missing.json")]) == 2
     assert "no such file" in capsys.readouterr().err
+    assert cli.run(["validate", str(tmp_path)]) == 2
+    assert "parse-error" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert cli.run(["validate", str(bad)]) == 2
@@ -346,6 +355,9 @@ def test_cli_error_exits(tmp_path, capsys):
     for name, data in (
         ("morphism", {**refs, "f1": [["1"]], "f0": 0}),
         ("homotopy", {**refs, "s": "z", "t": [["0"]]}),
+        ("morphism-source", {**refs, "source": 5, "f1": [["1"]], "f0": [["1"]]}),
+        ("factorization-w", {**formats.mf_to_dict(x), "W": 5}),
+        ("module-w", {**module, "W": 5}),
     ):
         path = tmp_path / f"malformed-{name}.json"
         path.write_text(formats.canonical_json(data))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,14 @@ from mfcat import (
     QQ,
     PrimeField,
     RingContext,
+    bounded_stable_hom_estimate,
     cok,
     cok_induced_map,
     cyclic_module,
     decompose,
     direct_sum_modules,
     hom_space,
+    knorrer,
     module_new,
     morphism_from_polys,
     parse_poly,
@@ -163,3 +166,86 @@ def test_stable_hom_prime_field():
         f = PrimeField(p)
         sh = stable_hom(cyclic_module(f, 5, 2), cyclic_module(f, 5, 3))
         assert sh.dim == 2
+
+
+# -- the module side against the factorization side -------------------------
+#
+# Random modules by the recipe of the benchmark's `modules` workload: a direct
+# sum of cyclic modules over k[z]/z^n in a random unimodular basis, so that
+# the z-action is dense.
+
+
+def _unimodular(rng, d):
+    """A random integer matrix of determinant 1 and its inverse."""
+    p = [[int(i == j) for j in range(d)] for i in range(d)]
+    p_inv = [row[:] for row in p]
+    for _ in range(d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]  # p <- (I + c e_ij) p
+        for row in p_inv:  # p_inv <- p_inv (I - c e_ij)
+            row[j] -= c * row[i]
+    return p, p_inv
+
+
+def _random_partition(rng, total, cap):
+    parts = []
+    while total:
+        part = rng.randint(1, min(cap, total))
+        parts.append(part)
+        total -= part
+    return sorted(parts, reverse=True)
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _random_module(rng, n, dim):
+    parts = _random_partition(rng, dim, n)
+    m = cyclic_module(QQ, n, parts[0])
+    for part in parts[1:]:
+        m = direct_sum_modules(m, cyclic_module(QQ, n, part))
+    if m.dim < 2:
+        return m
+    p, p_inv = _unimodular(rng, m.dim)
+    return module_new(m.w, _product(_product(p, m.z_matrix()), p_inv))
+
+
+def _random_pairs(seed, count, ns, dims):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice(ns)
+        yield n, _random_module(rng, n, rng.choice(dims)), _random_module(rng, n, rng.choice(dims))
+
+
+def test_stable_hom_matches_factorization_side():
+    # Buchweitz: the stable category of the fibre ring is the homotopy
+    # category of factorizations, with stabilize as the equivalence; and
+    # Knoerrer periodicity keeps Hom under the lift to W + xy.
+    for n, a, b in _random_pairs(5, 12, (2, 3, 4), (1, 2, 3, 4)):
+        want = stable_hom(a, b).dim
+        assert bounded_stable_hom_estimate(stabilize(a), stabilize(b), 2 * n) == want
+    for n, a, b in _random_pairs(8, 2, (3, 4), (2, 3)):
+        lifted = bounded_stable_hom_estimate(knorrer(stabilize(a)), knorrer(stabilize(b)), 2 * n)
+        assert lifted == stable_hom(a, b).dim
+
+
+def test_quotient_basis_is_the_greedy_choice():
+    # A Hom basis vector is kept exactly when it is independent of the
+    # factoring span and of the vectors before it: a kept one has a unit
+    # vector as stable coordinates, any other one lies in the span of the
+    # kept vectors before it.
+    for _, a, b in _random_pairs(3, 10, (2, 3, 4), (2, 3, 4)):
+        sh = stable_hom(a, b)
+        coords = sh.stable_coordinates_many(sh.hom_basis)
+        assert coords == [sh.stable_coordinates(h) for h in sh.hom_basis]
+        kept = 0
+        for h, c in zip(sh.hom_basis, coords):
+            if kept < sh.dim and h == sh.quotient_basis[kept]:
+                assert c == [F(int(k == kept)) for k in range(sh.dim)]
+                kept += 1
+            else:
+                assert not any(c[kept:])
+                assert sh.is_stably_zero(h) == (not any(c))
+        assert kept == sh.dim
