@@ -10,11 +10,12 @@ verified directly through a gcd computation on the fiber.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Tuple
 
 from . import univariate as uni
 from .errors import MfcatError
-from .fields import QQ, RationalField
+from .fields import RationalField
 from .poly import Poly
 
 
@@ -47,16 +48,11 @@ def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fracti
         coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return roots
-    # Clear denominators to get integer coefficients.
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
+    # Clear denominators and divide out the content.
+    denom = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = _gcd(content, abs(c))
-    if content > 1:
-        ints = [c // content for c in ints]
+    content = gcd(*ints)
+    ints = [c // content for c in ints]
     lead = ints[-1]
     const = ints[0]
     for p in _integer_divisors(const):
@@ -65,23 +61,10 @@ def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fracti
                 cand = Fraction(sign * p, q)
                 if cand in roots:
                     continue
-                if _eval_int_poly(ints, cand) == 0:
+                if uni.eval_at(field, ints, cand) == 0:
                     roots.append(cand)
     roots.sort()
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _eval_int_poly(coeffs: List[int], value: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * value + c
-    return acc
 
 
 def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:

@@ -51,6 +51,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# Fractions are immutable, so every zero and one of Q can be the same object.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
 @dataclass(frozen=True)
 class RationalField:
     """The field of rational numbers with exact Fraction arithmetic."""
@@ -58,15 +63,17 @@ class RationalField:
     name: str = "Q"
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return _ZERO
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return _ONE
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
     def coerce(self, value) -> Fraction:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, bool):
             raise MfcatError("context-mismatch", "bool is not a rational scalar")
         if isinstance(value, (int, Fraction)):

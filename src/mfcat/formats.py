@@ -29,7 +29,7 @@ from .factorization import (
 from .fields import Field, PrimeField, QQ, RationalField
 from .matrices import PolyMatrix
 from .modules import QuotModule, module_new
-from .poly import Poly, RingContext
+from .poly import RingContext
 
 
 def field_to_json(field: Field):
@@ -38,6 +38,17 @@ def field_to_json(field: Field):
     if isinstance(field, PrimeField):
         return {"Fp": field.p}
     raise MfcatError("context-mismatch", f"unknown field {field!r}")
+
+
+def _json_object(d, kind: str, keys) -> dict:
+    """A JSON object holding the given keys, from a kind of file."""
+    if not isinstance(d, dict):
+        what = type(d).__name__
+        raise MfcatError("parse-error", f"{kind} file must hold a JSON object, got {what}")
+    for key in keys:
+        if key not in d:
+            raise MfcatError("parse-error", f"{kind} file missing {key!r}")
+    return d
 
 
 def _json_int(value, what: str) -> int:
@@ -154,9 +165,7 @@ def context_from_dict(d: dict) -> RingContext:
 
 
 def mf_from_dict(d: dict) -> MatrixFactorization:
-    for key in ("field", "vars", "W", "rank", "p1", "p0"):
-        if key not in d:
-            raise MfcatError("parse-error", f"factorization file missing {key!r}")
+    _json_object(d, "factorization", ("field", "vars", "W", "rank", "p1", "p0"))
     ctx = context_from_dict(d)
     rank = _json_int(d["rank"], "rank")
     if len(_json_matrix(d["p1"], "p1")) != rank or len(_json_matrix(d["p0"], "p0")) != rank:
@@ -197,9 +206,7 @@ def _resolve(base_dir: Optional[str], d: dict, key: str) -> str:
 
 
 def morphism_from_dict(d: dict, base_dir: Optional[str] = None) -> MFMorphism:
-    for key in ("source", "target", "f1", "f0"):
-        if key not in d:
-            raise MfcatError("parse-error", f"morphism file missing {key!r}")
+    _json_object(d, "morphism", ("source", "target", "f1", "f0"))
     x = load_mf(_resolve(base_dir, d, "source"))
     y = load_mf(_resolve(base_dir, d, "target"))
     f1 = _matrix_from_strings(y.ctx, d["f1"], x.rank, "f1")
@@ -227,9 +234,7 @@ def homotopy_to_dict(h: Homotopy, source_ref: str, target_ref: str) -> dict:
 
 
 def homotopy_from_dict(d: dict, base_dir: Optional[str] = None) -> Homotopy:
-    for key in ("source", "target", "s", "t"):
-        if key not in d:
-            raise MfcatError("parse-error", f"homotopy file missing {key!r}")
+    _json_object(d, "homotopy", ("source", "target", "s", "t"))
     x = load_mf(_resolve(base_dir, d, "source"))
     y = load_mf(_resolve(base_dir, d, "target"))
     s = _matrix_from_strings(y.ctx, d["s"], x.rank, "s")
@@ -262,9 +267,7 @@ def module_to_dict(m: QuotModule) -> dict:
 
 
 def module_from_dict(d: dict) -> QuotModule:
-    for key in ("field", "W", "dim", "Z"):
-        if key not in d:
-            raise MfcatError("parse-error", f"module file missing {key!r}")
+    _json_object(d, "module", ("field", "W", "dim", "Z"))
     field = field_from_json(d["field"])
     variables = tuple(_json_strings(d.get("vars", ["z"]), "vars"))
     if len(variables) != 1:
@@ -294,9 +297,7 @@ def load_module(path: str) -> QuotModule:
 
 def classify_file(path: str) -> Tuple[str, dict]:
     """Identify a JSON file as factorization, morphism, homotopy, or module."""
-    d = read_json(path)
-    if not isinstance(d, dict):
-        raise MfcatError("parse-error", "expected a JSON object")
+    d = _json_object(read_json(path), "input", ())
     keys = set(d)
     if {"p1", "p0"} <= keys:
         return "factorization", d

@@ -364,7 +364,7 @@ class LinearSystem:
         return out
 
     def coefficient_rank(self) -> int:
-        return linalg.sparse_rref(self.field, (row for row, _ in self.rows), rank_only=True)
+        return linalg.rank(self.field, (row for row, _ in self.rows))
 
     def nullspace_assignments(self) -> List[Dict[str, PolyMatrix]]:
         field = self.field

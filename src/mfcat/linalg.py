@@ -8,16 +8,15 @@ pivot; its non-leading entries stay, and no pivot is ever cleared from
 earlier rows.  Only nonzero entries are ever touched.  Scalars are
 canonical field elements, so a scalar is zero exactly when it is falsy.
 
-Three entries sit on that loop.  `sparse_rref(..., rank_only=True)` returns
-the number of basis rows: the leading columns of any echelon basis are the
-pivot columns of the reduced form, so their number is the rank.
-`sparse_rref` returns the reduced row echelon form {pivot column: reduced
-row}, by one pass in descending pivot order that clears each row at the
-later pivots by their rows, already final.  `sparse_solve` treats the
-columns from a given one on as right-hand sides: it returns None as soon as
-a row leads at a right-hand column, and otherwise runs the same pass on the
-pivot and right-hand columns alone, which gives the solution with free
-variables set to zero.
+Three entries sit on that loop.  `rank` returns the number of basis rows:
+the leading columns of any echelon basis are the pivot columns of the
+reduced form, so their number is the rank.  `sparse_rref` returns the
+reduced row echelon form {pivot column: reduced row}, by one pass in
+descending pivot order that clears each row at the later pivots by their
+rows, already final.  `sparse_solve` treats the columns from a given one on
+as right-hand sides: it returns None as soon as a row leads at a right-hand
+column, and otherwise runs the same pass on the pivot and right-hand
+columns alone, which gives the solution with free variables set to zero.
 
 The loops run on plain ints.  Over F_p they are residues in [0, p) and
 every update is (a - f*v) % p.  Over Q each row is a primitive integer
@@ -37,8 +36,8 @@ which keeps witnesses and quotient bases reproducible.
 `LinearSystem` in `homotopy` and the module side in `modules` feed their
 sparse rows to these entries directly; `pivot_columns` gives the pivot
 columns from forward elimination alone.  The dense helpers left, on lists
-of row lists, are the `mat_*` products and sums, and `rref`, which
-converts rows to dicts and back for callers outside the package.
+of row lists, are `mat_zero`, `mat_identity` and `mat_mul`, and `rref`,
+which converts rows to dicts and back for callers outside the package.
 """
 
 from __future__ import annotations
@@ -79,25 +78,21 @@ def mat_mul(field: Field, a, b):
                     oi[j] = field.add(oi[j], field.mul(c, bk[j]))
     return out
 
-def mat_add(field: Field, a, b):
-    return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
-def mat_scale(field: Field, c, a):
-    return [[field.mul(c, x) for x in row] for row in a]
+def rank(field: Field, rows) -> int:
+    """The rank of sparse rows {column: nonzero scalar}, by forward
+    elimination alone.  The input rows are not modified."""
+    return len(_echelon(field, rows))
 
 
-def sparse_rref(field: Field, rows, rank_only: bool = False):
+def sparse_rref(field: Field, rows):
     """Reduced row echelon form of sparse rows {column: nonzero scalar}.
 
     Returns {pivot column: reduced row} in ascending pivot order; each
     reduced row holds 1 at its pivot and 0 (absent) at every other pivot
-    column.  With rank_only, returns the number of pivots, found by forward
-    elimination alone.  The input rows are not modified.
+    column.  The input rows are not modified.
     """
-    basis = _echelon(field, rows)
-    if rank_only:
-        return len(basis)
-    return _reduced(field, basis, 0)
+    return _reduced(field, _echelon(field, rows), 0)
 
 
 def pivot_columns(field: Field, rows):

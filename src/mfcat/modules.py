@@ -4,8 +4,8 @@ A module is a pair (W, Z): a univariate fiber polynomial W and a square
 scalar matrix Z giving the action of z, with W(Z) = 0.  Morphisms are the
 scalar matrices commuting with the actions.  The stable morphism space
 divides out everything that factors through a free module, tested against
-the fixed surjection from a free cover with one generator per basis
-vector of the target.
+the maps through the ring itself, whose Hom space from the source is read
+off the divided difference of W with no solve.
 
 This side of the engine is deliberately elementary (finite exact linear
 algebra only) so it can serve as an independent check of the homotopy
@@ -18,7 +18,7 @@ products of the W(Z) = 0 check, of `is_module_morphism` and of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import linalg, univariate as uni
 from .errors import MfcatError
@@ -108,6 +108,24 @@ def _eval_on_matrix(field: Field, coeffs, z):
                 else:
                     del row[i]
     return acc
+
+
+def _divided_difference(field: Field, wc, z):
+    """[B_0, ..., B_{n-1}] for W of degree n with coefficients wc and a
+    square matrix Z: sum_i x^i B_i = (W(x) - W(Z)) / (x - Z), so B_i =
+    sum_{k > i} c_k Z^(k-1-i).  By Horner's rule, B_{n-1} = c_n I and
+    B_{i-1} = Z B_i + c_i I; [] when n = 0."""
+    n, d = len(wc) - 1, len(z)
+    if n <= 0:
+        return []
+    zero = field.zero()
+    out = [[[wc[n] if r == c else zero for c in range(d)] for r in range(d)]]
+    for i in range(n - 1, 0, -1):
+        b = linalg.mat_mul(field, z, out[-1])
+        for r in range(d):
+            b[r][r] = field.add(b[r][r], wc[i])
+        out.append(b)
+    return out[::-1]
 
 
 def module_new(w: Poly, z_rows: Sequence[Sequence]) -> QuotModule:
@@ -200,12 +218,15 @@ def is_module_morphism(m: QuotModule, n: QuotModule, f) -> bool:
 
 
 class StableHom:
-    """Hom(M, N) together with the subspace factoring through a free cover.
+    """Hom(M, N) together with the subspace factoring through a free module.
 
-    The free cover of N has one generator per k-basis vector of N; a
-    morphism is stably zero exactly when it lies in the image of
-    Hom(M, A^g) -> Hom(M, N) under the fixed surjection.  For the zero
-    target the cover has no generators and nothing is divided out.
+    A map factors through a free module exactly when it lies in the span of
+    the maps pi_j . R over j and R in Hom(M, A), A = k[z]/(W), where pi_j :
+    A -> N sends the class of z^k to Z_N^k applied to basis vector j.  The
+    ring A is symmetric, and Hom(M, A) has the basis R_0, ..., R_{dim M - 1}
+    read off the divided difference B_i of W at Z_M, with no solve: row i of
+    R_s is row s of B_i (Higman's criterion; the leading coefficient of W
+    only scales them).  For the zero target nothing is divided out.
 
     The factoring maps and the Hom basis, in that order, are the columns of
     one sparse system over the entries of a map.  Its pivot columns pick a
@@ -223,19 +244,16 @@ class StableHom:
         self.field = field
         hom = _hom_vectors(m, n)
         self.hom_basis = [_unflatten(field, v, n.dim, m.dim) for v in hom]
-        wc = uni.from_poly(m.w, m.var)
-        free_rank_one = _ring_as_module(m.ctx, wc)
-        hom_to_free = hom_space(m, free_rank_one)
-        # pi_j : A -> N sends the class of z^k to Z_N^k applied to basis j.
+        b = _divided_difference(field, uni.from_poly(m.w, m.var), m.z_matrix())
+        hom_to_ring = [[bi[s] for bi in b] for s in range(m.dim)]
         factoring = []
         zn = n.z_matrix()
-        deg_w = len(wc) - 1
         powers = [linalg.mat_identity(field, n.dim)]
-        for _ in range(max(0, deg_w - 1)):
+        for _ in range(max(0, len(b) - 1)):
             powers.append(linalg.mat_mul(field, zn, powers[-1]))
         for j in range(n.dim):
-            pj = [[powers[k][i][j] for k in range(deg_w)] for i in range(n.dim)]
-            for h in hom_to_free:
+            pj = [[powers[k][i][j] for k in range(len(b))] for i in range(n.dim)]
+            for h in hom_to_ring:
                 factoring.append(_join(linalg.sparse_rows(linalg.mat_mul(field, pj, h)), m.dim))
         rows = [{} for _ in range(n.dim * m.dim)]
         for col, vec in enumerate(factoring + hom):
@@ -280,20 +298,6 @@ class StableHom:
         ]
 
 
-def _ring_as_module(ctx: RingContext, wc) -> QuotModule:
-    """k[z]/(W) as a module over itself (companion matrix of monic W)."""
-    field = ctx.field
-    w_monic = uni.monic(field, wc)
-    d = len(w_monic) - 1
-    z = linalg.mat_zero(field, d, d)
-    for i in range(d - 1):
-        z[i + 1][i] = field.one()
-    for i in range(d):
-        z[i][d - 1] = field.neg(w_monic[i])
-    w = uni.to_poly(ctx, ctx.variables[0], wc)
-    return QuotModule(ctx, w, z)
-
-
 def stable_hom(m: QuotModule, n: QuotModule) -> StableHom:
     return StableHom(m, n)
 
@@ -313,7 +317,7 @@ def decompose(m: QuotModule) -> Dict[int, int]:
     power = [{i: field.one()} for i in range(m.dim)]
     for _ in range(n + 1):
         power = _mul(field, power, z)
-        ranks.append(linalg.sparse_rref(field, power, rank_only=True))
+        ranks.append(linalg.rank(field, power))
     out: Dict[int, int] = {}
     for mu in range(1, n + 1):
         mult = ranks[mu - 1] - 2 * ranks[mu] + ranks[mu + 1]
@@ -453,21 +457,8 @@ def stabilize(m: QuotModule) -> MatrixFactorization:
             row.append(e - ctx.constant(m.z_action[i][j]))
         p1_rows.append(row)
     p1 = PolyMatrix(ctx, p1_rows, cols=d)
-    wc = uni.from_poly(m.w, var)
-    n = len(wc) - 1
-    powers = [linalg.mat_identity(field, d)]
-    for _ in range(max(0, n - 1)):
-        powers.append(linalg.mat_mul(field, m.z_matrix(), powers[-1]))
-    # p0 = sum_i z^i * B_i with B_i = sum_{k > i} c_k Z^(k-1-i).
-    p0_rows = [[ctx.zero() for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        b = linalg.mat_zero(field, d, d)
-        for k in range(i + 1, n + 1):
-            b = linalg.mat_add(field, b, linalg.mat_scale(field, wc[k], powers[k - 1 - i]))
-        zi = zvar**i
-        for r in range(d):
-            for c in range(d):
-                if not field.is_zero(b[r][c]):
-                    p0_rows[r][c] = p0_rows[r][c] + zi.scale(b[r][c])
+    b = _divided_difference(field, uni.from_poly(m.w, var), m.z_matrix())
+    # p0 = sum_i z^i * B_i.
+    p0_rows = [[uni.to_poly(ctx, var, [bi[r][c] for bi in b]) for c in range(d)] for r in range(d)]
     p0 = PolyMatrix(ctx, p0_rows, cols=d)
     return mf_new(ctx, m.w, p1, p0)

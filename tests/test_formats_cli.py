@@ -368,6 +368,31 @@ def test_cli_error_exits(tmp_path, capsys):
     x_path = str(tmp_path / "x.json")
     assert cli.run(["hom", x_path, x_path, "--bound", "-1", "--out", str(tmp_path)]) == 2
     assert "policy-infeasible: negative degree bound" in capsys.readouterr().err
+    # A file holding JSON that is not an object, read directly or as the
+    # source of a morphism.
+    bad = str(tmp_path / "non-object.json")
+    out = ["--out", str(tmp_path)]
+    morphism = tmp_path / "morphism-non-object.json"
+    morphism.write_text(
+        formats.canonical_json({**refs, "source": "non-object.json", "f1": [["1"]], "f0": [["1"]]})
+    )
+    for doc in ("5", "null", '"z^2"'):
+        with open(bad, "w") as fh:
+            fh.write(doc + "\n")
+        for argv in (
+            ["validate", bad],
+            ["validate", str(morphism)],
+            ["shift", bad, *out],
+            ["knorrer", bad, *out],
+            ["cone", bad, *out],
+            ["hom", bad, x_path, *out],
+            ["cok", bad, *out],
+            ["stabilize", bad, *out],
+            ["decompose", bad],
+            ["stable-hom", bad, bad, *out],
+        ):
+            assert cli.run(argv) == 2, (doc, argv[0])
+            assert "parse-error" in capsys.readouterr().err
 
 
 def test_cli_hom_rejects_non_isolated_singularity(tmp_path, capsys):
@@ -395,7 +420,8 @@ def test_python_dash_m_runs_the_cli():
 
 
 # sha256 of stdout (output directory written as OUT) and of every emitted
-# file, recorded before the isomorphism and triangle searches were merged.
+# file, recorded before the isomorphism and triangle searches were merged;
+# an-verify 6 before Hom(M, k[z]/(W)) was read off the divided difference.
 GOLDEN = {
     ("an-verify", "4"): (
         "5c9044ec214d80b995d74619aa73e2e7d22b33e9086189d2e7049a2f3946759c",
@@ -410,6 +436,46 @@ GOLDEN = {
             "an4-triangle-fst-3-2.json": "0a5e1b1f308b49772097fc2d0f3f4a67e4eebde96ecdbf5da0989984934f5d16",
             "an4-triangle-fst-3-3.json": "1ce3688fe8c64d83b7483391fd5ecdaab70967a6b359874ab6fa4c5753713eb6",
             "an4-triangle-lst-3-2-2.json": "0d1e18aa947c9d2bdbe01fb7fdccfafb6ae6f7a28a4ce47db1b221e614e99a71",
+        },
+    ),
+    ("an-verify", "6"): (
+        "82ac31061056ca36964ca7f18a23b5dcefdf9aea42cd914f373f43b9181ac06b",
+        {
+            "an6-triangle-fst-1-1.json": "b33fd236418f440aff1089c0e211b64cd4eee063ddc46bf6d124e36c512a23a9",
+            "an6-triangle-fst-1-2.json": "a590dc437290f808253f51fb76ab1f1516e8fed90b4d62d37494f67f51ded61d",
+            "an6-triangle-fst-1-3.json": "28e20321bdb7d034417ffcd66f2139d4f6cbcf3f7b7e17c24a5cb30762b3768b",
+            "an6-triangle-fst-1-4.json": "4a4133388aec81f760a5bcd236a1274d04b29b2ba12010cd08353c0c1cc0758a",
+            "an6-triangle-fst-1-5.json": "40697219772161e02e45e6c241a804c0b72f232836ac1cbaf84f75cdf3935067",
+            "an6-triangle-fst-2-1.json": "2a2a488ab636d767322d218b1ca4120fabe8c1e55d2a8d179066e5bba17444ee",
+            "an6-triangle-fst-2-2.json": "80634beff7b50b95e1b20be451bb3a255ac3712437984f7bc5c49547e94d0134",
+            "an6-triangle-fst-2-3.json": "9106973293e6534f82791af17b6ca8d71f189de61234e1316415676dfda71845",
+            "an6-triangle-fst-2-4.json": "de21b1f4626a38230c6350f7ab4bc0cbe316704f81c4ad9f406b526b27d05c82",
+            "an6-triangle-fst-2-5.json": "8ae558931118d625a30139e6883ee9766863cc731b7506f630784bd927ff7b3e",
+            "an6-triangle-fst-3-1.json": "aa71045c62bfe9f99b64331f12b4bfa0dd8cf5f51b128430b648f02af3b96a4c",
+            "an6-triangle-fst-3-2.json": "ef0b85ad339ff682177c76ba135d945b3f234f1a60f0006a50b04e9cd0f24d01",
+            "an6-triangle-fst-3-3.json": "8a00f8d9d111ce0e4e50031d8d141d5d13e3e1d80818c4931819cb5853fc939c",
+            "an6-triangle-fst-3-4.json": "d70316888d72b1ef481f51ad98c87794b716043bd5223cd7bb869ef8e97f8274",
+            "an6-triangle-fst-3-5.json": "7e7757b24b3d70e77f4ceb2677e6d1cfc99016f1d55733a7aa3977b15c9ea056",
+            "an6-triangle-fst-4-1.json": "07852ff23597962032774029cacc4e23657032c7f9e72d0a8053dba514abeeac",
+            "an6-triangle-fst-4-2.json": "48f592c8bbf39cd6d1f46569d35a4bb2f2a12bf3929da860ed0d7685e2f2c1c0",
+            "an6-triangle-fst-4-3.json": "66cd9a4f2c31637a91cae6244266d4b2e09853e709275dc34cd4f4862907a378",
+            "an6-triangle-fst-4-4.json": "b264cab7e30745f5fe737081b6aff8c24068d3a2d9a29761c3fdccdad5c6ef3a",
+            "an6-triangle-fst-4-5.json": "231d9acd1b25d4d9c182db0d3112e592ec3b44b90f8ca994f841700e0e84d09d",
+            "an6-triangle-fst-5-1.json": "649c14abfc8f71891d2e8ae763d559b986c90e3293ae91905b87fd82b005eee2",
+            "an6-triangle-fst-5-2.json": "6dea13a2503cc4842f6db8cb64ad02a267930afe8149e985225bfc38b2b66847",
+            "an6-triangle-fst-5-3.json": "5447d91170336cd68eb088682fc2b9253c32227cbdd27f124fb163e7972996c0",
+            "an6-triangle-fst-5-4.json": "dce0e1c5d1dac582935759f404a325ca7876033ee1e38247875673bffec4fb4e",
+            "an6-triangle-fst-5-5.json": "edfa67b73f3e2eb723ad22b073a0036fbfdaf4b9b56befdc5e33f215be0394a6",
+            "an6-triangle-lst-3-2-2.json": "f13078fc37d4ec0c8bf1c416f24a132a36dd9bd9c09f2526690aeae3cd46dbca",
+            "an6-triangle-lst-4-2-3.json": "0a8ed81bb17f5333b7a23178293553dca6b5f48b1d42024cf2336fcb8dcdaf25",
+            "an6-triangle-lst-4-3-2.json": "29cb32e90fcb8f37ca9c061fda9abb597cca1999738756c6890c4992f45550a4",
+            "an6-triangle-lst-4-3-3.json": "bac009cb9a9926d0434d95ca2a7e4cb6fceb7ea6d9a2022f71d4a33dc39e5cac",
+            "an6-triangle-lst-5-2-4.json": "dbeb194aabd56afd420c3a5d28b9e46ab0575d757330d2ef5972fd3c33c4b3c6",
+            "an6-triangle-lst-5-3-3.json": "132f9f039f833ea0197dfb35b2b155a434398dc944ea87008aa3783bb16da625",
+            "an6-triangle-lst-5-3-4.json": "eabbc08f874dfe7cd6205fc3720d77a5a0cf98a9a7d2651d73779036d49508a9",
+            "an6-triangle-lst-5-4-2.json": "5311f82a23d7da381260646876b7e162f1b9b02dd92a114bb42ba25c51f64aaa",
+            "an6-triangle-lst-5-4-3.json": "dd8dedde0ac0baf6327281f893a02729cf5d560490c498a7aca2f3fad99c97a9",
+            "an6-triangle-lst-5-4-4.json": "671c2000677ab2b14ed5677d3fcd0b5e05ff263ac35be32614944082cb4fda44",
         },
     ),
     ("verify-knorrer", "3"): (

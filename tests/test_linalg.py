@@ -16,7 +16,7 @@ def _rows(matrix):
 
 
 def _rank(field, matrix):
-    return linalg.sparse_rref(field, _rows(matrix), rank_only=True)
+    return linalg.rank(field, _rows(matrix))
 
 
 def _solve(field, a, b):
@@ -215,7 +215,7 @@ def test_sparse_kernel_matches_dense_reference(field, values):
         rows = [{j: x for j, x in enumerate(row) if x} for row in a]
         sparse = linalg.sparse_rref(field, rows)
         assert list(sparse) == pivots
-        assert linalg.sparse_rref(field, rows, rank_only=True) == len(pivots)
+        assert linalg.rank(field, rows) == len(pivots)
         assert linalg.pivot_columns(field, rows) == pivots
         for row, c in zip(red, pivots):
             assert sparse[c] == {j: x for j, x in enumerate(row) if x}

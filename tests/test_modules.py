@@ -22,7 +22,8 @@ from mfcat import (
     stable_hom,
     stabilize,
 )
-from mfcat import andyn
+from mfcat import andyn, linalg
+from mfcat import univariate as uni
 
 
 F = Fraction
@@ -201,22 +202,23 @@ def _product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-def _random_module(rng, n, dim):
+def _random_module(rng, n, dim, field=QQ):
     parts = _random_partition(rng, dim, n)
-    m = cyclic_module(QQ, n, parts[0])
+    m = cyclic_module(field, n, parts[0])
     for part in parts[1:]:
-        m = direct_sum_modules(m, cyclic_module(QQ, n, part))
+        m = direct_sum_modules(m, cyclic_module(field, n, part))
     if m.dim < 2:
         return m
     p, p_inv = _unimodular(rng, m.dim)
     return module_new(m.w, _product(_product(p, m.z_matrix()), p_inv))
 
 
-def _random_pairs(seed, count, ns, dims):
+def _random_pairs(seed, count, ns, dims, field=QQ):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.choice(ns)
-        yield n, _random_module(rng, n, rng.choice(dims)), _random_module(rng, n, rng.choice(dims))
+        a = _random_module(rng, n, rng.choice(dims), field)
+        yield n, a, _random_module(rng, n, rng.choice(dims), field)
 
 
 def test_stable_hom_matches_factorization_side():
@@ -249,3 +251,88 @@ def test_quotient_basis_is_the_greedy_choice():
                 assert not any(c[kept:])
                 assert sh.is_stably_zero(h) == (not any(c))
         assert kept == sh.dim
+
+
+# -- Hom(M, A) in closed form against the free-cover construction ------------
+
+
+def _companion(field, coeffs):
+    """The action of z on k[z]/(f), f monic with the given coefficients, in
+    the basis 1, z, ..., z^(deg f - 1)."""
+    d = len(coeffs) - 1
+    z = linalg.mat_zero(field, d, d)
+    for i in range(d - 1):
+        z[i + 1][i] = field.one()
+    for i in range(d):
+        z[i][d - 1] = field.neg(field.coerce(coeffs[i]))
+    return z
+
+
+def _free_cover_quotient_basis(m, n):
+    """The quotient basis of stable Hom(M, N) as built before the closed
+    form: Hom(M, A) solved for as hom_space(M, A), with A = k[z]/(W) the
+    module of the companion matrix of monic W, the factoring maps pi_j . h
+    with pi_j(z^k) = Z_N^k e_j, and each Hom basis vector kept when it
+    raises the rank of the factoring maps and the vectors kept before it."""
+    field = m.field
+    wc = uni.monic(field, uni.from_poly(m.w, m.var))
+    ring = module_new(m.w, _companion(field, wc))
+    powers = [linalg.mat_identity(field, n.dim)]
+    for _ in range(len(wc) - 2):
+        powers.append(linalg.mat_mul(field, n.z_matrix(), powers[-1]))
+
+    def flat(f):
+        return {i * m.dim + j: x for i, row in enumerate(f) for j, x in enumerate(row) if x}
+
+    span = []
+    for j in range(n.dim):
+        pj = [[power[i][j] for power in powers] for i in range(n.dim)]
+        span += [flat(linalg.mat_mul(field, pj, h)) for h in hom_space(m, ring)]
+    rank = linalg.rank(field, span)
+    kept = []
+    for h in hom_space(m, n):
+        if linalg.rank(field, span + [flat(h)]) > rank:
+            span.append(flat(h))
+            kept.append(h)
+            rank += 1
+    return kept
+
+
+def _modules_over(field, w_text, factors, seed, count):
+    """Random modules over k[z]/(W): direct sums of one or two k[z]/(f) for
+    monic f dividing W (given by coefficients), in a random unimodular
+    basis."""
+    ctx = RingContext(field, ("z",))
+    w = parse_poly(ctx, w_text)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        blocks = [_companion(field, rng.choice(factors)) for _ in range(rng.randint(1, 2))]
+        d = sum(len(b) for b in blocks)
+        z = linalg.mat_zero(field, d, d)
+        off = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                z[off + i][off:off + len(b)] = row
+            off += len(b)
+        if d >= 2:
+            p, p_inv = _unimodular(rng, d)
+            z = _product(_product(p, z), p_inv)
+        out.append(module_new(w, z))
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
+def test_closed_form_matches_free_cover(field):
+    pairs = [(a, b) for _, a, b in _random_pairs(5, 12, (2, 3, 4), (1, 2, 3, 4), field)]
+    for w_text, factors in (
+        ("z^3 - 3*z", ([0, 1], [-3, 0, 1], [0, -3, 0, 1])),
+        ("2*z^3", ([0, 1], [0, 0, 1], [0, 0, 0, 1])),
+        ("z^3 + z^2", ([0, 1], [1, 1], [0, 0, 1], [0, 1, 1], [0, 0, 1, 1])),
+    ):
+        modules = _modules_over(field, w_text, factors, 7, 4)
+        pairs += [(a, b) for a in modules for b in modules]
+    for a, b in pairs:
+        sh = stable_hom(a, b)
+        want = _free_cover_quotient_basis(a, b)
+        assert (sh.dim, sh.quotient_basis) == (len(want), want)
