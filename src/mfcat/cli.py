@@ -10,7 +10,6 @@ negative results stay auditable.  Exit status 0 means every check passed,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -28,19 +27,17 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _outdir(args) -> str:
-    out = getattr(args, "out", None) or "."
+def _out_path(args, name: str) -> str:
+    """The path of an emitted file: name under --out, a directory that is
+    created if needed (default: the working directory)."""
+    out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, name)
 
 
 def _emit(path: str) -> str:
     print(f"wrote {path}")
     return path
-
-
-def _abs(path: str) -> str:
-    return os.path.abspath(path)
 
 
 # -- subcommand handlers -----------------------------------------------
@@ -70,40 +67,30 @@ def cmd_validate(args) -> int:
 
 def cmd_shift(args) -> int:
     x = formats.load_mf(args.file)
-    out = os.path.join(_outdir(args), f"{_stem(args.file)}-shift.json")
-    formats.save_mf(out, mf_shift(x))
-    _emit(out)
+    _emit(formats.save_mf(_out_path(args, f"{_stem(args.file)}-shift.json"), mf_shift(x)))
     return 0
 
 
 def cmd_cone(args) -> int:
-    f = formats.load_morphism(args.file)
-    refs = formats.read_json(args.file)
+    data = formats.read_json(args.file)
     base = os.path.dirname(os.path.abspath(args.file))
-    source_ref = _abs(formats._resolve(base, refs, "source"))
-    target_ref = _abs(formats._resolve(base, refs, "target"))
+    f = formats.morphism_from_dict(data, base)
+    target_ref = os.path.abspath(os.path.join(base, data["target"]))
     cone_obj, g, h = standard_triangle(f)
-    outdir = _outdir(args)
     stem = _stem(args.file)
-    cone_path = _abs(os.path.join(outdir, f"{stem}-cone.json"))
-    shift_path = _abs(os.path.join(outdir, f"{stem}-source-shift.json"))
-    formats.save_mf(cone_path, cone_obj)
-    formats.save_mf(shift_path, h.target)
-    g_path = os.path.join(outdir, f"{stem}-cone-g.json")
-    h_path = os.path.join(outdir, f"{stem}-cone-h.json")
-    formats.save_morphism(g_path, g, target_ref, cone_path)
-    formats.save_morphism(h_path, h, cone_path, shift_path)
-    for p in (cone_path, shift_path, g_path, h_path):
-        _emit(p)
+    cone_path = os.path.abspath(_out_path(args, f"{stem}-cone.json"))
+    shift_path = os.path.abspath(_out_path(args, f"{stem}-source-shift.json"))
+    _emit(formats.save_mf(cone_path, cone_obj))
+    _emit(formats.save_mf(shift_path, h.target))
+    _emit(formats.save_morphism(_out_path(args, f"{stem}-cone-g.json"), g, target_ref, cone_path))
+    _emit(formats.save_morphism(_out_path(args, f"{stem}-cone-h.json"), h, cone_path, shift_path))
     return 0
 
 
 def cmd_knorrer(args) -> int:
     x = formats.load_mf(args.file)
     k = knorrer(x, args.x, args.y)
-    out = os.path.join(_outdir(args), f"{_stem(args.file)}-knorrer.json")
-    formats.save_mf(out, k)
-    _emit(out)
+    _emit(formats.save_mf(_out_path(args, f"{_stem(args.file)}-knorrer.json"), k))
     return 0
 
 
@@ -114,22 +101,14 @@ def cmd_hom(args) -> int:
         raise MfcatError("context-mismatch", "the two factorization files differ in ring data")
     if x.w != y.w:
         raise MfcatError("superpotential-mismatch", "the two files factor different fibers")
-    outdir = _outdir(args)
-    stem = f"{_stem(args.left)}-{_stem(args.right)}"
-    if args.bound is not None:
-        dim = homotopy.bounded_stable_hom_estimate(x, y, args.bound)
-        print(f"dim {dim} (degree bound {args.bound}, not certified)")
-        return 0
-    use_graded = args.graded or (x.ctx.weights is not None and not args.bounded)
-    if use_graded:
+    bounded = args.bounded or args.bound is not None
+    if args.graded or (x.ctx.weights is not None and not bounded):
         dim, cert = homotopy.graded_stable_hom_dim(x, y)
-        path = os.path.join(outdir, f"{stem}-hom-certificate.json")
-        with open(path, "w") as fh:
-            fh.write(formats.canonical_json(cert))
         print(f"dim {dim}")
-        _emit(path)
+        stem = f"{_stem(args.left)}-{_stem(args.right)}"
+        _emit(formats.write_json(_out_path(args, f"{stem}-hom-certificate.json"), cert))
         return 0
-    bound = homotopy.resolve_bound(None, x, y)
+    bound = args.bound if args.bound is not None else homotopy.resolve_bound(None, x, y)
     dim = homotopy.bounded_stable_hom_estimate(x, y, bound)
     print(f"dim {dim} (degree bound {bound}, not certified)")
     return 0
@@ -140,21 +119,15 @@ def cmd_stable_hom(args) -> int:
     n = formats.load_module(args.right)
     sh = stable_hom(m, n)
     print(f"dim {sh.dim}")
-    outdir = _outdir(args)
-    path = os.path.join(
-        outdir, f"{_stem(args.left)}-{_stem(args.right)}-stable-hom.json"
-    )
     witness = {
         "dim": sh.dim,
         "hom_dim": len(sh.hom_basis),
         "quotient_basis": [
-            [[formats.scalar_to_str(m.field, c) for c in row] for row in mat]
-            for mat in sh.quotient_basis
+            [[m.field.format(c) for c in row] for row in mat] for mat in sh.quotient_basis
         ],
     }
-    with open(path, "w") as fh:
-        fh.write(formats.canonical_json(witness))
-    _emit(path)
+    path = _out_path(args, f"{_stem(args.left)}-{_stem(args.right)}-stable-hom.json")
+    _emit(formats.write_json(path, witness))
     return 0
 
 
@@ -166,18 +139,14 @@ def cmd_cok(args) -> int:
 
     for start, d in pres.blocks:
         print(f"block at {start}: {uni.to_poly(x.ctx, x.ctx.variables[0], d)}")
-    out = os.path.join(_outdir(args), f"{_stem(args.file)}-cok.json")
-    formats.save_module(out, pres.module)
-    _emit(out)
+    _emit(formats.save_module(_out_path(args, f"{_stem(args.file)}-cok.json"), pres.module))
     return 0
 
 
 def cmd_stabilize(args) -> int:
     m = formats.load_module(args.file)
     x = stabilize(m)
-    out = os.path.join(_outdir(args), f"{_stem(args.file)}-stabilize.json")
-    formats.save_mf(out, x)
-    _emit(out)
+    _emit(formats.save_mf(_out_path(args, f"{_stem(args.file)}-stabilize.json"), x))
     return 0
 
 
@@ -210,7 +179,6 @@ def cmd_an_table(args) -> int:
 
 def cmd_an_verify(args) -> int:
     field = field_from_token(args.field)
-    outdir = _outdir(args)
     report = andyn.an_verify(args.n, field, lst_sample=args.lst_sample)
     failures = 0
     for check in report["checks"]:
@@ -221,9 +189,7 @@ def cmd_an_verify(args) -> int:
             name = f"an{args.n}-{check['check']}-" + "-".join(
                 str(v) for _, v in sorted(check["params"].items())
             )
-            witness = os.path.join(outdir, f"{name}.json")
-            with open(witness, "w") as fh:
-                fh.write(formats.canonical_json(check["certificate"]))
+            witness = formats.write_json(_out_path(args, f"{name}.json"), check["certificate"])
         print(f"{check['check']} {params} {status} {witness}")
         if not check["ok"]:
             failures += 1
@@ -256,11 +222,7 @@ def cmd_verify_knorrer(args) -> int:
             {"mu": mu, "nu": nu, "want": want, "got": got, "ok": ok, "scan": cert}
         )
         print(f"pair mu={mu} nu={nu} want {want} got {got} {'PASS' if ok else 'FAIL'}")
-    outdir = _outdir(args)
-    path = os.path.join(outdir, f"verify-knorrer-{n}-{args.pairs}.json")
-    with open(path, "w") as fh:
-        fh.write(formats.canonical_json(records))
-    _emit(path)
+    _emit(formats.write_json(_out_path(args, f"verify-knorrer-{n}-{args.pairs}.json"), records))
     print(f"pairs {len(pairs)}, failures {failures}")
     return 0 if failures == 0 else 1
 
@@ -354,12 +316,6 @@ def run(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except json.JSONDecodeError as e:
-        print(f"parse error: line {e.lineno}, column {e.colno}: {e.msg}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"no such file: {e.filename}", file=sys.stderr)
-        return 2
     except MfcatError as e:
         print(e, file=sys.stderr)
         return e.exit_status

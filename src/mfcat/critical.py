@@ -3,8 +3,9 @@
 The values w where the fiber W - w is singular are the roots of the
 discriminant-type resultant R(w) = Res_z(W - w, W').  R is computed by
 evaluating the resultant at enough sample values of w and interpolating;
-its rational roots are found by the rational root theorem and each one is
-verified directly through a gcd computation on the fiber.
+its rational roots are the integer roots of a monic integer rescaling of R,
+isolated with a Sturm chain, and each one is verified directly through a
+gcd computation on the fiber.
 """
 
 from __future__ import annotations
@@ -19,18 +20,42 @@ from .fields import RationalField
 from .poly import Poly
 
 
-def _integer_divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    out.sort()
-    return out
+def _integer_roots(field: RationalField, g: List[Fraction]) -> List[int]:
+    """The integer roots of a monic integer polynomial g of positive degree.
+
+    A Sturm chain of the square-free part counts the distinct real roots in
+    each interval (lo, hi] as V(lo) - V(hi), where V(x) is the number of
+    sign changes along the chain at x.  Every root lies inside the Cauchy
+    bound, so bisecting integer intervals down to width 1 and testing each
+    right end exactly finds every integer root in O(deg g * log bound)
+    evaluations.
+    """
+    common = uni.gcd(field, g, uni.derivative(field, g))
+    chain = [uni.divmod_poly(field, g, common)[0]]
+    chain.append(uni.derivative(field, chain[0]))
+    while uni.deg(chain[-1]):
+        chain.append(uni.neg(field, uni.mod(field, chain[-2], chain[-1])))
+
+    def variations(x: int) -> int:
+        values = [uni.eval_at(field, p, x) for p in chain]
+        signs = [v > 0 for v in values if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    bound = 1 + int(max(abs(c) for c in g[:-1]))
+    roots = []
+    pending = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
+    while pending:
+        lo, hi, v_lo, v_hi = pending.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if uni.eval_at(field, g, hi) == 0:
+                roots.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        pending += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return roots
 
 
 def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fraction]:
@@ -48,21 +73,16 @@ def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fracti
         coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return roots
-    # Clear denominators and divide out the content.
+    # Clear denominators and divide out the content, giving a primitive f
+    # with leading coefficient a and degree d.  Its rational roots are y/a
+    # for the integer roots y of the monic g(y) = a^(d-1) f(y/a).
     denom = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     content = gcd(*ints)
     ints = [c // content for c in ints]
-    lead = ints[-1]
-    const = ints[0]
-    for p in _integer_divisors(const):
-        for q in _integer_divisors(lead):
-            for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                if cand in roots:
-                    continue
-                if uni.eval_at(field, ints, cand) == 0:
-                    roots.append(cand)
+    a, d = ints[-1], len(ints) - 1
+    g = [Fraction(c * a ** (d - 1 - i)) for i, c in enumerate(ints[:-1])] + [Fraction(1)]
+    roots += [Fraction(y, a) for y in _integer_roots(field, g)]
     roots.sort()
     return roots
 

@@ -1,13 +1,15 @@
 """Reading and writing the JSON file formats.
 
-Factorization files carry their own ring description: field, variables,
-optional weights, the base value w0, the full superpotential W, and the
-two matrices as polynomial strings.  Morphism and homotopy files point at
-two factorization files (paths resolved relative to the referencing file)
-and carry their component matrices.  Module files carry the fiber
-polynomial and the matrix of the variable action.  Emission is canonical:
-fixed key order, canonical polynomial strings, two-space indent, trailing
-newline, so identical inputs produce byte-identical outputs.
+This module is the only code that opens a file: `read_json` reads every
+input and `write_json` writes every output.  Factorization files carry
+their own ring description: field, variables, optional weights, the base
+value w0, the full superpotential W, and the two matrices as polynomial
+strings.  Morphism and homotopy files share one layout: they point at two
+factorization files (paths resolved relative to the referencing file) and
+carry two component matrices.  Module files carry the fiber polynomial and
+the matrix of the variable action.  Emission is canonical: fixed key
+order, canonical polynomial strings, two-space indent, trailing newline,
+so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -90,10 +92,6 @@ def field_from_json(obj) -> Field:
     raise MfcatError("parse-error", f"bad field description {obj!r}")
 
 
-def scalar_to_str(field: Field, c) -> str:
-    return field.format(c)
-
-
 def scalar_from_json(field: Field, s):
     if isinstance(s, int) and not isinstance(s, bool):
         return field.from_int(s)
@@ -123,17 +121,24 @@ def canonical_json(obj) -> str:
 
 
 def read_json(path: str):
-    """The JSON document in a file.  A missing file stays a
-    FileNotFoundError and malformed JSON a JSONDecodeError; a path that
-    cannot be read otherwise (a directory, no permission), undecodable text,
-    or an integer longer than int() reads, is a parse-error."""
+    """The JSON document in a file.  A missing path is a no-such-file error;
+    a path that cannot be read otherwise (a directory, no permission),
+    malformed JSON, undecodable text, or an integer longer than int() reads,
+    is a parse-error naming the path."""
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (FileNotFoundError, json.JSONDecodeError):
-        raise
+    except FileNotFoundError:
+        raise MfcatError("no-such-file", path) from None
     except (OSError, ValueError) as e:
         raise MfcatError("parse-error", f"{path}: {e}") from None
+
+
+def write_json(path: str, obj) -> str:
+    """Write obj to path as canonical JSON; return the path."""
+    with open(path, "w") as fh:
+        fh.write(canonical_json(obj))
+    return path
 
 
 # -- factorization files -----------------------------------------------
@@ -144,7 +149,7 @@ def mf_to_dict(x: MatrixFactorization) -> dict:
     out = {"field": field_to_json(ctx.field), "vars": list(ctx.variables)}
     if ctx.weights is not None:
         out["weights"] = list(ctx.weights)
-    out["w0"] = scalar_to_str(ctx.field, ctx.w0)
+    out["w0"] = ctx.field.format(ctx.w0)
     out["W"] = str(unshifted_w(x))
     out["rank"] = x.rank
     out["p1"] = _matrix_to_strings(x.p1)
@@ -177,9 +182,7 @@ def mf_from_dict(d: dict) -> MatrixFactorization:
 
 
 def save_mf(path: str, x: MatrixFactorization) -> str:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(mf_to_dict(x)))
-    return path
+    return write_json(path, mf_to_dict(x))
 
 
 def load_mf(path: str) -> MatrixFactorization:
@@ -189,67 +192,59 @@ def load_mf(path: str) -> MatrixFactorization:
 # -- morphism and homotopy files ---------------------------------------
 
 
-def morphism_to_dict(f: MFMorphism, source_ref: str, target_ref: str) -> dict:
-    return {
-        "source": source_ref,
-        "target": target_ref,
-        "f1": _matrix_to_strings(f.f1),
-        "f0": _matrix_to_strings(f.f0),
-    }
+def _pair_to_dict(source_ref: str, target_ref: str, **matrices: PolyMatrix) -> dict:
+    strings = {name: _matrix_to_strings(m) for name, m in matrices.items()}
+    return {"source": source_ref, "target": target_ref, **strings}
 
 
 def _resolve(base_dir: Optional[str], d: dict, key: str) -> str:
-    ref = _json_str(d[key], key)
-    if os.path.isabs(ref) or base_dir is None:
-        return ref
-    return os.path.join(base_dir, ref)
+    return os.path.join(base_dir or "", _json_str(d[key], key))
+
+
+def _pair_from_dict(d, base_dir: Optional[str], kind: str, names):
+    """The source, the target and the two matrices of a morphism or
+    homotopy file; the matrices map source to target."""
+    _json_object(d, kind, ("source", "target", *names))
+    x = load_mf(_resolve(base_dir, d, "source"))
+    y = load_mf(_resolve(base_dir, d, "target"))
+    first, second = (_matrix_from_strings(y.ctx, d[name], x.rank, name) for name in names)
+    return x, y, first, second
+
+
+def _load_pair(path: str, from_dict):
+    return from_dict(read_json(path), os.path.dirname(os.path.abspath(path)))
+
+
+def morphism_to_dict(f: MFMorphism, source_ref: str, target_ref: str) -> dict:
+    return _pair_to_dict(source_ref, target_ref, f1=f.f1, f0=f.f0)
 
 
 def morphism_from_dict(d: dict, base_dir: Optional[str] = None) -> MFMorphism:
-    _json_object(d, "morphism", ("source", "target", "f1", "f0"))
-    x = load_mf(_resolve(base_dir, d, "source"))
-    y = load_mf(_resolve(base_dir, d, "target"))
-    f1 = _matrix_from_strings(y.ctx, d["f1"], x.rank, "f1")
-    f0 = _matrix_from_strings(y.ctx, d["f0"], x.rank, "f0")
-    return morphism_new(x, y, f1, f0)
+    return morphism_new(*_pair_from_dict(d, base_dir, "morphism", ("f1", "f0")))
 
 
 def save_morphism(path: str, f: MFMorphism, source_ref: str, target_ref: str) -> str:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(morphism_to_dict(f, source_ref, target_ref)))
-    return path
+    return write_json(path, morphism_to_dict(f, source_ref, target_ref))
 
 
 def load_morphism(path: str) -> MFMorphism:
-    return morphism_from_dict(read_json(path), os.path.dirname(os.path.abspath(path)))
+    return _load_pair(path, morphism_from_dict)
 
 
 def homotopy_to_dict(h: Homotopy, source_ref: str, target_ref: str) -> dict:
-    return {
-        "source": source_ref,
-        "target": target_ref,
-        "s": _matrix_to_strings(h.s),
-        "t": _matrix_to_strings(h.t),
-    }
+    return _pair_to_dict(source_ref, target_ref, s=h.s, t=h.t)
 
 
 def homotopy_from_dict(d: dict, base_dir: Optional[str] = None) -> Homotopy:
-    _json_object(d, "homotopy", ("source", "target", "s", "t"))
-    x = load_mf(_resolve(base_dir, d, "source"))
-    y = load_mf(_resolve(base_dir, d, "target"))
-    s = _matrix_from_strings(y.ctx, d["s"], x.rank, "s")
-    t = _matrix_from_strings(y.ctx, d["t"], x.rank, "t")
-    return Homotopy(x, y, s, t)
+    return Homotopy(*_pair_from_dict(d, base_dir, "homotopy", ("s", "t")))
 
 
 def save_homotopy(path: str, h: Homotopy, source_ref: str, target_ref: str) -> str:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(homotopy_to_dict(h, source_ref, target_ref)))
-    return path
+    return write_json(path, homotopy_to_dict(h, source_ref, target_ref))
 
 
 def load_homotopy(path: str) -> Homotopy:
-    return homotopy_from_dict(read_json(path), os.path.dirname(os.path.abspath(path)))
+    return _load_pair(path, homotopy_from_dict)
 
 
 # -- module files ------------------------------------------------------
@@ -262,7 +257,7 @@ def module_to_dict(m: QuotModule) -> dict:
         out["vars"] = list(m.ctx.variables)
     out["W"] = str(m.w)
     out["dim"] = m.dim
-    out["Z"] = [[scalar_to_str(field, c) for c in row] for row in m.z_matrix()]
+    out["Z"] = [[field.format(c) for c in row] for row in m.z_matrix()]
     return out
 
 
@@ -283,9 +278,7 @@ def module_from_dict(d: dict) -> QuotModule:
 
 
 def save_module(path: str, m: QuotModule) -> str:
-    with open(path, "w") as fh:
-        fh.write(canonical_json(module_to_dict(m)))
-    return path
+    return write_json(path, module_to_dict(m))
 
 
 def load_module(path: str) -> QuotModule:

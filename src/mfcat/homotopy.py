@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -70,7 +69,6 @@ from .factorization import (
 from .matrices import PolyMatrix
 from .poly import Exponent, Poly, RingContext, grlex_key
 
-DEFAULT_BOUND_ENV = "MFCAT_DEFAULT_BOUND"
 DEFAULT_STALE_WINDOW = 3
 ISO_CANDIDATE_CAP = 240
 
@@ -114,22 +112,13 @@ class IsoResult:
 
 
 def resolve_bound(policy: Optional[SearchPolicy], *objects_and_maps) -> int:
-    """Explicit policy bound, else the environment, else the derived default.
+    """Explicit policy bound, else the derived default.
 
     The derived default is the maximal total entry degree over all supplied
     matrices plus the total degree of the fiber polynomial.
     """
     if policy is not None and policy.bound is not None:
         return policy.bound
-    env = os.environ.get(DEFAULT_BOUND_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise MfcatError("policy-infeasible", f"bad {DEFAULT_BOUND_ENV}={env!r}") from None
-        if value < 0:
-            raise MfcatError("policy-infeasible", f"negative {DEFAULT_BOUND_ENV}")
-        return value
     matrices = []
     fiber = None
     for item in objects_and_maps:
@@ -159,13 +148,9 @@ def _max_entry_degree(matrices: Sequence[PolyMatrix]) -> int:
 
 
 def monomials_up_to_degree(nvars: int, bound: int) -> List[Tuple[int, ...]]:
-    out = [
-        exp
-        for exp in itertools.product(range(bound + 1), repeat=nvars)
-        if sum(exp) <= bound
-    ]
-    out.sort(key=grlex_key)
-    return out
+    """Every exponent of total degree at most bound, in grlex order."""
+    ones = (1,) * nvars
+    return [exp for d in range(bound + 1) for exp in monomials_of_weighted_degree(ones, d)]
 
 
 @functools.lru_cache(maxsize=1024)

@@ -13,10 +13,11 @@ accepted expression, which is what makes file formats diff-stable.
 The zero polynomial has no degree: ``degree``/``weighted_degree`` raise on
 it rather than returning a sentinel value.
 
-Inputs are validated once, by ``Poly(ctx, terms)``.  The results of ``+``,
-``-`` and ``*`` are clean by construction (checked operands; a coefficient
-that cancels is dropped), so they skip the per-term checks, except that a
-product still checks its exponents against the machine-width bound.
+Inputs are validated once, by ``Poly(ctx, terms)``, which also coerces
+each coefficient into the field.  The results of ``+``, ``-`` and ``*``
+are clean by construction (checked operands; a coefficient that cancels is
+dropped), so they skip the per-term checks, except that a product still
+checks its exponents against the machine-width bound.
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ class Poly:
                     "shape-mismatch", f"exponent tuple {exp} for {ctx.nvars} variables"
                 )
             _check_exponents(exp)
+            c = fld.coerce(c)
             if not fld.is_zero(c):
                 clean[exp] = c
         object.__setattr__(self, "ctx", ctx)

@@ -1,8 +1,13 @@
+import random
+import time
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from mfcat import QQ, PrimeField, RingContext, critical_values, parse_poly
+from mfcat import univariate as uni
+from mfcat.critical import _rational_roots
 
 
 CTX = RingContext(QQ, ("z",))
@@ -82,3 +87,58 @@ def test_values_verified_against_fiber():
         shifted[0] -= v
         g = uni.gcd(QQ, shifted, deriv)
         assert uni.deg(g) >= 1
+
+
+def test_large_coefficient_answers_quickly():
+    # The rational root theorem would have to factor 3000000000039.
+    start = time.perf_counter()
+    vals, has_irr = critical_values(parse_poly(CTX, "z^3 - 3000000000039*z"))
+    assert time.perf_counter() - start < 1
+    assert vals == []
+    assert has_irr
+
+
+def _divisors(n):
+    return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+
+def _sieve_rational_roots(coeffs):
+    """Reference: every candidate p/q of the rational root theorem, tried."""
+    coeffs = uni.trim(QQ, coeffs)
+    low = 0
+    while coeffs[low] == 0:
+        low += 1
+    roots = [Fraction(0)] if low else []
+    coeffs = coeffs[low:]
+    if len(coeffs) == 1:
+        return roots
+    denom = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    ints = [c // gcd(*ints) for c in ints]
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if cand not in roots and uni.eval_at(QQ, ints, cand) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def test_rational_roots_match_the_divisor_sieve():
+    rng = random.Random(13)
+
+    def scalar():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+
+    for trial in range(400):
+        degree = rng.randint(2, 5)
+        if trial % 2:
+            # A product of linear factors (q z - p) and a random cofactor,
+            # so that rational roots, repeated ones and 0 all occur.
+            coeffs = [scalar() for _ in range(rng.randint(0, degree - 2))] + [Fraction(rng.randint(1, 6))]
+            while len(coeffs) <= degree:
+                coeffs = uni.mul(QQ, coeffs, [Fraction(rng.randint(-6, 6)), Fraction(rng.randint(1, 3))])
+        else:
+            coeffs = [scalar() for _ in range(degree + 1)]
+        if not uni.trim(QQ, coeffs):
+            continue
+        assert _rational_roots(QQ, coeffs) == _sieve_rational_roots(coeffs), coeffs

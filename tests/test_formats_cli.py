@@ -180,16 +180,16 @@ def test_cli_hom_against_contractible(tmp_path, capsys):
     assert cert.read_bytes() == first
 
 
-def test_cli_hom_bounded_env_override(tmp_path, capsys, monkeypatch):
-    x, y = unweighted_pair()
-    xp, yp = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+def test_cli_hom_bound_and_derived_default(tmp_path, capsys):
+    ctx = RingContext(QQ, ("z",))
+    x = rank_one(ctx, parse_poly(ctx, "z^4"), parse_poly(ctx, "z^2"), parse_poly(ctx, "z^2"))
+    xp = str(tmp_path / "x.json")
     formats.save_mf(xp, x)
-    formats.save_mf(yp, y)
-    monkeypatch.setenv("MFCAT_DEFAULT_BOUND", "4")
-    assert cli.run(["hom", xp, yp, "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "dim 0 (degree bound 4, not certified)\n"
-    assert cli.run(["hom", xp, yp, "--bound", "6", "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "dim 0 (degree bound 6, not certified)\n"
+    assert cli.run(["hom", xp, xp, "--bound", "4", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "dim 2 (degree bound 4, not certified)\n"
+    # derived default: max entry degree (2) plus fiber degree (4)
+    assert cli.run(["hom", xp, xp, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "dim 2 (degree bound 6, not certified)\n"
 
 
 def test_cli_shift_and_knorrer_emit_valid_files(tmp_path, capsys):
@@ -280,13 +280,13 @@ def test_cli_an_verify_and_knorrer_check(tmp_path, capsys):
 
 def test_cli_error_exits(tmp_path, capsys):
     assert cli.run(["validate", str(tmp_path / "missing.json")]) == 2
-    assert "no such file" in capsys.readouterr().err
+    assert "no-such-file" in capsys.readouterr().err
     assert cli.run(["validate", str(tmp_path)]) == 2
     assert "parse-error" in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert cli.run(["validate", str(bad)]) == 2
-    assert "parse error" in capsys.readouterr().err
+    assert "parse-error" in capsys.readouterr().err
     x, _ = unweighted_pair()
     d = formats.mf_to_dict(x)
     d["p1"] = [["z"]]

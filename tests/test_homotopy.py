@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -33,6 +34,7 @@ from mfcat import homotopy as ho
 from mfcat import linalg
 from mfcat import andyn
 from mfcat.knorrer import knorrer
+from mfcat.poly import grlex_key
 
 
 F = Fraction
@@ -344,16 +346,19 @@ def test_policy_validation():
         bounded_stable_hom_estimate(v(3, 1), v(3, 1), -1)
 
 
-def test_bound_environment_override(monkeypatch):
+def test_bound_policy_and_derived_default():
     x = v(5, 2)
-    monkeypatch.setenv(ho.DEFAULT_BOUND_ENV, "7")
-    assert ho.resolve_bound(None, x) == 7
-    monkeypatch.setenv(ho.DEFAULT_BOUND_ENV, "bogus")
-    with pytest.raises(ValueError, match="policy-infeasible"):
-        ho.resolve_bound(None, x)
-    monkeypatch.delenv(ho.DEFAULT_BOUND_ENV)
+    assert ho.resolve_bound(SearchPolicy(bound=7), x) == 7
     # derived default: max entry degree (3) plus fiber degree (5)
-    assert ho.resolve_bound(None, v(5, 2)) == 8
+    assert ho.resolve_bound(None, x) == 8
+
+
+def test_monomials_up_to_degree_match_the_filtered_product():
+    for nvars in range(4):
+        for bound in range(7):
+            product = itertools.product(range(bound + 1), repeat=nvars)
+            reference = sorted((e for e in product if sum(e) <= bound), key=grlex_key)
+            assert ho.monomials_up_to_degree(nvars, bound) == reference
 
 
 def _entries(m):

@@ -158,3 +158,14 @@ def test_arithmetic_results_are_clean(field):
             assert result == Poly(ctx, result.terms)
             assert not any(field.is_zero(c) for c in result.terms.values())
             assert _evaluate(result, point) == value
+
+
+def test_constructor_coerces_coefficients():
+    with pytest.raises(ValueError, match="context-mismatch"):
+        Poly(RingContext(), {(1,): 0.5})
+    f7 = RingContext(PrimeField(7), ("z",))
+    p = Poly(f7, {(1,): 9})
+    assert p == f7.monomial((1,), 2)
+    assert str(p) == "2*z"
+    assert Poly(f7, {(1,): 7}).is_zero()
+    assert Poly(RingContext(), {(1,): 3}).terms == {(1,): Fraction(3)}
