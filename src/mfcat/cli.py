@@ -28,11 +28,9 @@ def _stem(path: str) -> str:
 
 
 def _out_path(args, name: str) -> str:
-    """The path of an emitted file: name under --out, a directory that is
-    created if needed (default: the working directory)."""
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+    """The path of an emitted file: name under --out, a directory that
+    `formats.write_json` creates if needed (default: the working directory)."""
+    return os.path.join(args.out or ".", name)
 
 
 def _emit(path: str) -> str:

@@ -135,9 +135,15 @@ def read_json(path: str):
 
 
 def write_json(path: str, obj) -> str:
-    """Write obj to path as canonical JSON; return the path."""
-    with open(path, "w") as fh:
-        fh.write(canonical_json(obj))
+    """Write obj to path as canonical JSON, creating its directory if
+    needed; return the path.  A path that cannot be written (its directory
+    is a file, no permission) is a write-error naming it."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(canonical_json(obj))
+    except OSError as e:
+        raise MfcatError("write-error", f"{path}: {e}") from None
     return path
 
 

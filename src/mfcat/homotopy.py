@@ -32,12 +32,14 @@ upward from zero and returns the first solution with free variables set to
 zero, which makes witnesses canonical.  Graded mode, available when the
 data is quasi-homogeneous for the configured weights, splits the morphism
 complex by weighted degree; each degree is decided exactly, so absence is
-certified.  The dimension scan terminates at a hard bound derived from the
+certified.  The dimension scan runs to a hard bound derived from the
 annihilation of the cohomology by all partial derivatives of W (top socle
-degree of the Jacobian quotient plus one period) and additionally requires
-a run of consecutive empty degrees, recording every degree examined in the
-certificate.  A nonzero degree past the bound means the Jacobian algebra is
-not finite, and the scan stops with policy-infeasible.
+degree of the Jacobian quotient plus one period), then to a run of empty
+degrees, and records every degree in the certificate; one past the bound
+that is nonzero means the Jacobian algebra is not finite (policy-infeasible).
+Degrees share no unknown and no equation, so the scan eliminates one system
+of closed pairs and one of boundaries for all of them, and reads each
+degree's rank off its own pivot columns.
 
 Isomorphism search and triangle certification share `_find_invertible`: a
 fixed stream of maps in base + span(directions), each tested by one joint
@@ -49,6 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -348,8 +351,11 @@ class LinearSystem:
             out[unk.name] = PolyMatrix(ctx, rows, cols=unk.cols)
         return out
 
-    def coefficient_rank(self) -> int:
-        return linalg.rank(self.field, (row for row, _ in self.rows))
+    def coefficient_rank(self, labels: Optional[Sequence] = None):
+        """The rank of the coefficient matrix; given labels[c] for every
+        column c, {label: the number of pivot columns with it} instead."""
+        pivots = linalg.pivot_columns(self.field, (row for row, _ in self.rows))
+        return len(pivots) if labels is None else Counter(labels[c] for c in pivots)
 
     def nullspace_assignments(self) -> List[Dict[str, PolyMatrix]]:
         field = self.field
@@ -399,18 +405,26 @@ class HomComplex:
         support = tuple(monomials_up_to_degree(self.x.ctx.nvars, bound))
         return (lambda r, c: support,) * 2
 
-    def graded_supports(self, grading, phi: int):
-        """Supports of map degree phi: (f1, f0) of the even piece and
-        (s, t) of the odd piece, for grading = _graded_setup(x, y)."""
+    def graded_offsets(self, grading):
+        """The weighted degree that entry (r, c) adds to the map degree: of
+        (f1, f0) in the even piece and (s, t) in the odd piece."""
         ax, bx, ay, by, dw = grading
+        even = (lambda r, c: bx[c] - by[r], lambda r, c: ax[c] - ay[r])
+        odd = (lambda r, c: ax[c] - by[r], lambda r, c: bx[c] - ay[r] - dw)
+        return even, odd
+
+    def graded_supports(self, grading, degrees: Sequence[int]):
+        """Supports of the map degrees listed, for the maps of
+        `graded_offsets`, grading = _graded_setup(x, y): an entry holds the
+        monomials of each degree in turn, in list order."""
         weights = tuple(self.x.ctx.weights)
 
         def support(offset):
-            return lambda r, c: monomials_of_weighted_degree(weights, phi + offset(r, c))
+            return lambda r, c: [
+                e for phi in degrees for e in monomials_of_weighted_degree(weights, phi + offset(r, c))
+            ]
 
-        even = (support(lambda r, c: bx[c] - by[r]), support(lambda r, c: ax[c] - ay[r]))
-        odd = (support(lambda r, c: ax[c] - by[r]), support(lambda r, c: bx[c] - ay[r] - dw))
-        return even, odd
+        return tuple(tuple(map(support, piece)) for piece in self.graded_offsets(grading))
 
     def closed(self, f1: _Unknown, f0: _Unknown):
         """f1 p0 - q0 f0: it vanishes exactly on morphisms."""
@@ -593,7 +607,7 @@ def _find_null_homotopy_graded(f: MFMorphism, policy: SearchPolicy) -> SearchRes
     total_t = PolyMatrix.zero(ctx, y.rank, x.rank)
     degrees = []
     for phi in sorted(components):
-        _, odd = hom.graded_supports(grading, phi)
+        _, odd = hom.graded_supports(grading, [phi])
         # A graded component of a morphism is closed: its f1 slot decides it.
         system = _homotopy_system(hom, odd, _component_matrix(f, components[phi][0]))
         sol = system.solve()
@@ -629,16 +643,15 @@ def is_contractible(x: MatrixFactorization, policy: Optional[SearchPolicy] = Non
 
 
 def graded_stable_hom_dim(x: MatrixFactorization, y: MatrixFactorization) -> Tuple[int, dict]:
-    """Dimension of degree-zero morphisms in the homotopy category,
-    computed one weighted degree at a time with a certificate.
+    """Dimension of degree-zero morphisms in the homotopy category, with a
+    certificate listing the dimension of every weighted degree scanned.
 
-    In each internal degree the space of closed morphism pairs is computed
-    exactly and the image of the adjacent-parity piece under the morphism
-    differential is divided out.  The scan covers every degree up to the
-    annihilation bound and stops after DEFAULT_STALE_WINDOW consecutive
-    empty degrees.  The bound holds when the Jacobian algebra of W is finite; a nonzero
-    degree above it raises policy-infeasible (the singularity is not
-    isolated), so the scan never goes past scan_bound + DEFAULT_STALE_WINDOW.
+    The scan covers every degree up to the annihilation bound in one
+    system per parity, with ranks read per degree (`_degree_dimensions`),
+    then as one more batch the degrees past it that complete a run of
+    DEFAULT_STALE_WINDOW empty ones.  The bound holds when the Jacobian
+    algebra of W is finite; a nonzero degree above it raises
+    policy-infeasible (the singularity is not isolated).
     """
     weights = x.ctx.weights
     hom = HomComplex(x, y)
@@ -649,26 +662,22 @@ def graded_stable_hom_dim(x: MatrixFactorization, y: MatrixFactorization) -> Tup
     offsets = [by[r] - bx[c] for r in range(y.rank) for c in range(x.rank)]
     offsets += [ay[r] - ax[c] for r in range(y.rank) for c in range(x.rank)]
     sigma = max(0, sum(dw - 2 * w for w in weights))
-    phi_lo = min(offsets)
     scan_bound = max(offsets) + sigma + dw
-    total = 0
-    degrees = []
-    zero_run = 0
-    phi = phi_lo
-    while phi <= scan_bound or zero_run < DEFAULT_STALE_WINDOW:
-        dim_phi = _slot_dimension(hom, grading, phi)
-        if dim_phi and phi > scan_bound:
+    scan = range(min(offsets), scan_bound + 1)
+    dims = _degree_dimensions(hom, grading, scan)
+    # Past the bound, the degrees that complete a run of empty ones.
+    empty_run = len(list(itertools.takewhile(lambda d: not d, reversed(dims))))
+    late = range(scan_bound + 1, scan_bound + 1 + max(0, DEFAULT_STALE_WINDOW - empty_run))
+    for phi, dim_phi in zip(late, _degree_dimensions(hom, grading, late) if late else []):
+        if dim_phi:
             raise MfcatError(
                 "policy-infeasible", f"non-isolated singularity: dimension {dim_phi} in "
                 f"degree {phi}, above the scan bound {scan_bound}"
             )
-        degrees.append([phi, dim_phi])
-        total += dim_phi
-        zero_run = 0 if dim_phi else zero_run + 1
-        phi += 1
+    total = sum(dims)
     certificate = {
         "total": total,
-        "degrees": degrees,
+        "degrees": [[phi, d] for phi, d in zip(scan, dims)] + [[phi, 0] for phi in late],
         "scan_bound": scan_bound,
         "window": DEFAULT_STALE_WINDOW,
         "weights": list(weights),
@@ -676,27 +685,40 @@ def graded_stable_hom_dim(x: MatrixFactorization, y: MatrixFactorization) -> Tup
     return total, certificate
 
 
-def _slot_dimension(hom: HomComplex, grading, phi: int) -> int:
-    ctx = hom.x.ctx
-    even, odd = hom.graded_supports(grading, phi)
-    cycle = LinearSystem(ctx)
-    g1, g0 = hom.unknowns(cycle, ("g1", "g0"), even)
-    even_dim = g1.size + g0.size
-    if even_dim == 0:
-        return 0
+def _degree_dimensions(hom: HomComplex, grading, degrees: Sequence[int]) -> List[int]:
+    """dim H_phi, closed pairs of degree phi modulo boundaries, for each phi
+    in degrees: one cycle system for all of them and one boundary system for
+    those with cycles, each rank counted per degree.  The rows and columns of
+    one degree keep their order, so it is eliminated as it would be alone."""
+    cycle = LinearSystem(hom.x.ctx)
+    g1, g0 = hom.unknowns(cycle, ("g1", "g0"), hom.graded_supports(grading, degrees)[0])
     hom.equate(cycle, hom.closed(g1, g0))
-    cycle_dim = even_dim - cycle.coefficient_rank()
-    if cycle_dim == 0:
-        return 0
-    boundary = LinearSystem(ctx)
-    s, t = hom.unknowns(boundary, ("s", "t"), odd)
-    # Image of D on the adjacent parity.
-    hom.equate(boundary, hom.boundary(s, t))
-    boundary_dim = boundary.coefficient_rank()
-    dim_phi = cycle_dim - boundary_dim
-    if dim_phi < 0:
+    labels = _degree_labels(hom, grading, degrees, 0)
+    ranks, sizes = cycle.coefficient_rank(labels), Counter(labels)
+    cycles = [sizes[phi] - ranks[phi] for phi in degrees]
+    live = [phi for phi, dim in zip(degrees, cycles) if dim]
+    images = Counter()
+    if live:
+        boundary = LinearSystem(hom.x.ctx)
+        s, t = hom.unknowns(boundary, ("s", "t"), hom.graded_supports(grading, live)[1])
+        # Image of D on the adjacent parity.
+        hom.equate(boundary, hom.boundary(s, t))
+        images = boundary.coefficient_rank(_degree_labels(hom, grading, live, 1))
+    dims = [dim - images[phi] for phi, dim in zip(degrees, cycles)]
+    if min(dims) < 0:
         raise MfcatError("not-a-factorization", "boundary space escapes the cycle space")
-    return dim_phi
+    return dims
+
+
+def _degree_labels(hom: HomComplex, grading, degrees: Sequence[int], piece: int) -> List[int]:
+    """The map degree of each column of a system whose two unknowns have
+    the supports hom.graded_supports(grading, degrees)[piece]."""
+    weights = tuple(hom.x.ctx.weights)
+    rows, cols = hom.shape
+    return [
+        phi for offset in hom.graded_offsets(grading)[piece] for r in range(rows) for c in range(cols)
+        for phi in degrees for _ in monomials_of_weighted_degree(weights, phi + offset(r, c))
+    ]
 
 
 def bounded_stable_hom_estimate(

@@ -172,6 +172,8 @@ CLI_FAILURES = {
     "non-object-source": (["validate", "{d}/number-source.json"], 2),
     "non-object-cone": (["cone", "{d}/number.json", "--out", "{d}"], 2),
     "non-object-shift": (["shift", "{d}/number.json", "--out", "{d}"], 2),
+    # --out names an existing file, so no directory can be made there.
+    "out-is-a-file": (["shift", "{d}/x.json", "--out", "{d}/x5.json"], 2),
     "unparsable-w": (["validate", "{d}/unparsable-w.json"], 2),
     "word-rank": (["validate", "{d}/word-rank.json"], 2),
     "flat-matrix": (["validate", "{d}/flat-p1.json"], 2),

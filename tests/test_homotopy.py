@@ -33,6 +33,7 @@ from mfcat import (
 from mfcat import homotopy as ho
 from mfcat import linalg
 from mfcat import andyn
+from mfcat.errors import MfcatError
 from mfcat.knorrer import knorrer
 from mfcat.poly import grlex_key
 
@@ -145,7 +146,7 @@ def test_graded_certificate_overscan_finds_nothing_late():
     _, cert = graded_stable_hom_dim(x, y)
     hom, grading = ho.HomComplex(x, y), ho._graded_setup(x, y)
     late = range(cert["scan_bound"] + 1, cert["scan_bound"] + 6)
-    assert [ho._slot_dimension(hom, grading, phi) for phi in late] == [0] * 5
+    assert ho._degree_dimensions(hom, grading, late) == [0] * 5
 
 
 def _nonzero_degrees(x, y):
@@ -745,3 +746,115 @@ def test_solve_matches_reduced_form(monkeypatch, field):
         assert _typed_entries(got) == _typed_entries(want)
         assert all(type(m) is PolyMatrix for m in got.values())
     assert found > 10 and len(solved) - found > 5
+
+
+# -- the batched graded scan against the per-degree reference --------------
+
+
+def _slot_dimension(hom, grading, phi):
+    """dim H_phi from a cycle system and a boundary system of degree phi
+    alone, the per-degree computation that the batched scan replaced."""
+    even, odd = hom.graded_supports(grading, [phi])
+    cycle = ho.LinearSystem(hom.x.ctx)
+    g1, g0 = hom.unknowns(cycle, ("g1", "g0"), even)
+    if g1.size + g0.size == 0:
+        return 0
+    hom.equate(cycle, hom.closed(g1, g0))
+    cycle_dim = g1.size + g0.size - cycle.coefficient_rank()
+    if cycle_dim == 0:
+        return 0
+    boundary = ho.LinearSystem(hom.x.ctx)
+    s, t = hom.unknowns(boundary, ("s", "t"), odd)
+    hom.equate(boundary, hom.boundary(s, t))
+    return cycle_dim - boundary.coefficient_rank()
+
+
+def _reference_scan(x, y):
+    """(total, degrees) of the scan run one degree at a time up to the
+    bound and on until DEFAULT_STALE_WINDOW empty degrees in a row; a
+    nonzero degree past the bound raises the scan's policy-infeasible."""
+    hom, grading = ho.HomComplex(x, y), ho._graded_setup(x, y)
+    ax, bx, ay, by, dw = grading
+    offsets = [by[r] - bx[c] for r in range(y.rank) for c in range(x.rank)]
+    offsets += [ay[r] - ax[c] for r in range(y.rank) for c in range(x.rank)]
+    if not offsets:
+        return 0, []
+    scan_bound = max(offsets) + max(0, sum(dw - 2 * w for w in x.ctx.weights)) + dw
+    degrees, zero_run, phi = [], 0, min(offsets)
+    while phi <= scan_bound or zero_run < ho.DEFAULT_STALE_WINDOW:
+        dim = _slot_dimension(hom, grading, phi)
+        if dim and phi > scan_bound:
+            raise MfcatError(
+                "policy-infeasible", f"non-isolated singularity: dimension {dim} in "
+                f"degree {phi}, above the scan bound {scan_bound}"
+            )
+        degrees.append([phi, dim])
+        zero_run = 0 if dim else zero_run + 1
+        phi += 1
+    return sum(dim for _, dim in degrees), degrees
+
+
+def _scan_cases(field, n, lifts):
+    """The catalogue objects of z^n, Knoerrer-lifted `lifts` times; with no
+    lift also a shift, a cone and the rank-0 object."""
+    objects = _lifted_catalogue(field, n, lifts)
+    if lifts == 0:
+        ctx = objects[0].ctx
+        f = andyn.realize_an_morphism(andyn.an_generator(field, n, 1, n - 2), ctx)
+        objects += [mf_shift(objects[0]), cone(f), andyn.realize_an_object(ctx, n, 0)]
+    return objects
+
+
+@pytest.mark.parametrize(
+    "field, n, lifts",
+    [(QQ, n, lifts) for n in (3, 4, 5, 6) for lifts in (0, 1, 2)]
+    + [(PrimeField(3), 4, 1), (PrimeField(3), 6, 1), (PrimeField(101), 7, 1)],
+    ids=lambda arg: "Q" if arg is QQ else f"F{arg.p}" if isinstance(arg, PrimeField) else str(arg),
+)
+def test_batched_scan_matches_per_degree_reference(field, n, lifts):
+    # One cycle and one boundary system for all degrees give every degree
+    # the dimension that its own two systems give, and the same degrees.
+    objects = _scan_cases(field, n, lifts)
+    pairs = list(itertools.product(objects, repeat=2))
+    if lifts == 2:
+        # Double lifts are slow: the two ends of the catalogue only.
+        pairs = list(itertools.product([objects[0], objects[-1]], repeat=2))
+    for x, y in pairs:
+        total, cert = graded_stable_hom_dim(x, y)
+        assert (total, cert["degrees"]) == _reference_scan(x, y)
+        assert total == cert["total"]
+
+
+def test_scan_assembles_once(monkeypatch):
+    # One cycle and one boundary system for the degrees up to the bound, and
+    # at most one of each for the degrees past it.
+    calls = []
+    original = ho.LinearSystem.add_matrix_equation
+    monkeypatch.setattr(
+        ho.LinearSystem, "add_matrix_equation",
+        lambda self, *args: calls.append(1) or original(self, *args),
+    )
+    for x, y in [(v(5, 2), v(5, 3)), (knorrer(v(4, 1), "x", "y"), knorrer(v(4, 2), "x", "y"))]:
+        calls.clear()
+        _, cert = graded_stable_hom_dim(x, y)
+        assert len(cert["degrees"]) > 4 and 1 <= len(calls) <= 4
+        late = [phi for phi, _ in cert["degrees"] if phi > cert["scan_bound"]]
+        assert len(calls) <= 2 or late
+
+
+def test_non_isolated_scan_stops_past_the_bound():
+    # W = x^2 y is singular along the y-axis: End(X) of X = (x, x y) is
+    # nonzero in every degree, and the first degree past the bound stops
+    # the scan with the message of the per-degree scan.
+    ctx = RingContext(QQ, ("x", "y"), weights=(1, 1))
+    x = rank_one(ctx, parse_poly(ctx, "x^2*y"), parse_poly(ctx, "x"), parse_poly(ctx, "x*y"))
+    message = (
+        "policy-infeasible: non-isolated singularity: dimension 1 in degree 6, "
+        "above the scan bound 5"
+    )
+    with pytest.raises(MfcatError) as batched:
+        graded_stable_hom_dim(x, x)
+    with pytest.raises(MfcatError) as reference:
+        _reference_scan(x, x)
+    assert str(batched.value) == str(reference.value) == message
+    assert batched.value.exit_status == 2
