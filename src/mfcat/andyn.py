@@ -40,7 +40,7 @@ from .fields import QQ, Field
 from .homotopy import HomComplex, LinearSystem, _find_invertible
 from .linalg import mat_mul
 from .matrices import PolyMatrix
-from .modules import cok, cok_induced_map, cyclic_module, stable_hom
+from .modules import an_context, cok, cok_induced_map, cyclic_module, stable_hom
 from .poly import Poly, RingContext
 
 
@@ -246,10 +246,6 @@ def an_end_ring(field: Field, n: int, mu: int) -> dict:
 # -- realization as matrix factorizations ------------------------------
 
 
-def an_context(field: Field = QQ, var: str = "z") -> RingContext:
-    return RingContext(field=field, variables=(var,), weights=(1,))
-
-
 def _z_power(ctx: RingContext, k: int, c=1) -> Poly:
     """c z^k, with z the first variable of the context, as one monomial."""
     return ctx.monomial((k,) + (0,) * (ctx.nvars - 1), c)
@@ -441,9 +437,9 @@ def certify_an_triangle(
     hom_g = HomComplex(y, cone_obj)
     hom_h = HomComplex(t, h.target)
     system = LinearSystem(ctx)
-    w = hom_w.unknowns(system, ("w1", "w0"), hom_w.bounded_supports(bound))
-    sg, tg = hom_g.unknowns(system, ("sg", "tg"), hom_g.bounded_supports(bound))
-    sh, th = hom_h.unknowns(system, ("sh", "th"), hom_h.bounded_supports(bound))
+    w = hom_w.bounded_unknowns(system, ("w1", "w0"), bound)
+    sg, tg = hom_g.bounded_unknowns(system, ("sg", "tg"), bound)
+    sh, th = hom_h.bounded_unknowns(system, ("sh", "th"), bound)
     hom_w.equate(system, hom_w.closed(*w))
     # First square: w g - g_std = D(sg, tg) as maps Y -> cone.
     hom_g.equate(system, hom_g.compose(w, g), hom_g.boundary(sg, tg, -1), rhs=g_std.f1)

@@ -19,7 +19,7 @@ they are constructed.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import MfcatError
 from .matrices import PolyMatrix

@@ -7,11 +7,12 @@ or exact weighted degree in graded mode) and the defining identities become
 linear systems in the unknown coefficients.
 
 All of those systems live in the Z/2-graded complex Hom(X, Y) between
-X = (p1, p0) and Y = (q1, q0), and `HomComplex` is the one place that writes
-its equations.  An even pair f = (f1, f0) is a morphism (is closed) exactly
-when f1 p0 = q0 f0 and q1 f1 = f0 p1; an odd pair (s, t) has the boundary
-D(s, t) = (q0 t + s p1, t p0 + q1 s), with no further signs.  The signs of
-a shifted object live in its matrices (X[1] = (-p0, -p1)), not here.
+X = (p1, p0) and Y = (q1, q0), and `HomComplex` is the one place that
+declares their unknowns and writes their equations.  An even pair
+f = (f1, f0) is a morphism (is closed) exactly when f1 p0 = q0 f0 and
+q1 f1 = f0 p1; an odd pair (s, t) has the boundary D(s, t) =
+(q0 t + s p1, t p0 + q1 s), with no further signs.  The signs of a shifted
+object live in its matrices (X[1] = (-p0, -p1)), not here.
 
 Only the f1 slot (P1 -> Q1) of each equation is written, because for
 closed pairs the f0 slot (P0 -> Q0) follows from it.  Two identities,
@@ -26,17 +27,19 @@ precondition is that every pair an equation relates is closed: constrained
 by `closed`, a boundary D(s, t), or a known MFMorphism or a graded
 component of one.  Each system then has the same solutions, and so the
 same reduced row echelon form and witnesses, as with both slots written.
+Degree by degree, a closed f has f0 components only where f1 has some.
 
 Degree-bounded mode can only certify presence: it tries ansatz bounds
 upward from zero and returns the first solution with free variables set to
 zero, which makes witnesses canonical.  Graded mode, available when the
 data is quasi-homogeneous for the configured weights, splits the morphism
 complex by weighted degree; each degree is decided exactly, so absence is
-certified.  The dimension scan runs to a hard bound derived from the
-annihilation of the cohomology by all partial derivatives of W (top socle
-degree of the Jacobian quotient plus one period), then to a run of empty
-degrees, and records every degree in the certificate; one past the bound
-that is nonzero means the Jacobian algebra is not finite (policy-infeasible).
+certified; `HomComplex` infers this grading once per complex.  The
+dimension scan runs to a hard bound derived from the annihilation of the
+cohomology by all partial derivatives of W (top socle degree of the
+Jacobian quotient plus one period), then to a run of empty degrees, and
+records every degree in the certificate; one past the bound that is
+nonzero means the Jacobian algebra is not finite (policy-infeasible).
 Degrees share no unknown and no equation, so the scan eliminates one system
 of closed pairs and one of boundaries for all of them, and reads each
 degree's rank off its own pivot columns.
@@ -357,13 +360,6 @@ class LinearSystem:
         pivots = linalg.pivot_columns(self.field, (row for row, _ in self.rows))
         return len(pivots) if labels is None else Counter(labels[c] for c in pivots)
 
-    def nullspace_assignments(self) -> List[Dict[str, PolyMatrix]]:
-        field = self.field
-        for _, const in self.rows:
-            if not field.is_zero(const):
-                raise MfcatError("shape-mismatch", "nullspace of an inhomogeneous system")
-        return self.homogeneous_nullspace()
-
     def homogeneous_nullspace(self) -> List[Dict[str, PolyMatrix]]:
         """Nullspace basis of the coefficient matrix, constants ignored."""
         reduced = linalg.sparse_rref(self.field, (row for row, _ in self.rows))
@@ -371,16 +367,17 @@ class LinearSystem:
 
 
 class HomComplex:
-    """The equations of Hom(X, Y) over pairs of unknown maps X -> Y.
+    """The unknowns and equations of Hom(X, Y), over pairs of maps X -> Y.
 
-    `closed` and `boundary` write the two conditions of the module
-    docstring; `compose` writes a known morphism composed with an unknown
-    pair.  Each returns the term list of the f1 slot (P1 -> Q1) only, and
-    `equate` adds their sum as one matrix equation.  The f0 slot follows
-    from it by q1 (f1 p0 - q0 f0) p1 = (W - w0) (q1 f1 - f0 p1) and the
-    injectivity of q0, provided every pair related is closed (see the module
-    docstring): a free pair equated to a closed one must also be
-    constrained by `closed`.
+    `bounded_unknowns` and `graded_unknowns` declare every unknown pair, the
+    latter by `offsets`, the one grading of the complex.  `closed` and
+    `boundary` write the two conditions of the module docstring; `compose`
+    writes a known morphism composed with an unknown pair.  Each returns the
+    term list of the f1 slot (P1 -> Q1) only, and `equate` adds their sum as
+    one matrix equation.  The f0 slot follows from it by q1 (f1 p0 - q0 f0)
+    p1 = (W - w0) (q1 f1 - f0 p1) and the injectivity of q0, provided every
+    pair related is closed (see the module docstring): a free pair equated
+    to a closed one must also be constrained by `closed`.
     """
 
     def __init__(self, x: MatrixFactorization, y: MatrixFactorization):
@@ -389,42 +386,50 @@ class HomComplex:
         self.y = y
         self.shape = (y.rank, x.rank)
 
-    def unknowns(
-        self, system: LinearSystem, names: Tuple[str, str], supports
+    def bounded_unknowns(
+        self, system: LinearSystem, names: Tuple[str, str], bound: int
     ) -> Tuple[_Unknown, _Unknown]:
-        """Declare two unknown maps X -> Y, in order, with a support each."""
-        return tuple(
-            system.unknown(name, self.y.rank, self.x.rank, support)
-            for name, support in zip(names, supports)
-        )
-
-    def bounded_supports(self, bound: int):
-        """Every monomial of total degree <= bound, for both maps of a pair."""
+        """Declare two unknown maps X -> Y, in order, each entry supported on
+        every monomial of total degree <= bound."""
         if bound < 0:
             raise MfcatError("policy-infeasible", "negative degree bound")
         support = tuple(monomials_up_to_degree(self.x.ctx.nvars, bound))
-        return (lambda r, c: support,) * 2
+        return tuple(system.unknown(name, *self.shape, lambda r, c: support) for name in names)
 
-    def graded_offsets(self, grading):
-        """The weighted degree that entry (r, c) adds to the map degree: of
-        (f1, f0) in the even piece and (s, t) in the odd piece."""
-        ax, bx, ay, by, dw = grading
-        even = (lambda r, c: bx[c] - by[r], lambda r, c: ax[c] - ay[r])
-        odd = (lambda r, c: ax[c] - by[r], lambda r, c: bx[c] - ay[r] - dw)
-        return even, odd
+    @functools.cached_property
+    def offsets(self) -> Tuple[Tuple[List[List[int]], ...], ...]:
+        """offsets[piece][k][r][c]: the weighted degree that entry (r, c) of
+        map k adds to the map degree, for piece 0, the even pair (f1, f0),
+        and piece 1, the odd pair (s, t).  Inferred on first use."""
+        ax, bx = infer_generator_degrees(self.x)
+        ay, by = infer_generator_degrees(self.y)
+        dw = self.x.w.weighted_degree()
+        rows, cols = self.shape
 
-    def graded_supports(self, grading, degrees: Sequence[int]):
-        """Supports of the map degrees listed, for the maps of
-        `graded_offsets`, grading = _graded_setup(x, y): an entry holds the
-        monomials of each degree in turn, in list order."""
+        def table(source, target, shift=0):
+            return [[source[c] - target[r] - shift for c in range(cols)] for r in range(rows)]
+
+        return (table(bx, by), table(ax, ay)), (table(ax, by), table(bx, ay, dw))
+
+    def graded_unknowns(
+        self, system: LinearSystem, names: Tuple[str, str], piece: int, degrees: Sequence[int]
+    ) -> Tuple[_Unknown, _Unknown, List[int]]:
+        """Declare the two maps of `offsets[piece]`, in order, each entry
+        holding the monomials of each map degree listed in turn, and return
+        them with the map degree of each column they add."""
         weights = tuple(self.x.ctx.weights)
-
-        def support(offset):
-            return lambda r, c: [
-                e for phi in degrees for e in monomials_of_weighted_degree(weights, phi + offset(r, c))
-            ]
-
-        return tuple(tuple(map(support, piece)) for piece in self.graded_offsets(grading))
+        labels: List[int] = []
+        out = []
+        for name, offset in zip(names, self.offsets[piece]):
+            supports = [[[] for _ in row] for row in offset]
+            for r, row in enumerate(offset):
+                for c, shift in enumerate(row):
+                    for phi in degrees:
+                        monomials = monomials_of_weighted_degree(weights, phi + shift)
+                        supports[r][c] += monomials
+                        labels += [phi] * len(monomials)
+            out.append(system.unknown(name, *self.shape, lambda r, c: supports[r][c]))
+        return out[0], out[1], labels
 
     def closed(self, f1: _Unknown, f0: _Unknown):
         """f1 p0 - q0 f0: it vanishes exactly on morphisms."""
@@ -509,22 +514,7 @@ def infer_generator_degrees(x: MatrixFactorization) -> Tuple[List[int], List[int
     return a, b
 
 
-def _graded_setup(x: MatrixFactorization, y: MatrixFactorization):
-    ax, bx = infer_generator_degrees(x)
-    ay, by = infer_generator_degrees(y)
-    dw = x.w.weighted_degree()
-    return ax, bx, ay, by, dw
-
-
 # -- null-homotopy search ----------------------------------------------
-
-
-def _homotopy_system(hom: HomComplex, supports, rhs: PolyMatrix) -> LinearSystem:
-    """D(s, t) = f for a closed f with f1 slot rhs."""
-    system = LinearSystem(hom.x.ctx)
-    s, t = hom.unknowns(system, ("s", "t"), supports)
-    hom.equate(system, hom.boundary(s, t), rhs=rhs)
-    return system
 
 
 def find_null_homotopy(f: MFMorphism, policy: Optional[SearchPolicy] = None) -> SearchResult:
@@ -551,7 +541,9 @@ def _find_null_homotopy_bounded(f: MFMorphism, policy: SearchPolicy) -> SearchRe
     hom = HomComplex(x, y)
     bound = resolve_bound(policy, x, y, f)
     for b in range(bound + 1):
-        system = _homotopy_system(hom, hom.bounded_supports(b), f.f1)
+        system = LinearSystem(x.ctx)
+        s, t = hom.bounded_unknowns(system, ("s", "t"), b)
+        hom.equate(system, hom.boundary(s, t), rhs=f.f1)
         sol = system.solve()
         if sol is not None:
             h = Homotopy(x, y, sol["s"], sol["t"])
@@ -565,51 +557,37 @@ def _find_null_homotopy_bounded(f: MFMorphism, policy: SearchPolicy) -> SearchRe
     )
 
 
-def _morphism_degree_components(f: MFMorphism, grading) -> Dict[int, Tuple[Dict, Dict]]:
-    """Split f into components by map degree; returns degree -> (f1 terms, f0 terms)."""
-    ax, bx, ay, by, _ = grading
-    ctx = f.source.ctx
-    weights = ctx.weights
-    out: Dict[int, Tuple[Dict, Dict]] = {}
-
-    def push(which, r, c, exp, coeff, offset):
-        wdeg = sum(w * e for w, e in zip(weights, exp))
-        phi = wdeg - offset
-        slot = out.setdefault(phi, ({}, {}))
-        slot[which].setdefault((r, c), {})[exp] = coeff
-
-    for r in range(f.target.rank):
-        for c in range(f.source.rank):
+def _morphism_degree_components(hom: HomComplex, f: MFMorphism) -> Dict[int, PolyMatrix]:
+    """The f1 slot of f split by map degree: degree -> component.  For a
+    closed f these are the degrees of its f0 slot too, since q0 and p0 are
+    injective (module docstring)."""
+    ctx, (rows, cols) = f.source.ctx, hom.shape
+    offset = hom.offsets[0][0]
+    cells: Dict[int, List[List[Dict]]] = {}
+    for r in range(rows):
+        for c in range(cols):
             for exp, coeff in f.f1.entries[r][c].terms.items():
-                push(0, r, c, exp, coeff, bx[c] - by[r])
-            for exp, coeff in f.f0.entries[r][c].terms.items():
-                push(1, r, c, exp, coeff, ax[c] - ay[r])
-    return out
-
-
-def _component_matrix(f: MFMorphism, terms) -> PolyMatrix:
-    ctx, rows, cols = f.source.ctx, range(f.target.rank), range(f.source.rank)
-    return PolyMatrix(
-        ctx, [[Poly(ctx, terms.get((r, c), {})) for c in cols] for r in rows], cols=len(cols)
-    )
+                phi = sum(w * e for w, e in zip(ctx.weights, exp)) - offset[r][c]
+                part = cells.setdefault(phi, [[{} for _ in range(cols)] for _ in range(rows)])
+                part[r][c][exp] = coeff
+    return {
+        phi: PolyMatrix(ctx, [[Poly(ctx, t) for t in row] for row in part], cols=cols)
+        for phi, part in cells.items()
+    }
 
 
 def _find_null_homotopy_graded(f: MFMorphism, policy: SearchPolicy) -> SearchResult:
     x, y = f.source, f.target
     ctx = x.ctx
-    weights = ctx.weights
-    if weights is None:
-        raise MfcatError("policy-infeasible", "graded mode requires configured weights")
     hom = HomComplex(x, y)
-    grading = _graded_setup(x, y)
-    components = _morphism_degree_components(f, grading)
-    total_s = PolyMatrix.zero(ctx, y.rank, x.rank)
-    total_t = PolyMatrix.zero(ctx, y.rank, x.rank)
-    degrees = []
-    for phi in sorted(components):
-        _, odd = hom.graded_supports(grading, [phi])
+    components = _morphism_degree_components(hom, f)
+    degrees = sorted(components)
+    total_s = total_t = PolyMatrix.zero(ctx, y.rank, x.rank)
+    for phi in degrees:
+        system = LinearSystem(ctx)
+        s, t, _ = hom.graded_unknowns(system, ("s", "t"), 1, [phi])
         # A graded component of a morphism is closed: its f1 slot decides it.
-        system = _homotopy_system(hom, odd, _component_matrix(f, components[phi][0]))
+        hom.equate(system, hom.boundary(s, t), rhs=components[phi])
         sol = system.solve()
         if sol is None:
             return SearchResult(
@@ -617,14 +595,13 @@ def _find_null_homotopy_graded(f: MFMorphism, policy: SearchPolicy) -> SearchRes
                 None,
                 {
                     "mode": "graded",
-                    "degrees": sorted(components),
+                    "degrees": degrees,
                     "failed_degree": phi,
-                    "weights": list(weights),
+                    "weights": list(ctx.weights),
                 },
             )
         total_s = total_s + sol["s"]
         total_t = total_t + sol["t"]
-        degrees.append(phi)
     h = Homotopy(x, y, total_s, total_t)
     if not h.bounds(f):
         raise MfcatError("not-a-morphism", "solver returned a bad witness")
@@ -653,72 +630,57 @@ def graded_stable_hom_dim(x: MatrixFactorization, y: MatrixFactorization) -> Tup
     algebra of W is finite; a nonzero degree above it raises
     policy-infeasible (the singularity is not isolated).
     """
-    weights = x.ctx.weights
     hom = HomComplex(x, y)
-    grading = _graded_setup(x, y)
-    ax, bx, ay, by, dw = grading
-    if x.rank == 0 or y.rank == 0:
-        return 0, {"degrees": [], "total": 0, "scan_bound": 0, "window": DEFAULT_STALE_WINDOW}
-    offsets = [by[r] - bx[c] for r in range(y.rank) for c in range(x.rank)]
-    offsets += [ay[r] - ax[c] for r in range(y.rank) for c in range(x.rank)]
-    sigma = max(0, sum(dw - 2 * w for w in weights))
-    scan_bound = max(offsets) + sigma + dw
-    scan = range(min(offsets), scan_bound + 1)
-    dims = _degree_dimensions(hom, grading, scan)
-    # Past the bound, the degrees that complete a run of empty ones.
-    empty_run = len(list(itertools.takewhile(lambda d: not d, reversed(dims))))
-    late = range(scan_bound + 1, scan_bound + 1 + max(0, DEFAULT_STALE_WINDOW - empty_run))
-    for phi, dim_phi in zip(late, _degree_dimensions(hom, grading, late) if late else []):
-        if dim_phi:
-            raise MfcatError(
-                "policy-infeasible", f"non-isolated singularity: dimension {dim_phi} in "
-                f"degree {phi}, above the scan bound {scan_bound}"
-            )
-    total = sum(dims)
-    certificate = {
+    offsets = [o for table in hom.offsets[0] for row in table for o in row]
+    degrees, scan_bound = [], None
+    if offsets:
+        dw = x.w.weighted_degree()
+        sigma = max(0, sum(dw - 2 * w for w in x.ctx.weights))
+        scan_bound = sigma + dw - min(offsets)
+        scan = range(-max(offsets), scan_bound + 1)
+        dims = _degree_dimensions(hom, scan)
+        # Past the bound, the degrees that complete a run of empty ones.
+        empty_run = len(list(itertools.takewhile(lambda d: not d, reversed(dims))))
+        late = range(scan_bound + 1, scan_bound + 1 + max(0, DEFAULT_STALE_WINDOW - empty_run))
+        for phi, dim_phi in zip(late, _degree_dimensions(hom, late) if late else []):
+            if dim_phi:
+                raise MfcatError(
+                    "policy-infeasible", f"non-isolated singularity: dimension {dim_phi} in "
+                    f"degree {phi}, above the scan bound {scan_bound}"
+                )
+        degrees = [[phi, d] for phi, d in zip(scan, dims)] + [[phi, 0] for phi in late]
+    total = sum(d for _, d in degrees)
+    return total, {
         "total": total,
-        "degrees": [[phi, d] for phi, d in zip(scan, dims)] + [[phi, 0] for phi in late],
+        "degrees": degrees,
         "scan_bound": scan_bound,
         "window": DEFAULT_STALE_WINDOW,
-        "weights": list(weights),
+        "weights": list(x.ctx.weights),
     }
-    return total, certificate
 
 
-def _degree_dimensions(hom: HomComplex, grading, degrees: Sequence[int]) -> List[int]:
+def _degree_dimensions(hom: HomComplex, degrees: Sequence[int]) -> List[int]:
     """dim H_phi, closed pairs of degree phi modulo boundaries, for each phi
     in degrees: one cycle system for all of them and one boundary system for
     those with cycles, each rank counted per degree.  The rows and columns of
     one degree keep their order, so it is eliminated as it would be alone."""
     cycle = LinearSystem(hom.x.ctx)
-    g1, g0 = hom.unknowns(cycle, ("g1", "g0"), hom.graded_supports(grading, degrees)[0])
+    g1, g0, labels = hom.graded_unknowns(cycle, ("g1", "g0"), 0, degrees)
     hom.equate(cycle, hom.closed(g1, g0))
-    labels = _degree_labels(hom, grading, degrees, 0)
     ranks, sizes = cycle.coefficient_rank(labels), Counter(labels)
     cycles = [sizes[phi] - ranks[phi] for phi in degrees]
     live = [phi for phi, dim in zip(degrees, cycles) if dim]
     images = Counter()
     if live:
         boundary = LinearSystem(hom.x.ctx)
-        s, t = hom.unknowns(boundary, ("s", "t"), hom.graded_supports(grading, live)[1])
+        s, t, labels = hom.graded_unknowns(boundary, ("s", "t"), 1, live)
         # Image of D on the adjacent parity.
         hom.equate(boundary, hom.boundary(s, t))
-        images = boundary.coefficient_rank(_degree_labels(hom, grading, live, 1))
+        images = boundary.coefficient_rank(labels)
     dims = [dim - images[phi] for phi, dim in zip(degrees, cycles)]
     if min(dims) < 0:
         raise MfcatError("not-a-factorization", "boundary space escapes the cycle space")
     return dims
-
-
-def _degree_labels(hom: HomComplex, grading, degrees: Sequence[int], piece: int) -> List[int]:
-    """The map degree of each column of a system whose two unknowns have
-    the supports hom.graded_supports(grading, degrees)[piece]."""
-    weights = tuple(hom.x.ctx.weights)
-    rows, cols = hom.shape
-    return [
-        phi for offset in hom.graded_offsets(grading)[piece] for r in range(rows) for c in range(cols)
-        for phi in degrees for _ in monomials_of_weighted_degree(weights, phi + offset(r, c))
-    ]
 
 
 def bounded_stable_hom_estimate(
@@ -730,7 +692,6 @@ def bounded_stable_hom_estimate(
     certified route when a grading exists.
     """
     hom = HomComplex(x, y)
-    supports = hom.bounded_supports(bound)
     # Z is the space of closed maps and B the span of the boundaries
     # D(s, t), every piece of degree <= bound; C, D and V are the ranks of
     # `cycles`, `boundaries` and `meets`.  Every D(s, t) is closed, so the
@@ -740,14 +701,14 @@ def bounded_stable_hom_estimate(
     # slot, so `meets` also constrains f; that leaves its solutions as they
     # are.
     cycles = LinearSystem(x.ctx)
-    f1, f0 = hom.unknowns(cycles, ("f1", "f0"), supports)
+    f1, f0 = hom.bounded_unknowns(cycles, ("f1", "f0"), bound)
     hom.equate(cycles, hom.closed(f1, f0))
     boundaries = LinearSystem(x.ctx)
-    s, t = hom.unknowns(boundaries, ("s", "t"), supports)
+    s, t = hom.bounded_unknowns(boundaries, ("s", "t"), bound)
     hom.equate(boundaries, hom.boundary(s, t))
     meets = LinearSystem(x.ctx)
-    f = hom.unknowns(meets, ("f1", "f0"), supports)
-    s, t = hom.unknowns(meets, ("s", "t"), supports)
+    f = hom.bounded_unknowns(meets, ("f1", "f0"), bound)
+    s, t = hom.bounded_unknowns(meets, ("s", "t"), bound)
     hom.equate(meets, hom.closed(*f))
     hom.equate(meets, hom.compose(identity_morphism(y), f), hom.boundary(s, t, -1))
     return meets.coefficient_rank() - cycles.coefficient_rank() - boundaries.coefficient_rank()
@@ -762,10 +723,10 @@ def morphism_space_basis(
     """Basis of the space of morphisms with entry degrees up to the bound."""
     hom = HomComplex(x, y)
     system = LinearSystem(x.ctx)
-    f1, f0 = hom.unknowns(system, ("f1", "f0"), hom.bounded_supports(bound))
+    f1, f0 = hom.bounded_unknowns(system, ("f1", "f0"), bound)
     hom.equate(system, hom.closed(f1, f0))
     out = []
-    for assignment in system.nullspace_assignments():
+    for assignment in system.homogeneous_nullspace():
         out.append(morphism_new(x, y, assignment["f1"], assignment["f0"]))
     return out
 
@@ -776,9 +737,9 @@ def _two_sided_inverse(u: MFMorphism, bound: int) -> Optional[Tuple[MFMorphism, 
     h_bound = bound + _max_entry_degree([x.p1, x.p0, y.p1, y.p0, u.f1, u.f0])
     hom_v, hom_x, hom_y = HomComplex(y, x), HomComplex(x, x), HomComplex(y, y)
     system = LinearSystem(x.ctx)
-    v_pair = hom_v.unknowns(system, ("v1", "v0"), hom_v.bounded_supports(bound))
-    s1, t1 = hom_x.unknowns(system, ("s1", "t1"), hom_x.bounded_supports(h_bound))
-    s2, t2 = hom_y.unknowns(system, ("s2", "t2"), hom_y.bounded_supports(h_bound))
+    v_pair = hom_v.bounded_unknowns(system, ("v1", "v0"), bound)
+    s1, t1 = hom_x.bounded_unknowns(system, ("s1", "t1"), h_bound)
+    s2, t2 = hom_y.bounded_unknowns(system, ("s2", "t2"), h_bound)
     hom_v.equate(system, hom_v.closed(*v_pair))
     # v u - id_X = D(s1, t1) and u v - id_Y = D(s2, t2).
     ident_x = PolyMatrix.identity(x.ctx, x.rank)

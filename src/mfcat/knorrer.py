@@ -7,7 +7,7 @@ equivalence, which the verification helpers check dimension by dimension.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import MfcatError
 from .factorization import MatrixFactorization, MFMorphism, mf_new, morphism_new

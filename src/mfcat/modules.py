@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import linalg, univariate as uni
 from .errors import MfcatError
 from .factorization import MatrixFactorization, mf_new
-from .fields import Field
+from .fields import QQ, Field
 from .matrices import PolyMatrix
 from .poly import Poly, RingContext
 from .smith import smith_normal_form
@@ -136,7 +136,8 @@ def module_new(w: Poly, z_rows: Sequence[Sequence]) -> QuotModule:
     return QuotModule(ctx, w, z_rows)
 
 
-def zn_context(field: Field, var: str = "z") -> RingContext:
+def an_context(field: Field = QQ, var: str = "z") -> RingContext:
+    """k[var] with weight 1, the ring of W = z^n."""
     return RingContext(field=field, variables=(var,), weights=(1,))
 
 
@@ -144,7 +145,7 @@ def cyclic_module(field: Field, n: int, mu: int, var: str = "z") -> QuotModule:
     """The quotient k[z]/(z^mu) as a module over k[z]/(z^n), 0 <= mu <= n."""
     if not (0 <= mu <= n):
         raise MfcatError("index-out-of-range", f"need 0 <= {mu} <= {n}")
-    ctx = zn_context(field, var)
+    ctx = an_context(field, var)
     w = ctx.variable(var) ** n
     z = [[field.zero()] * mu for _ in range(mu)]
     for i in range(mu - 1):

@@ -180,6 +180,20 @@ def test_cli_hom_against_contractible(tmp_path, capsys):
     assert cert.read_bytes() == first
 
 
+def test_cli_hom_on_a_rank_zero_file(tmp_path, capsys):
+    # The certificate of a rank-0 side has the keys of every other one, and
+    # no scan bound.
+    zp, xp = str(tmp_path / "zero.json"), str(tmp_path / "x.json")
+    formats.save_mf(zp, v(5, 0))
+    formats.save_mf(xp, v(5, 2))
+    for left, right in [(zp, xp), (xp, zp)]:
+        assert cli.run(["hom", left, right, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "dim 0"
+        cert = formats.read_json(out[1].removeprefix("wrote "))
+        assert cert == {"total": 0, "degrees": [], "scan_bound": None, "window": 3, "weights": [1]}
+
+
 def test_cli_hom_bound_and_derived_default(tmp_path, capsys):
     ctx = RingContext(QQ, ("z",))
     x = rank_one(ctx, parse_poly(ctx, "z^4"), parse_poly(ctx, "z^2"), parse_poly(ctx, "z^2"))

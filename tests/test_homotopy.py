@@ -1,6 +1,6 @@
 import itertools
-import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,9 +20,10 @@ from mfcat import (
     infer_generator_degrees,
     is_contractible,
     is_iso_in_db,
-    mf_from_polys,
     mf_shift,
+    mf_zero_object,
     morphism_from_polys,
+    multiplication_morphism,
     morphism_space_basis,
     morphism_sub,
     parse_poly,
@@ -34,7 +35,7 @@ from mfcat import homotopy as ho
 from mfcat import linalg
 from mfcat import andyn
 from mfcat.errors import MfcatError
-from mfcat.knorrer import knorrer
+from mfcat.knorrer import knorrer, knorrer_morphism
 from mfcat.poly import grlex_key
 
 
@@ -144,9 +145,32 @@ def test_graded_certificate_overscan_finds_nothing_late():
     # the degrees just past the certified bound hold nothing
     x, y = v(5, 2), v(5, 3)
     _, cert = graded_stable_hom_dim(x, y)
-    hom, grading = ho.HomComplex(x, y), ho._graded_setup(x, y)
     late = range(cert["scan_bound"] + 1, cert["scan_bound"] + 6)
-    assert ho._degree_dimensions(hom, grading, late) == [0] * 5
+    assert ho._degree_dimensions(ho.HomComplex(x, y), late) == [0] * 5
+
+
+def test_rank_zero_certificate_takes_the_common_shape():
+    # A rank-0 side leaves no degree to scan: the certificate has every key
+    # of the others, in their order, and no scan bound.
+    for x, y in [(v(5, 0), v(5, 2)), (v(5, 2), v(5, 0)), (v(5, 0), v(5, 0))]:
+        dim, cert = graded_stable_hom_dim(x, y)
+        assert dim == 0
+        assert list(cert.items()) == [
+            ("total", 0), ("degrees", []), ("scan_bound", None), ("window", 3), ("weights", [1])
+        ]
+        assert list(cert) == list(graded_stable_hom_dim(v(5, 2), v(5, 3))[1])
+    # A pair that cannot be graded is refused, whatever its ranks.
+    ctx = RingContext(QQ, ("z",), weights=(1,))
+    w = parse_poly(ctx, "z^2 - 1")
+    mixed = rank_one(ctx, w, parse_poly(ctx, "z - 1"), parse_poly(ctx, "z + 1"))
+    zero = mf_zero_object(ctx, w)
+    for x, y in [(zero, mixed), (mixed, zero), (zero, zero)]:
+        with pytest.raises(MfcatError, match="policy-infeasible: non-quasi-homogeneous"):
+            graded_stable_hom_dim(x, y)
+    unweighted = RingContext(QQ, ("z",))
+    zero = mf_zero_object(unweighted, parse_poly(unweighted, "z^5"))
+    with pytest.raises(MfcatError, match="policy-infeasible: graded mode requires configured weights"):
+        graded_stable_hom_dim(zero, zero)
 
 
 def _nonzero_degrees(x, y):
@@ -426,15 +450,13 @@ def test_linear_system_nullspace_edges():
     system = ho.LinearSystem(CTX)
     system.unknown("u", 1, 2, lambda r, c: [(0,), (1,)])
     # no equations: every coefficient is free, one basis vector each
-    basis = [_entries(a["u"]) for a in system.nullspace_assignments()]
+    basis = [_entries(a["u"]) for a in system.homogeneous_nullspace()]
     assert basis == [[["1", "0"]], [["z", "0"]], [["0", "1"]], [["0", "z"]]]
     assert system.coefficient_rank() == 0
     inhomogeneous = ho.LinearSystem(CTX)
     u = inhomogeneous.unknown("u", 1, 1, lambda r, c: [(0,)])
     inhomogeneous.add_matrix_equation([(None, u, None, 1)], _constant("1"), (1, 1))
     assert _entries(inhomogeneous.solve()["u"]) == [["1"]]
-    with pytest.raises(ValueError, match="shape-mismatch"):
-        inhomogeneous.nullspace_assignments()
 
 
 # -- packed-key assembly against the tuple-keyed reference -----------------
@@ -751,12 +773,11 @@ def test_solve_matches_reduced_form(monkeypatch, field):
 # -- the batched graded scan against the per-degree reference --------------
 
 
-def _slot_dimension(hom, grading, phi):
+def _slot_dimension(hom, phi):
     """dim H_phi from a cycle system and a boundary system of degree phi
     alone, the per-degree computation that the batched scan replaced."""
-    even, odd = hom.graded_supports(grading, [phi])
     cycle = ho.LinearSystem(hom.x.ctx)
-    g1, g0 = hom.unknowns(cycle, ("g1", "g0"), even)
+    g1, g0, _ = hom.graded_unknowns(cycle, ("g1", "g0"), 0, [phi])
     if g1.size + g0.size == 0:
         return 0
     hom.equate(cycle, hom.closed(g1, g0))
@@ -764,7 +785,7 @@ def _slot_dimension(hom, grading, phi):
     if cycle_dim == 0:
         return 0
     boundary = ho.LinearSystem(hom.x.ctx)
-    s, t = hom.unknowns(boundary, ("s", "t"), odd)
+    s, t, _ = hom.graded_unknowns(boundary, ("s", "t"), 1, [phi])
     hom.equate(boundary, hom.boundary(s, t))
     return cycle_dim - boundary.coefficient_rank()
 
@@ -773,8 +794,10 @@ def _reference_scan(x, y):
     """(total, degrees) of the scan run one degree at a time up to the
     bound and on until DEFAULT_STALE_WINDOW empty degrees in a row; a
     nonzero degree past the bound raises the scan's policy-infeasible."""
-    hom, grading = ho.HomComplex(x, y), ho._graded_setup(x, y)
-    ax, bx, ay, by, dw = grading
+    hom = ho.HomComplex(x, y)
+    ax, bx = infer_generator_degrees(x)
+    ay, by = infer_generator_degrees(y)
+    dw = x.w.weighted_degree()
     offsets = [by[r] - bx[c] for r in range(y.rank) for c in range(x.rank)]
     offsets += [ay[r] - ax[c] for r in range(y.rank) for c in range(x.rank)]
     if not offsets:
@@ -782,7 +805,7 @@ def _reference_scan(x, y):
     scan_bound = max(offsets) + max(0, sum(dw - 2 * w for w in x.ctx.weights)) + dw
     degrees, zero_run, phi = [], 0, min(offsets)
     while phi <= scan_bound or zero_run < ho.DEFAULT_STALE_WINDOW:
-        dim = _slot_dimension(hom, grading, phi)
+        dim = _slot_dimension(hom, phi)
         if dim and phi > scan_bound:
             raise MfcatError(
                 "policy-infeasible", f"non-isolated singularity: dimension {dim} in "
@@ -858,3 +881,86 @@ def test_non_isolated_scan_stops_past_the_bound():
         _reference_scan(x, x)
     assert str(batched.value) == str(reference.value) == message
     assert batched.value.exit_status == 2
+
+
+# -- the graded null-homotopy search against the two-slot reference -------
+
+
+def _reference_null_homotopy(f):
+    """(status, certificate, witness) of graded find_null_homotopy computed
+    from the union of the degrees of the f1 and f0 slots of f, each degree
+    solved alone with both slots of D(s, t) = f_phi written, and with its
+    offsets derived here from the generator degrees."""
+    x, y = f.source, f.target
+    ctx, weights, shape = x.ctx, tuple(x.ctx.weights), (y.rank, x.rank)
+    ax, bx = infer_generator_degrees(x)
+    ay, by = infer_generator_degrees(y)
+    dw = x.w.weighted_degree()
+
+    def split(m, offset):
+        parts = {}
+        for r in range(y.rank):
+            for c in range(x.rank):
+                for exp, coeff in m.entries[r][c].terms.items():
+                    phi = sum(w * e for w, e in zip(weights, exp)) - offset(r, c)
+                    parts.setdefault(phi, {}).setdefault((r, c), {})[exp] = coeff
+        return parts
+
+    def matrix(terms):
+        rows = [[ho.Poly(ctx, terms.get((r, c), {})) for c in range(x.rank)] for r in range(y.rank)]
+        return PolyMatrix(ctx, rows, cols=x.rank)
+
+    f1s = split(f.f1, lambda r, c: bx[c] - by[r])
+    f0s = split(f.f0, lambda r, c: ax[c] - ay[r])
+    degrees = sorted(f1s.keys() | f0s.keys())
+
+    def support(phi, shift):
+        return lambda r, c: ho.monomials_of_weighted_degree(weights, phi + shift(r, c))
+
+    total_s = total_t = PolyMatrix.zero(ctx, *shape)
+    for phi in degrees:
+        system = ho.LinearSystem(ctx)
+        s = system.unknown("s", *shape, support(phi, lambda r, c: ax[c] - by[r]))
+        t = system.unknown("t", *shape, support(phi, lambda r, c: bx[c] - ay[r] - dw))
+        # D(s, t) = (q0 t + s p1, t p0 + q1 s)
+        system.add_matrix_equation([(y.p0, t, None, 1), (None, s, x.p1, 1)], matrix(f1s.get(phi, {})), shape)
+        system.add_matrix_equation([(None, t, x.p0, 1), (y.p1, s, None, 1)], matrix(f0s.get(phi, {})), shape)
+        sol = system.solve()
+        if sol is None:
+            return "proven-none", {
+                "mode": "graded", "degrees": degrees, "failed_degree": phi, "weights": list(weights)
+            }, None
+        total_s, total_t = total_s + sol["s"], total_t + sol["t"]
+    return "found", {"mode": "graded", "degrees": degrees}, (total_s, total_t)
+
+
+def _null_homotopy_cases(field):
+    """Catalogue basis morphisms f, none null-homotopic, and z^(n-1) f,
+    all null-homotopic since z^depth kills End(V_mu); the maps g and h of
+    a standard triangle, with g f; a Knoerrer lift."""
+    ctx = andyn.an_context(field)
+    for n in range(2, 7):
+        for mu in range(1, n):
+            for nu in range(1, n):
+                for lam in andyn.an_hom_basis(n, mu, nu):
+                    f = andyn.realize_an_morphism(andyn.an_basis_morphism(field, n, mu, nu, lam), ctx)
+                    yield f
+                    yield compose(multiplication_morphism(f.target, ctx.monomial((n - 1,))), f)
+    f = andyn.realize_an_morphism(andyn.an_generator(field, 5, 1, 3), ctx)
+    _, g, h = standard_triangle(f)
+    yield from (g, h, compose(g, f), knorrer_morphism(f))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=["Q", "F3"])
+def test_graded_null_homotopy_matches_two_slot_reference(field):
+    # Splitting f by its f1 slot alone finds the degrees of both slots, and
+    # each degree's f1-slot system gives the witness of both slots written.
+    statuses = Counter()
+    for f in _null_homotopy_cases(field):
+        res = find_null_homotopy(f, SearchPolicy(mode="graded"))
+        status, certificate, witness = _reference_null_homotopy(f)
+        assert (res.status, res.certificate) == (status, certificate)
+        if witness is not None:
+            assert (res.homotopy.s, res.homotopy.t) == witness
+        statuses[status] += 1
+    assert statuses["found"] > 10 and statuses["proven-none"] > 10
