@@ -31,8 +31,12 @@ Degree by degree, a closed f has f0 components only where f1 has some.
 
 Degree-bounded mode can only certify presence: it tries ansatz bounds
 upward from zero and returns the first solution with free variables set to
-zero, which makes witnesses canonical.  Graded mode, available when the
-data is quasi-homogeneous for the configured weights, splits the morphism
+zero, which makes witnesses canonical.  That solution is 0 on every block
+of equations that shares no unknown with a nonzero constant, and the
+reduced form of a block-diagonal system is that of its blocks, so `solve`
+eliminates only the blocks that hold a constant (the trivial case of the
+block triangular form, Pothen and Fan 1990).  Graded mode, available when
+the data is quasi-homogeneous for the configured weights, splits the morphism
 complex by weighted degree; each degree is decided exactly, so absence is
 certified; `HomComplex` infers this grading once per complex.  The
 dimension scan runs to a hard bound derived from the annihilation of the
@@ -198,7 +202,9 @@ class _Unknown:
         # starts[r * cols + c]: offset of the first coefficient of entry (r, c)
         self.starts = list(itertools.accumulate((len(s) for row in supports for s in row), initial=0))
         self.size = self.starts.pop()
-        self.degree = max((sum(e) for row in supports for s in row for e in s), default=0)
+        # Entries often share one support object: take each top degree once.
+        distinct = {id(s): s for row in supports for s in row}.values()
+        self.degree = max((max(map(sum, s), default=0) for s in distinct), default=0)
 
     def index(self, r, c, k):
         return self.base + self.starts[r * self.cols + c] + k
@@ -320,13 +326,30 @@ class LinearSystem:
         """One solution with free variables set to zero, or None.  The
         constants form column `total`, the one right-hand side, so the
         elimination stops at the first equation that it reduces to
-        0 = a nonzero constant."""
+        0 = a nonzero constant.  Only the components that reach column
+        `total` are eliminated, in the graph linking each row to its columns:
+        a block-diagonal system reduces block by block, and a block with no
+        constant has zero right-hand sides, so its pivots are 0."""
         field = self.field
         total = self.total
+        rows = [row if field.is_zero(const) else {**row, total: const} for row, const in self.rows]
+        # Union-find over the columns 0..total, by path halving.  A row with
+        # no entry joins the component of `total`; elimination skips it.
+        parent = list(range(total + 1))
+
+        def find(c):
+            while parent[c] != c:
+                parent[c] = parent[parent[c]]
+                c = parent[c]
+            return c
+
+        for row in rows:
+            root = find(next(iter(row), total))
+            for c in row:
+                parent[find(c)] = root
+        reached = find(total)
         solution = linalg.sparse_solve(
-            field,
-            (row if field.is_zero(const) else {**row, total: const} for row, const in self.rows),
-            total,
+            field, (row for row in rows if find(next(iter(row), total)) == reached), total
         )
         if solution is None:
             return None
@@ -420,15 +443,16 @@ class HomComplex:
         weights = tuple(self.x.ctx.weights)
         labels: List[int] = []
         out = []
+        # One support tuple, and its labels, per shift, shared by its entries.
+        by_shift: Dict[int, Tuple[Tuple[Exponent, ...], List[int]]] = {}
         for name, offset in zip(names, self.offsets[piece]):
-            supports = [[[] for _ in row] for row in offset]
-            for r, row in enumerate(offset):
-                for c, shift in enumerate(row):
-                    for phi in degrees:
-                        monomials = monomials_of_weighted_degree(weights, phi + shift)
-                        supports[r][c] += monomials
-                        labels += [phi] * len(monomials)
-            out.append(system.unknown(name, *self.shape, lambda r, c: supports[r][c]))
+            for shift in itertools.chain.from_iterable(offset):
+                if shift not in by_shift:
+                    parts = [monomials_of_weighted_degree(weights, phi + shift) for phi in degrees]
+                    shift_labels = [phi for phi, part in zip(degrees, parts) for _ in part]
+                    by_shift[shift] = tuple(itertools.chain.from_iterable(parts)), shift_labels
+                labels += by_shift[shift][1]
+            out.append(system.unknown(name, *self.shape, lambda r, c: by_shift[offset[r][c]][0]))
         return out[0], out[1], labels
 
     def closed(self, f1: _Unknown, f0: _Unknown):

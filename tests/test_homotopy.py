@@ -1,10 +1,14 @@
+import importlib.util
 import itertools
+import pathlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import mfcat
 from mfcat import (
     QQ,
     PolyMatrix,
@@ -755,6 +759,13 @@ def test_solve_matches_reduced_form(monkeypatch, field):
         lambda: find_null_homotopy(g, SearchPolicy("bounded", 3)),
         lambda: find_null_homotopy(g, SearchPolicy("graded")),
     ]
+    # Over k[z, x, y] the components mix variables: Knoerrer lifts.
+    lx, ly = knorrer(x, "x", "y"), knorrer(mf_shift(mf_shift(x)), "x", "y")
+    lifted = knorrer_morphism(morphism_from_polys(x, x, [["z^4"]], [["z^4"]]))
+    queries += [
+        lambda: is_iso_in_db(lx, ly, bounded),
+        lambda: find_null_homotopy(lifted, bounded),
+    ]
     solved = []
     _eliminated_systems(monkeypatch, ho.HomComplex, queries, solved)
     found = 0
@@ -768,6 +779,131 @@ def test_solve_matches_reduced_form(monkeypatch, field):
         assert _typed_entries(got) == _typed_entries(want)
         assert all(type(m) is PolyMatrix for m in got.values())
     assert found > 10 and len(solved) - found > 5
+
+
+# -- solve eliminates only the components that hold a constant ------------
+
+
+def _nonzero_scalar(rng, field):
+    while True:
+        x = rng.randrange(-5, 6)
+        x = field.coerce(F(x, rng.choice([1, 2, 3])) if field is QQ else x)
+        if not field.is_zero(x):
+            return x
+
+
+def _random_block_system(rng, field, trial):
+    """A LinearSystem whose rows and total hold a random block-diagonal
+    system over field, the rows of its blocks shuffled together and
+    constants in some blocks only, and the columns of the blocks with a
+    constant.  Some trials have total 0, a row 0 = c, or an inconsistent
+    pair of rows after every constant-free row."""
+    system = ho.LinearSystem(RingContext(field, ("z",)))
+    total = 0 if trial % 7 == 0 else rng.randrange(1, 13)
+    if total:
+        system.unknown("u", 1, total, lambda r, c: [(0,)])
+    blocks = [[] for _ in range(4)]
+    for c in range(total):
+        rng.choice(blocks).append(c)
+    rows, late, with_constant = [], [], set()
+    for columns in blocks:
+        if not columns:
+            continue
+        constants = rng.random() < 0.5
+        for _ in range(rng.randrange(len(columns) + 3)):
+            picked = rng.sample(columns, rng.randrange(1, min(3, len(columns)) + 1))
+            row = {c: _nonzero_scalar(rng, field) for c in sorted(picked)}
+            const = _nonzero_scalar(rng, field) if constants and rng.random() < 0.6 else field.zero()
+            rows.append((row, const))
+            if not field.is_zero(const):
+                with_constant.update(columns)
+        if constants and trial % 3 == 1:
+            # the same left-hand side equal to two different constants
+            row = {c: _nonzero_scalar(rng, field) for c in columns[:2]}
+            const = _nonzero_scalar(rng, field)
+            late += [(row, const), (row, field.add(const, field.one()))]
+            with_constant.update(columns)
+    if trial % 5 == 2:
+        rows.append(({}, _nonzero_scalar(rng, field)))
+    if trial % 4 == 3:
+        rows.append(({}, field.zero()))
+    rng.shuffle(rows)
+    system.rows = rows + late
+    return system, with_constant
+
+
+def _solve_all_rows(system):
+    """The assignment that `linalg.sparse_solve` gives on every row."""
+    field, total = system.field, system.total
+    solution = linalg.sparse_solve(
+        field, [row if field.is_zero(c) else {**row, total: c} for row, c in system.rows], total
+    )
+    if solution is None:
+        return None
+    return system._extract({p: x[total] for p, x in solution.items()})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(101)], ids=["Q", "F2", "F101"])
+def test_solve_matches_sparse_solve_on_all_rows(field):
+    # Eliminating only the blocks that hold a constant gives the answer,
+    # None included, of eliminating every row.
+    rng = random.Random(16)
+    answers = Counter()
+    for trial in range(300):
+        system, _ = _random_block_system(rng, field, trial)
+        got, want = system.solve(), _solve_all_rows(system)
+        assert got == want
+        if want is not None:
+            assert _typed_entries(got) == _typed_entries(want)
+        answers["none" if want is None else "total 0" if not system.total else "found"] += 1
+    assert answers["none"] > 30 and answers["found"] > 30 and answers["total 0"] > 10
+
+
+def test_solve_passes_on_no_constant_free_component(monkeypatch):
+    # Every row that reaches `sparse_solve` lies in a block with a constant,
+    # and the constant-free blocks, which solve to 0, never reach it.
+    received = []
+    original = linalg.sparse_solve
+
+    def recorded(field, rows, ncols):
+        return original(field, (received.append(row) or row for row in rows), ncols)
+
+    monkeypatch.setattr(linalg, "sparse_solve", recorded)
+    rng = random.Random(17)
+    dropped = 0
+    for trial in range(200):
+        system, with_constant = _random_block_system(rng, QQ, trial)
+        received.clear()
+        system.solve()
+        assert all(c in with_constant for row in received for c in row if c != system.total)
+        dropped += sum(bool(row) for row, _ in system.rows) - sum(bool(row) for row in received)
+    assert dropped > 200
+
+
+def test_unknown_degree_is_the_top_total_degree(monkeypatch):
+    # On every unknown of one round of the `certify` and `graded` benchmark
+    # workloads: the degree sets the packing base of `add_matrix_equation`.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    unknowns = []
+    original = ho.LinearSystem.unknown
+    monkeypatch.setattr(
+        ho.LinearSystem, "unknown", lambda self, *args: unknowns.append(original(self, *args)) or unknowns[-1]
+    )
+    for build in (workloads.build_certify, workloads.build_graded):
+        for query in build(mfcat, 1):
+            query.run()
+    shared = 0
+    for unk in unknowns:
+        supports = [s for row in unk.supports for s in row]
+        assert all(type(s) is tuple for s in supports)
+        assert unk.degree == max((sum(e) for s in supports for e in s), default=0)
+        shared += len({id(s) for s in supports}) < len(supports)
+    assert len(unknowns) > 300 and shared > len(unknowns) // 2
 
 
 # -- the batched graded scan against the per-degree reference --------------
