@@ -62,9 +62,9 @@ def mf_new(ctx: RingContext, w_total: Poly, p1: PolyMatrix, p0: PolyMatrix) -> M
     `w_total` is the unshifted superpotential; the stored fiber polynomial
     is W - w0 and must be nonzero.
     """
-    if w_total.ctx != ctx:
+    if w_total.ctx is not ctx and w_total.ctx != ctx:
         raise MfcatError("context-mismatch", "W from a different context")
-    if p1.ctx != ctx or p0.ctx != ctx:
+    if (p1.ctx is not ctx and p1.ctx != ctx) or (p0.ctx is not ctx and p0.ctx != ctx):
         raise MfcatError("context-mismatch", "matrices from a different context")
     w = w_total - ctx.constant(ctx.w0)
     if w.is_zero():
@@ -141,7 +141,7 @@ def mf_direct_sum(x: MatrixFactorization, y: MatrixFactorization) -> MatrixFacto
 
 
 def _check_same_fiber(x: MatrixFactorization, y: MatrixFactorization):
-    if x.ctx != y.ctx:
+    if x.ctx is not y.ctx and x.ctx != y.ctx:
         raise MfcatError("context-mismatch", "factorizations over different contexts")
     if x.w != y.w:
         raise MfcatError("superpotential-mismatch", "factorizations of different fibers")

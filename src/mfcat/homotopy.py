@@ -358,7 +358,7 @@ class LinearSystem:
     def _extract(self, values: Dict[int, object]) -> Dict[str, PolyMatrix]:
         """The unknown matrices of the assignment {index: nonzero value},
         every other coefficient zero.  Supports hold distinct, valid
-        exponents, so each entry is built without re-checking its terms."""
+        exponents, so each entry and matrix is built without re-checking."""
         ctx = self.ctx
         bases = [unk.base for unk in self.unknowns]
         cells = [[{} for _ in range(unk.rows * unk.cols)] for unk in self.unknowns]
@@ -372,9 +372,9 @@ class LinearSystem:
             cells[u][cell][exp] = values[i]
         out = {}
         for unk, terms in zip(self.unknowns, cells):
-            polys = [Poly._clean(ctx, t) for t in terms]
-            rows = [polys[r * unk.cols:(r + 1) * unk.cols] for r in range(unk.rows)]
-            out[unk.name] = PolyMatrix(ctx, rows, cols=unk.cols)
+            polys = tuple(Poly._clean(ctx, t) for t in terms)
+            rows = tuple(polys[r * unk.cols:(r + 1) * unk.cols] for r in range(unk.rows))
+            out[unk.name] = PolyMatrix._trusted(ctx, unk.rows, unk.cols, rows)
         return out
 
     def coefficient_rank(self, labels: Optional[Sequence] = None):

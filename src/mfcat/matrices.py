@@ -4,6 +4,11 @@ PolyMatrix carries its context explicitly so that the 0x0 and 0xN shapes
 that arise from rank-zero factorizations stay well defined.  All
 operations are exact; shape and context violations raise with the
 corresponding identifier (shape-mismatch, context-mismatch).
+
+The public constructor checks every shape and entry.  The results of
+``@``, ``+``, ``-``, ``zero``, ``identity`` and ``block`` on checked
+operands are built once, by ``_trusted``, and not checked again; ``@``
+sums each entry's terms into one dict, with no ``Poly`` per term.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import MfcatError
-from .poly import Poly, RingContext
+from .poly import Poly, RingContext, _add_products
 
 
 class PolyMatrix:
@@ -46,20 +51,32 @@ class PolyMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", tuple(checked))
 
+    @classmethod
+    def _trusted(cls, ctx: RingContext, rows: int, cols: int, entries) -> "PolyMatrix":
+        """A matrix from a tuple of `rows` tuples of `cols` Polys of ctx,
+        already known to be valid."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "ctx", ctx)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
 
     @staticmethod
     def zero(ctx: RingContext, rows: int, cols: int) -> "PolyMatrix":
-        z = ctx.zero()
-        return PolyMatrix(ctx, [[z] * cols for _ in range(rows)], cols=cols)
+        if rows > 0 > cols:
+            raise MfcatError("shape-mismatch", f"declared {cols} columns, rows have 0")
+        row = (ctx.zero(),) * cols
+        return PolyMatrix._trusted(ctx, max(rows, 0), cols, (row,) * rows)
 
     @staticmethod
     def identity(ctx: RingContext, n: int) -> "PolyMatrix":
         one, zero = ctx.one(), ctx.zero()
-        return PolyMatrix(
-            ctx, [[one if i == j else zero for j in range(n)] for i in range(n)], cols=n
-        )
+        entries = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return PolyMatrix._trusted(ctx, max(n, 0), n, entries)
 
     @staticmethod
     def scalar(ctx: RingContext, value, n: int) -> "PolyMatrix":
@@ -77,10 +94,10 @@ class PolyMatrix:
         ctx = grid[0][0].ctx
         for row in grid:
             for blockm in row:
-                if blockm.ctx != ctx:
+                if blockm.ctx is not ctx and blockm.ctx != ctx:
                     raise MfcatError("context-mismatch", "blocks from different contexts")
         widths = [b.cols for b in grid[0]]
-        entries: List[List[Poly]] = []
+        entries: List[Tuple[Poly, ...]] = []
         for row in grid:
             if [b.cols for b in row] != widths:
                 raise MfcatError("shape-mismatch", "inconsistent block column widths")
@@ -89,16 +106,13 @@ class PolyMatrix:
                 raise MfcatError("shape-mismatch", "inconsistent block row heights")
             h = height.pop()
             for i in range(h):
-                flat: List[Poly] = []
-                for b in row:
-                    flat.extend(b.entries[i])
-                entries.append(flat)
-        return PolyMatrix(ctx, entries, cols=sum(widths))
+                entries.append(tuple(p for b in row for p in b.entries[i]))
+        return PolyMatrix._trusted(ctx, len(entries), sum(widths), tuple(entries))
 
     # -- arithmetic ----------------------------------------------------
 
     def _check_same_shape(self, other: "PolyMatrix"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise MfcatError("context-mismatch", "matrices from different contexts")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise MfcatError(
@@ -107,53 +121,43 @@ class PolyMatrix:
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_same_shape(other)
-        return PolyMatrix(
-            self.ctx,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
+        entries = tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)
         )
+        return PolyMatrix._trusted(self.ctx, self.rows, self.cols, entries)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._check_same_shape(other)
-        return PolyMatrix(
-            self.ctx,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            cols=self.cols,
+        entries = tuple(
+            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.entries, other.entries)
         )
+        return PolyMatrix._trusted(self.ctx, self.rows, self.cols, entries)
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.ctx, [[-a for a in row] for row in self.entries], cols=self.cols
-        )
+        entries = tuple(tuple(-a for a in row) for row in self.entries)
+        return PolyMatrix._trusted(self.ctx, self.rows, self.cols, entries)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.ctx != other.ctx:
+        ctx = self.ctx
+        if other.ctx is not ctx and other.ctx != ctx:
             raise MfcatError("context-mismatch", "matrices from different contexts")
         if self.cols != other.rows:
             raise MfcatError("shape-mismatch", f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.ctx.zero()
-        out: List[List[Poly]] = []
-        for i in range(self.rows):
-            row = []
+        fld, clean = ctx.field, Poly._clean
+        right = [[b.terms for b in row] for row in other.entries]
+        out = []
+        for row in self.entries:
+            # (terms of a_ik, terms of row k of other) for the nonzero a_ik
+            pairs = [(a.terms, right[k]) for k, a in enumerate(row) if a.terms]
+            out_row = []
             for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(self.ctx, out, cols=other.cols)
+                acc = {}
+                for left, rk in pairs:
+                    if rk[j]:
+                        _add_products(fld, acc, left, rk[j])
+                out_row.append(clean(ctx, acc))
+            out.append(tuple(out_row))
+        return PolyMatrix._trusted(ctx, self.rows, other.cols, tuple(out))
 
     def scale(self, factor) -> "PolyMatrix":
         p = factor if isinstance(factor, Poly) else self.ctx.constant(factor)

@@ -17,7 +17,10 @@ Inputs are validated once, by ``Poly(ctx, terms)``, which also coerces
 each coefficient into the field.  The results of ``+``, ``-`` and ``*``
 are clean by construction (checked operands; a coefficient that cancels is
 dropped), so they skip the per-term checks, except that a product still
-checks its exponents against the machine-width bound.
+checks its exponents against the machine-width bound.  A sum with a zero
+operand is the other operand, and a product with one is zero.
+``PolyMatrix`` products share the term loop, ``_add_products``, summing
+each entry over k into one dict.
 """
 
 from __future__ import annotations
@@ -125,6 +128,24 @@ def _check_exponents(exp: Exponent) -> None:
             raise MfcatError("malformed-exponent", f"{e} exceeds the machine-width bound")
 
 
+def _add_products(fld: Field, acc: Dict[Exponent, Scalar], left, right) -> None:
+    """Add the product of the term dicts left and right into acc, checking
+    each exponent's bound and dropping a coefficient that cancels."""
+    mul, fadd, is_zero = fld.mul, fld.add, fld.is_zero
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(map(add, e1, e2))
+            if max(e, default=0) > EXPONENT_LIMIT:
+                _check_exponents(e)
+            c = mul(c1, c2)
+            if e in acc:
+                c = fadd(acc[e], c)
+                if is_zero(c):
+                    del acc[e]
+                    continue
+            acc[e] = c
+
+
 def grlex_key(exp: Exponent):
     return (sum(exp), exp)
 
@@ -204,6 +225,10 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._coerce_other(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         fld = self.ctx.field
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -228,19 +253,10 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         other = self._coerce_other(other)
-        fld = self.ctx.field
+        if not self.terms or not other.terms:
+            return Poly._clean(self.ctx, {})
         out: Dict[Exponent, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                if max(e, default=0) > EXPONENT_LIMIT:
-                    _check_exponents(e)
-                c = fld.mul(c1, c2)
-                acc = fld.add(out[e], c) if e in out else c
-                if fld.is_zero(acc):
-                    del out[e]
-                else:
-                    out[e] = acc
+        _add_products(self.ctx.field, out, self.terms, other.terms)
         return Poly._clean(self.ctx, out)
 
     __rmul__ = __mul__
@@ -312,9 +328,12 @@ class Poly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
             return (self.ctx is other.ctx or self.ctx == other.ctx) and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        try:
             return self == self.ctx.constant(other)
-        return NotImplemented
+        except MfcatError:  # no image in the field, such as 1/3 over F_3
+            return False
 
     def __hash__(self):
         return hash((self.ctx, tuple(self.sorted_terms())))

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -215,10 +216,10 @@ def test_cli_shift_and_knorrer_emit_valid_files(tmp_path, capsys):
     shifted = str(tmp_path / "x-shift.json")
     assert cli.run(["validate", shifted]) == 0
     assert capsys.readouterr().out == "valid factorization: rank 1, W = z^5\n"
-    first = open(shifted, "rb").read()
+    first = Path(shifted).read_bytes()
     assert cli.run(["shift", xp, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert open(shifted, "rb").read() == first
+    assert Path(shifted).read_bytes() == first
     assert cli.run(["knorrer", xp, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert cli.run(["validate", str(tmp_path / "x-knorrer.json")]) == 0

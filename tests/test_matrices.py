@@ -1,6 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from mfcat import QQ, PolyMatrix, RingContext, parse_poly
+from mfcat import QQ, Poly, PolyMatrix, PrimeField, RingContext, parse_poly
+from mfcat.poly import EXPONENT_LIMIT
 
 
 CTX = RingContext(QQ, ("z",))
@@ -18,6 +22,8 @@ def test_construction_and_shape():
     assert empty.rows == 0 and empty.cols == 3
     with pytest.raises(ValueError, match="shape-mismatch"):
         m([["z", "1"], ["0"]])
+    with pytest.raises(ValueError, match="shape-mismatch"):
+        PolyMatrix.zero(CTX, 2, -1)
 
 
 def test_identity_scalar_zero():
@@ -87,3 +93,127 @@ def test_entry_context_compared_by_value():
         PolyMatrix(CTX, [[parse_poly(other, "z")]])
     with pytest.raises(ValueError, match="context-mismatch"):
         parse_poly(other, "z") * parse_poly(CTX, "z")
+
+
+# -- the product kernel and trusted results against a naive reference ----
+
+KERNEL_CONTEXTS = [
+    RingContext(field, names)
+    for field in (QQ, PrimeField(2), PrimeField(101))
+    for names in (("z",), ("z", "x"))
+]
+
+
+def random_poly(rng, ctx):
+    """Few terms, small exponents and coefficients, so sums cancel often."""
+    terms = {}
+    for _ in range(rng.choice((0, 0, 1, 2, 3))):
+        exp = tuple(rng.randrange(3) for _ in range(ctx.nvars))
+        den = rng.choice((1, 1, 2)) if ctx.field is QQ else 1
+        terms[exp] = Fraction(rng.choice((-2, -1, 1, 2)), den)
+    return Poly(ctx, terms)
+
+
+def random_matrix(rng, ctx, rows, cols):
+    return PolyMatrix(ctx, [[random_poly(rng, ctx) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def reference(ctx, rows, cols, entry):
+    """The validated matrix of entry(i, j), built with Poly arithmetic."""
+    return PolyMatrix(ctx, [[entry(i, j) for j in range(cols)] for i in range(rows)], cols=cols)
+
+
+def naive_mul(p, q):
+    """p * q as a Poly sum of validated monomials, apart from the term loop
+    that Poly.__mul__ and PolyMatrix.__matmul__ share."""
+    ctx, acc = p.ctx, p.ctx.zero()
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            acc = acc + Poly(ctx, {exp: ctx.field.mul(c1, c2)})
+    return acc
+
+
+def reference_product(a, b):
+    def entry(i, j):
+        acc = a.ctx.zero()
+        for k in range(a.cols):
+            acc = acc + naive_mul(a.entries[i][k], b.entries[k][j])
+        return acc
+
+    return reference(a.ctx, a.rows, b.cols, entry)
+
+
+def assert_clean(result, expected):
+    assert result == expected
+    assert type(result.entries) is tuple and len(result.entries) == result.rows
+    for row in result.entries:
+        assert type(row) is tuple and len(row) == result.cols
+        for p in row:
+            assert type(p) is Poly and p.ctx == result.ctx
+            assert not any(result.ctx.field.is_zero(c) for c in p.terms.values())
+    assert result == PolyMatrix(result.ctx, result.entries, cols=result.cols)
+
+
+SHAPES = [(0, 3, 2), (2, 0, 3), (2, 3, 0), (3, 2, 0), (0, 0, 0), (1, 1, 1), (2, 3, 2), (3, 4, 3)]
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"{c.field.name}-{len(c.variables)}")
+def test_kernel_matches_naive_reference(ctx):
+    rng = random.Random(17)
+    for _ in range(12):
+        for n, k, m_ in SHAPES:
+            a, a2 = random_matrix(rng, ctx, n, k), random_matrix(rng, ctx, n, k)
+            b = random_matrix(rng, ctx, k, m_)
+            assert_clean(a @ b, reference_product(a, b))
+            assert_clean(a + a2, reference(ctx, n, k, lambda i, j: a.entries[i][j] + a2.entries[i][j]))
+            assert_clean(a - a2, reference(ctx, n, k, lambda i, j: a.entries[i][j] - a2.entries[i][j]))
+            assert_clean(-a, reference(ctx, n, k, lambda i, j: ctx.zero() - a.entries[i][j]))
+            f = random_poly(rng, ctx)
+            assert_clean(a.scale(f), reference(ctx, n, k, lambda i, j: naive_mul(f, a.entries[i][j])))
+            assert_clean(a.transpose(), reference(ctx, k, n, lambda i, j: a.entries[j][i]))
+            assert_clean(
+                PolyMatrix.block([[a, a2], [-a2, a]]),
+                reference(
+                    ctx, 2 * n, 2 * k,
+                    lambda i, j: [[a, a2], [-a2, a]][i // n][j // k].entries[i % n][j % k],
+                ),
+            )
+            assert_clean(PolyMatrix.zero(ctx, n, k), reference(ctx, n, k, lambda i, j: ctx.zero()))
+            one = ctx.one()
+            assert_clean(
+                PolyMatrix.identity(ctx, k), reference(ctx, k, k, lambda i, j: one if i == j else 0)
+            )
+            assert_clean(
+                PolyMatrix.scalar(ctx, f, k), reference(ctx, k, k, lambda i, j: f if i == j else 0)
+            )
+
+
+@pytest.mark.parametrize("ctx", KERNEL_CONTEXTS, ids=lambda c: f"{c.field.name}-{len(c.variables)}")
+def test_kernel_forced_cancellations(ctx):
+    rng = random.Random(4)
+    for _ in range(20):
+        a = random_matrix(rng, ctx, 2, 3)
+        b = random_matrix(rng, ctx, 3, 2)
+        # [a, a] @ [b; -b] cancels every term, and so does a - a.
+        zero = PolyMatrix.block([[a, a]]) @ PolyMatrix.block([[b], [-b]])
+        assert_clean(zero, PolyMatrix.zero(ctx, 2, 2))
+        assert all(not p.terms for row in zero.entries for p in row)
+        assert_clean(a - a, PolyMatrix.zero(ctx, 2, 3))
+        # Partial cancellation: (a + c) @ b - c @ b leaves a @ b.
+        c = random_matrix(rng, ctx, 2, 3)
+        assert_clean((a + c) @ b - c @ b, reference_product(a, b))
+    # 1 * 1 + 1 * 1 = 2 cancels over F_2.
+    one = ctx.one()
+    ones = PolyMatrix(ctx, [[one, one]]) @ PolyMatrix(ctx, [[one], [one]])
+    assert_clean(ones, PolyMatrix(ctx, [[ctx.constant(2)]]))
+
+
+def test_product_keeps_the_exponent_bound():
+    z = CTX.variable("z")
+    top = CTX.monomial((EXPONENT_LIMIT,))
+    assert (PolyMatrix(CTX, [[top]]) @ PolyMatrix(CTX, [[CTX.one()]])).entries[0][0] == top
+    with pytest.raises(ValueError, match="malformed-exponent"):
+        PolyMatrix(CTX, [[top]]) @ PolyMatrix(CTX, [[z]])
+    with pytest.raises(ValueError, match="malformed-exponent"):
+        PolyMatrix(CTX, [[CTX.one(), top]]) @ PolyMatrix(CTX, [[z], [z]])

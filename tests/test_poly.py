@@ -169,3 +169,16 @@ def test_constructor_coerces_coefficients():
     assert str(p) == "2*z"
     assert Poly(f7, {(1,): 7}).is_zero()
     assert Poly(RingContext(), {(1,): 3}).terms == {(1,): Fraction(3)}
+
+
+def test_eq_with_scalars_never_raises():
+    one = parse_poly(ZX, "1")
+    assert one == 1 and one == Fraction(1) and not one == 2
+    # A bool is no scalar: Poly declines, and Python falls back to identity.
+    assert one.__eq__(True) is NotImplemented
+    assert (one == True) is False and (one != True) is True  # noqa: E712
+    f3 = RingContext(PrimeField(3), ("z",))
+    third = Fraction(1, 3)
+    assert (parse_poly(f3, "1") == third) is False
+    assert (parse_poly(f3, "0") != third) is True
+    assert parse_poly(f3, "2") == Fraction(1, 2)
