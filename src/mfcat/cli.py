@@ -14,7 +14,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import andyn, critical, formats, homotopy
+from . import andyn, critical, formats, homotopy, univariate as uni
 from .errors import MfcatError
 from .factorization import mf_shift, standard_triangle
 from .fields import field_from_token
@@ -133,9 +133,7 @@ def cmd_cok(args) -> int:
     x = formats.load_mf(args.file)
     pres = cok(x)
     print(f"dim {pres.module.dim}")
-    from . import univariate as uni
-
-    for start, d in pres.blocks:
+    for start, _, d in pres.blocks:
         print(f"block at {start}: {uni.to_poly(x.ctx, x.ctx.variables[0], d)}")
     _emit(formats.save_module(_out_path(args, f"{_stem(args.file)}-cok.json"), pres.module))
     return 0

@@ -27,6 +27,8 @@ class PolyMatrix:
         if rows == 0:
             if cols is None:
                 cols = 0
+            elif cols < 0:
+                raise MfcatError("shape-mismatch", f"negative size 0x{cols}")
         else:
             widths = {len(r) for r in entries}
             if len(widths) != 1:
@@ -67,16 +69,18 @@ class PolyMatrix:
 
     @staticmethod
     def zero(ctx: RingContext, rows: int, cols: int) -> "PolyMatrix":
-        if rows > 0 > cols:
-            raise MfcatError("shape-mismatch", f"declared {cols} columns, rows have 0")
+        if rows < 0 or cols < 0:
+            raise MfcatError("shape-mismatch", f"negative size {rows}x{cols}")
         row = (ctx.zero(),) * cols
-        return PolyMatrix._trusted(ctx, max(rows, 0), cols, (row,) * rows)
+        return PolyMatrix._trusted(ctx, rows, cols, (row,) * rows)
 
     @staticmethod
     def identity(ctx: RingContext, n: int) -> "PolyMatrix":
+        if n < 0:
+            raise MfcatError("shape-mismatch", f"negative size {n}x{n}")
         one, zero = ctx.one(), ctx.zero()
         entries = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return PolyMatrix._trusted(ctx, max(n, 0), n, entries)
+        return PolyMatrix._trusted(ctx, n, n, entries)
 
     @staticmethod
     def scalar(ctx: RingContext, value, n: int) -> "PolyMatrix":

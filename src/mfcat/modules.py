@@ -336,8 +336,10 @@ class CokPresentation:
     """Cokernel of p1 in Smith-normal coordinates, with transport maps.
 
     The module is the direct sum of k[z]/(d_i) over the nonunit diagonal
-    entries; `class_of` sends a polynomial column vector to its class and
-    `induced_map` pushes a factorization morphism to a module morphism.
+    entries; `blocks` lists (start in the module basis, diagonal index i,
+    d_i) for each.  `class_of` sends a polynomial column vector to its
+    class through the rows of U at those indices, and `lift_of_basis`
+    lifts a basis class through the matching column of U^(-1).
     """
 
     def __init__(self, x: MatrixFactorization):
@@ -356,19 +358,19 @@ class CokPresentation:
         ]
         self.snf = smith_normal_form(field, grid)
         wc = uni.from_poly(x.w, var)
-        self.blocks: List[Tuple[int, List]] = []  # (start index in the module basis, d_i)
+        self.blocks: List[Tuple[int, int, List]] = []
         offset = 0
-        for d in self.snf.diagonal:
+        for i, d in enumerate(self.snf.diagonal):
             if uni.is_zero(d):
                 raise MfcatError("not-a-factorization", "p1 is singular")
             if not uni.divides(field, d, wc):
                 raise MfcatError("superpotential-mismatch", "invariant factor outside the fiber")
             if uni.deg(d) >= 1:
-                self.blocks.append((offset, d))
+                self.blocks.append((offset, i, d))
                 offset += uni.deg(d)
         self.dim = offset
         z = linalg.mat_zero(field, offset, offset)
-        for start, d in self.blocks:
+        for start, _, d in self.blocks:
             k = uni.deg(d)
             for i in range(k - 1):
                 z[start + i + 1][start + i] = field.one()
@@ -379,40 +381,31 @@ class CokPresentation:
 
     def class_of(self, column: Sequence[Poly]):
         """Class in the module of a column vector over k[z]."""
+        if len(column) != self.source.rank:
+            raise MfcatError(
+                "shape-mismatch", f"need a column of {self.source.rank} entries, got {len(column)}"
+            )
         field = self.field
         dense = [uni.from_poly(p, self.var) for p in column]
-        pushed = []
-        for row in self.snf.u:
-            acc = []
-            for c, e in zip(row, dense):
-                acc = uni.add(field, acc, uni.mul(field, c, e))
-            pushed.append(acc)
         out = [field.zero()] * self.dim
-        nonunit_index = 0
-        for i, d in enumerate(self.snf.diagonal):
-            rem = uni.mod(field, pushed[i], d)
-            if uni.deg(d) >= 1:
-                start, _ = self.blocks[nonunit_index]
-                for k, c in enumerate(rem):
-                    out[start + k] = c
-                nonunit_index += 1
+        for start, i, d in self.blocks:
+            pushed = []
+            for c, e in zip(self.snf.u[i], dense):
+                pushed = uni.add(field, pushed, uni.mul(field, c, e))
+            for k, c in enumerate(uni.mod(field, pushed, d)):
+                out[start + k] = c
         return out
 
     def lift_of_basis(self, index: int) -> List[Poly]:
         """A polynomial column vector representing the given basis class."""
         field = self.field
-        nonunit_positions = [
-            i for i, dd in enumerate(self.snf.diagonal) if (uni.deg(dd) or 0) >= 1
-        ]
-        for block_row, (start, d) in enumerate(self.blocks):
+        for start, i, d in self.blocks:
             if start <= index < start + uni.deg(d):
-                power = index - start
-                diag_index = nonunit_positions[block_row]
-                column = []
-                for r in range(self.snf.rows):
-                    c = self.snf.u_inv[r][diag_index]
-                    column.append(uni.mul(field, c, [field.zero()] * power + [field.one()]))
-                return [uni.to_poly(self.ctx, self.var, c) for c in column]
+                power = [field.zero()] * (index - start) + [field.one()]
+                return [
+                    uni.to_poly(self.ctx, self.var, uni.mul(field, row[i], power))
+                    for row in self.snf.u_inv
+                ]
         raise MfcatError("index-out-of-range", f"{index} not below {self.dim}")
 
 
@@ -421,15 +414,17 @@ def cok(x: MatrixFactorization) -> CokPresentation:
 
 
 def cok_induced_map(src: CokPresentation, dst: CokPresentation, f) -> List[List]:
-    """Matrix of the induced module morphism cok(X) -> cok(Y) of f = (f1, f0)."""
+    """Matrix of the induced module morphism cok(X) -> cok(Y) of f = (f1, f0),
+    for f : X -> Y with src = cok(X) and dst = cok(Y)."""
     if src.ctx != dst.ctx:
         raise MfcatError("context-mismatch", "presentations over different contexts")
-    columns = []
-    for b in range(src.dim):
-        lift = src.lift_of_basis(b)
-        col = PolyMatrix(src.ctx, [[p] for p in lift], cols=1)
-        image = f.f0 @ col
-        columns.append(dst.class_of([image.entries[i][0] for i in range(image.rows)]))
+    for end, pres in ((f.source, src), (f.target, dst)):
+        if end is not pres.source and end != pres.source:
+            raise MfcatError("not-composable", "f does not run between the presented factorizations")
+    lifts = [src.lift_of_basis(b) for b in range(src.dim)]
+    rows = [[lift[r] for lift in lifts] for r in range(src.source.rank)]
+    image = f.f0 @ PolyMatrix(src.ctx, rows, cols=src.dim)
+    columns = [dst.class_of([row[j] for row in image.entries]) for j in range(src.dim)]
     return [[columns[j][i] for j in range(src.dim)] for i in range(dst.dim)]
 
 

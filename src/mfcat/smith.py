@@ -3,8 +3,13 @@
 Input matrices are grids of dense coefficient lists (see univariate.py).
 Pivoting picks the nonzero entry of minimal degree, ties broken row-major,
 and clears by Euclidean division; the diagonal is made monic and the
-divisibility chain d_i | d_{i+1} is enforced.  Both transforms and their
-inverses are tracked so cokernel bases can be moved back and forth.
+divisibility chain d_i | d_{i+1} is enforced.
+
+For unimodular U and V with U * M * V = D, only the row transform U and
+its inverse are tracked.  The image of M * V is the image of M, so U alone
+maps coker M onto coker D, the direct sum of the k[z]/(d_i): U pushes
+classes into the Smith coordinates and U^(-1) lifts them back.  The column
+transform V is applied to M but never kept.
 """
 
 from __future__ import annotations
@@ -17,69 +22,14 @@ def _poly_mat_identity(field: Field, n: int):
     return [[[field.one()] if i == j else [] for j in range(n)] for i in range(n)]
 
 
-def _poly_mat_mul(field: Field, a, b):
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[[] for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            if uni.is_zero(a[i][k]):
-                continue
-            for j in range(cols):
-                if not uni.is_zero(b[k][j]):
-                    out[i][j] = uni.add(field, out[i][j], uni.mul(field, a[i][k], b[k][j]))
-    return out
-
-
-def _poly_mat_eq(field: Field, a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if uni.sub(field, x, y):
-                return False
-    return True
-
-
 class SmithDecomposition:
-    """U * M * V = D with U, V unimodular and D = diag(d_1 | d_2 | ...)."""
+    """U * M * V = D for some unimodular V, with U unimodular and D =
+    diag(d_1 | d_2 | ...); V itself is not kept."""
 
-    def __init__(self, field, u, u_inv, v, v_inv, diagonal, rows, cols):
-        self.field = field
+    def __init__(self, u, u_inv, diagonal):
         self.u = u
         self.u_inv = u_inv
-        self.v = v
-        self.v_inv = v_inv
         self.diagonal = diagonal  # dense lists, length min(rows, cols)
-        self.rows = rows
-        self.cols = cols
-
-    def diagonal_matrix(self):
-        d = [[[] for _ in range(self.cols)] for _ in range(self.rows)]
-        for i, di in enumerate(self.diagonal):
-            d[i][i] = list(di)
-        return d
-
-    def check(self, m) -> bool:
-        field = self.field
-        lhs = _poly_mat_mul(field, _poly_mat_mul(field, self.u, m), self.v)
-        if not _poly_mat_eq(field, lhs, self.diagonal_matrix()):
-            return False
-        ident_r = _poly_mat_identity(field, self.rows)
-        ident_c = _poly_mat_identity(field, self.cols)
-        if not _poly_mat_eq(field, _poly_mat_mul(field, self.u, self.u_inv), ident_r):
-            return False
-        if not _poly_mat_eq(field, _poly_mat_mul(field, self.v_inv, self.v), ident_c):
-            return False
-        for a, b in zip(self.diagonal, self.diagonal[1:]):
-            if uni.is_zero(a):
-                if not uni.is_zero(b):
-                    return False
-            elif not uni.divides(field, a, b):
-                return False
-        return True
 
 
 def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
@@ -88,8 +38,6 @@ def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
     cols = len(m[0]) if rows else 0
     u = _poly_mat_identity(field, rows)
     u_inv = _poly_mat_identity(field, rows)
-    v = _poly_mat_identity(field, cols)
-    v_inv = _poly_mat_identity(field, cols)
 
     def swap_rows(i, j):
         if i == j:
@@ -105,9 +53,6 @@ def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
             return
         for r in range(rows):
             m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row_multiple(dst, src, q):
         # row dst += q * row src
@@ -127,11 +72,6 @@ def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
             return
         for r in range(rows):
             m[r][dst] = uni.add(field, m[r][dst], uni.mul(field, q, m[r][src]))
-        for r in range(cols):
-            v[r][dst] = uni.add(field, v[r][dst], uni.mul(field, q, v[r][src]))
-        nq = uni.neg(field, q)
-        for c in range(cols):
-            v_inv[src][c] = uni.add(field, v_inv[src][c], uni.mul(field, nq, v_inv[dst][c]))
 
     def scale_row(i, c):
         inv = field.inv(c)
@@ -203,4 +143,4 @@ def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
                 scale_row(i, field.inv(lead))
 
     diagonal = [m[i][i] for i in range(min(rows, cols))]
-    return SmithDecomposition(field, u, u_inv, v, v_inv, diagonal, rows, cols)
+    return SmithDecomposition(u, u_inv, diagonal)

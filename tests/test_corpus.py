@@ -1,0 +1,158 @@
+"""A committed corpus of module-side records, pinned by one SHA-256.
+
+Each record is canonical JSON (sorted keys, no spaces), one per case, and
+the family's digest is the SHA-256 of its records joined by newlines.  A
+change that alters any byte of a record fails `test_modules_family`; a
+change that alters bytes on purpose re-records the digest and says which
+records changed and why.
+
+The module family covers:
+- seeded random-basis modules M over k[z]/(z^n), n <= 6 and dim M <= 8,
+  over Q and F_101: the blocks and z-action of cok(stabilize(M)), the map
+  that cok induces from the identity of stabilize(M), and the quotient
+  basis of the stable Hom space between cok(stabilize(M)) and M;
+- `cok_induced_map` on every catalogue basis morphism V_mu -> V_nu for
+  n <= 5, on its shift, and on seeded direct sums of two basis morphisms.
+
+Run `python tests/test_corpus.py` to print the records, one per line, and
+diff them against another checkout's.
+"""
+
+import hashlib
+import json
+import random
+import sys
+
+from mfcat import QQ, PrimeField, cok, cok_induced_map, identity_morphism, stabilize, stable_hom
+from mfcat.andyn import an_basis_morphism, an_context, an_hom_basis, realize_an_morphism
+from mfcat.factorization import direct_sum_morphism, shift_morphism
+from mfcat.formats import field_to_json
+from mfcat.modules import cyclic_module, direct_sum_modules, module_new
+
+
+MODULES_SHA256 = "e9817a525578aa3d67def27c63e7a96638c15ca47fb2d1ef6409f0fcefce4cda"
+
+FIELDS = (QQ, PrimeField(101))
+RANDOM_MODULES = 16  # per field
+CATALOGUE_N = range(2, 6)
+DIRECT_SUMS = 12  # per field
+
+
+def _scalars(field, rows):
+    return [[field.format(c) for c in row] for row in rows]
+
+
+def _presentation(pres):
+    field = pres.field
+    return {
+        "blocks": [[start, [field.format(c) for c in d]] for start, _, d in pres.blocks],
+        "Z": _scalars(field, pres.module.z_action),
+    }
+
+
+def _unimodular(rng, d):
+    """A random integer matrix of determinant 1 and its inverse."""
+    p = [[int(i == j) for j in range(d)] for i in range(d)]
+    p_inv = [row[:] for row in p]
+    for _ in range(d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1))
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+        for row in p_inv:
+            row[j] -= c * row[i]
+    return p, p_inv
+
+
+def _mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _random_module(rng, field):
+    """k[z]/z^p1 + ... + k[z]/z^pr over k[z]/z^n in a random basis."""
+    n = rng.randint(2, 6)
+    total, parts = rng.randint(1, 8), []
+    while total:
+        parts.append(rng.randint(1, min(n, total)))
+        total -= parts[-1]
+    m = cyclic_module(field, n, parts[0])
+    for part in parts[1:]:
+        m = direct_sum_modules(m, cyclic_module(field, n, part))
+    if m.dim > 1:
+        p, p_inv = _unimodular(rng, m.dim)
+        z = [[int(field.format(c)) for c in row] for row in m.z_action]
+        m = module_new(m.w, _mat_mul(_mat_mul(p, z), p_inv))
+    return n, parts, m
+
+
+def _module_records(field, rng):
+    for _ in range(RANDOM_MODULES):
+        n, parts, m = _random_module(rng, field)
+        x = stabilize(m)
+        pres = cok(x)
+        sh = stable_hom(pres.module, m)
+        yield {
+            "case": "random-module",
+            "field": field_to_json(field),
+            "n": n,
+            "parts": parts,
+            "Z_M": _scalars(field, m.z_action),
+            "cok": _presentation(pres),
+            "identity": _scalars(field, cok_induced_map(pres, pres, identity_morphism(x))),
+            "stable_hom": [_scalars(field, q) for q in sh.quotient_basis],
+        }
+
+
+def _induced(f):
+    src, dst = cok(f.source), cok(f.target)
+    return {
+        "source": _presentation(src),
+        "target": _presentation(dst),
+        "map": _scalars(src.field, cok_induced_map(src, dst, f)),
+    }
+
+
+def _catalogue_records(field, rng):
+    ctx = an_context(field)
+    basis = []
+    for n in CATALOGUE_N:
+        for mu in range(1, n):
+            for nu in range(1, n):
+                for lam in an_hom_basis(n, mu, nu):
+                    f = realize_an_morphism(an_basis_morphism(field, n, mu, nu, lam), ctx)
+                    basis.append((n, mu, nu, lam, f))
+                    params = {"field": field_to_json(field), "n": n, "mu": mu, "nu": nu, "lam": lam}
+                    yield {"case": "basis", **params, **_induced(f)}
+                    yield {"case": "basis-shift", **params, **_induced(shift_morphism(f))}
+    for _ in range(DIRECT_SUMS):
+        n = rng.choice(CATALOGUE_N[1:])
+        (_, *a, f), (_, *b, g) = rng.sample([t for t in basis if t[0] == n], 2)
+        yield {
+            "case": "direct-sum",
+            "field": field_to_json(field),
+            "n": n,
+            "summands": [a, b],
+            **_induced(direct_sum_morphism(f, g)),
+        }
+
+
+def module_records():
+    rng = random.Random(18)
+    out = []
+    for field in FIELDS:
+        out.extend(_module_records(field, rng))
+        out.extend(_catalogue_records(field, rng))
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
+
+
+def _digest(records):
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+def test_modules_family():
+    assert _digest(module_records()) == MODULES_SHA256, "module family records changed"
+
+
+if __name__ == "__main__":
+    records = module_records()
+    sys.stdout.write("\n".join(records) + "\n")
+    print(f"modules: {len(records)} records, sha256 {_digest(records)}", file=sys.stderr)

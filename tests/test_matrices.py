@@ -26,6 +26,22 @@ def test_construction_and_shape():
         PolyMatrix.zero(CTX, 2, -1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PolyMatrix.zero(CTX, 0, -1),
+        lambda: PolyMatrix(CTX, [], cols=-1),
+        lambda: PolyMatrix.identity(CTX, -1),
+        lambda: PolyMatrix.scalar(CTX, 1, -1),
+        lambda: PolyMatrix.zero(CTX, -2, 3),
+    ],
+    ids=["zero-0x-1", "constructor-0x-1", "identity", "scalar", "zero-rows"],
+)
+def test_negative_sizes_rejected(build):
+    with pytest.raises(ValueError, match="shape-mismatch: negative size"):
+        build()
+
+
 def test_identity_scalar_zero():
     assert PolyMatrix.identity(CTX, 2) == m([["1", "0"], ["0", "1"]])
     z = parse_poly(CTX, "z")

@@ -14,6 +14,7 @@ from mfcat import (
     decompose,
     direct_sum_modules,
     hom_space,
+    identity_morphism,
     knorrer,
     module_new,
     morphism_from_polys,
@@ -336,3 +337,23 @@ def test_closed_form_matches_free_cover(field):
         sh = stable_hom(a, b)
         want = _free_cover_quotient_basis(a, b)
         assert (sh.dim, sh.quotient_basis) == (len(want), want)
+
+
+def test_class_of_rejects_a_column_of_the_wrong_length():
+    ctx = andyn.an_context()
+    pres = cok(andyn.realize_an_sum(ctx, 4, [1, 2]))
+    assert len(pres.class_of([ctx.one(), ctx.zero()])) == pres.dim
+    for length in (1, 3):
+        with pytest.raises(ValueError, match="shape-mismatch"):
+            pres.class_of([ctx.one()] * length)
+
+
+def test_cok_induced_map_rejects_a_morphism_between_other_factorizations():
+    ctx = andyn.an_context()
+    x = andyn.realize_an_sum(ctx, 4, [1, 2])
+    y = andyn.realize_an_sum(ctx, 4, [3, 1])
+    px, py = cok(x), cok(y)
+    assert cok_induced_map(px, px, identity_morphism(x)) == linalg.mat_identity(QQ, px.dim)
+    for src, dst in ((py, py), (px, py), (py, px)):
+        with pytest.raises(ValueError, match="not-composable"):
+            cok_induced_map(src, dst, identity_morphism(x))
