@@ -35,9 +35,11 @@ which keeps witnesses and quotient bases reproducible.
 
 `LinearSystem` in `homotopy` and the module side in `modules` feed their
 sparse rows to these entries directly; `pivot_columns` gives the pivot
-columns from forward elimination alone.  The dense helpers left, on lists
-of row lists, are `mat_zero`, `mat_identity` and `mat_mul`, and `rref`,
-which converts rows to dicts and back for callers outside the package.
+columns from forward elimination alone.  `sparse_mul` is the one product
+of scalar matrices, on sparse rows; it drops sums that cancel.  `mat_mul`
+and `rref` convert lists of row lists to sparse rows and back and are kept
+for callers outside the package; `andyn.an_verify` also multiplies its
+dense module maps with `mat_mul`.
 """
 
 from __future__ import annotations
@@ -50,33 +52,25 @@ from .errors import MfcatError
 from .fields import Field, PrimeField
 
 
-def mat_zero(field: Field, rows: int, cols: int):
-    z = field.zero()
-    return [[z for _ in range(cols)] for _ in range(rows)]
+def sparse_mul(field: Field, a, b):
+    """The product of two matrices given as sparse rows, as sparse rows.
+    Only nonzero entries are multiplied; sums that cancel are dropped."""
+    add, mul = field.add, field.mul
+    out = []
+    for ra in a:
+        acc = {}
+        for k, x in ra.items():
+            for j, y in b[k].items():
+                acc[j] = add(acc[j], mul(x, y)) if j in acc else mul(x, y)
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
-def mat_identity(field: Field, n: int):
-    m = mat_zero(field, n, n)
-    for i in range(n):
-        m[i][i] = field.one()
-    return m
 
 def mat_mul(field: Field, a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != inner:
-        raise MfcatError("shape-mismatch", f"{len(a[0])} vs {inner}")
-    out = mat_zero(field, rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            c = ai[k]
-            if field.is_zero(c):
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if not field.is_zero(bk[j]):
-                    oi[j] = field.add(oi[j], field.mul(c, bk[j]))
-    return out
+    """The product of two dense matrices, by `sparse_mul`."""
+    if a and len(a[0]) != len(b):
+        raise MfcatError("shape-mismatch", f"{len(a[0])} vs {len(b)}")
+    return _dense(field, sparse_mul(field, sparse_rows(a), sparse_rows(b)), len(b[0]) if b else 0)
 
 
 def rank(field: Field, rows) -> int:
@@ -229,6 +223,12 @@ def sparse_rows(matrix):
     return [{j: x for j, x in enumerate(row) if x} for row in matrix]
 
 
+def _dense(field: Field, rows, ncols: int):
+    """Sparse rows as a dense matrix with ncols columns."""
+    zero = field.zero()
+    return [[row.get(j, zero) for j in range(ncols)] for row in rows]
+
+
 def null_basis(field: Field, reduced, ncols: int):
     """Kernel basis of a reduced matrix with ncols columns: one sparse
     vector {column: nonzero value} per non-pivot column f, with 1 at f and
@@ -244,9 +244,6 @@ def null_basis(field: Field, reduced, ncols: int):
 
 def rref(field: Field, matrix):
     """Dense reduced row echelon form; returns (rows, pivot column list)."""
-    ncols = len(matrix[0]) if matrix else 0
     reduced = sparse_rref(field, sparse_rows(matrix))
-    zero = field.zero()
-    rows = [[row.get(j, zero) for j in range(ncols)] for row in reduced.values()]
-    rows += [[zero] * ncols for _ in range(len(matrix) - len(rows))]
-    return rows, list(reduced)
+    rows = list(reduced.values()) + [{}] * (len(matrix) - len(reduced))
+    return _dense(field, rows, len(matrix[0]) if matrix else 0), list(reduced)

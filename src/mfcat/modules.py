@@ -10,10 +10,12 @@ off the divided difference of W with no solve.
 This side of the engine is deliberately elementary (finite exact linear
 algebra only) so it can serve as an independent check of the homotopy
 category computations.  Matrices are dense lists of rows where they enter
-or leave (the action, Hom bases, maps).  Eliminations run on sparse rows
-{column: nonzero scalar} through `linalg`'s sparse kernel, and so do the
-products of the W(Z) = 0 check, of `is_module_morphism` and of
-`decompose`, which skip zero entries.
+or leave (the action, Hom bases, maps).  Inside, every elimination and
+every product runs on sparse rows {column: nonzero scalar}, through
+`linalg`'s sparse kernel and its one product `linalg.sparse_mul`, which
+skips zero entries.  One Horner pass on the action Z gives W(Z), for the
+W(Z) = 0 check, and on the way the divided difference of W at Z, which
+`stabilize` and `StableHom` read.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ class QuotModule:
                 raise MfcatError("wrong-arity", f"Z must be {dim}x{dim}, got a row of {len(row)}")
             rows.append(tuple(row))
         z = tuple(rows)
-        wz = _eval_on_matrix(field, uni.from_poly(w, ctx.variables[0]), linalg.sparse_rows(z))
-        if any(wz):
+        if any(_horner(field, uni.from_poly(w, ctx.variables[0]), linalg.sparse_rows(z))[0]):
             raise MfcatError("superpotential-mismatch", "W(Z) is not zero")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "w", w)
@@ -81,25 +82,16 @@ class QuotModule:
         return f"QuotModule(W={self.w}, dim={self.dim})"
 
 
-def _mul(field: Field, a, b):
-    """The product of two matrices given as sparse rows, as sparse rows.
-    Only nonzero entries are multiplied; sums that cancel are dropped."""
-    add, mul = field.add, field.mul
-    out = []
-    for ra in a:
-        acc = {}
-        for k, x in ra.items():
-            for j, y in b[k].items():
-                acc[j] = add(acc[j], mul(x, y)) if j in acc else mul(x, y)
-        out.append({j: v for j, v in acc.items() if v})
-    return out
-
-
-def _eval_on_matrix(field: Field, coeffs, z):
-    """W(Z) as sparse rows, by Horner's rule on the sparse rows of Z."""
-    acc = [{} for _ in z]
-    for c in reversed(coeffs):
-        acc = _mul(field, acc, z)
+def _horner(field: Field, wc, z):
+    """[W(Z), B_0, ..., B_(n-1)] as sparse rows, for W of degree n with
+    coefficients wc and a square matrix Z given as sparse rows: the partial
+    sums of Horner's rule, from B_(n-1) = c_n I by B_(i-1) = Z B_i + c_i I
+    down to W(Z) = Z B_0 + c_0 I.  The B_i are the divided difference of W
+    at Z: sum_i x^i B_i = (W(x) - W(Z)) / (x - Z), so B_i = sum_(k > i) c_k
+    Z^(k-1-i)."""
+    out = [[{i: wc[-1]} for i in range(len(z))]]
+    for c in reversed(wc[:-1]):
+        acc = linalg.sparse_mul(field, z, out[-1])
         if c:
             for i, row in enumerate(acc):
                 v = field.add(row[i], c) if i in row else c
@@ -107,24 +99,7 @@ def _eval_on_matrix(field: Field, coeffs, z):
                     row[i] = v
                 else:
                     del row[i]
-    return acc
-
-
-def _divided_difference(field: Field, wc, z):
-    """[B_0, ..., B_{n-1}] for W of degree n with coefficients wc and a
-    square matrix Z: sum_i x^i B_i = (W(x) - W(Z)) / (x - Z), so B_i =
-    sum_{k > i} c_k Z^(k-1-i).  By Horner's rule, B_{n-1} = c_n I and
-    B_{i-1} = Z B_i + c_i I; [] when n = 0."""
-    n, d = len(wc) - 1, len(z)
-    if n <= 0:
-        return []
-    zero = field.zero()
-    out = [[[wc[n] if r == c else zero for c in range(d)] for r in range(d)]]
-    for i in range(n - 1, 0, -1):
-        b = linalg.mat_mul(field, z, out[-1])
-        for r in range(d):
-            b[r][r] = field.add(b[r][r], wc[i])
-        out.append(b)
+        out.append(acc)
     return out[::-1]
 
 
@@ -156,15 +131,8 @@ def cyclic_module(field: Field, n: int, mu: int, var: str = "z") -> QuotModule:
 def direct_sum_modules(m: QuotModule, n: QuotModule) -> QuotModule:
     if m.ctx != n.ctx or m.w != n.w:
         raise MfcatError("superpotential-mismatch", "cannot sum modules over different fibers")
-    field = m.field
-    d = m.dim + n.dim
-    z = linalg.mat_zero(field, d, d)
-    for i in range(m.dim):
-        for j in range(m.dim):
-            z[i][j] = m.z_action[i][j]
-    for i in range(n.dim):
-        for j in range(n.dim):
-            z[m.dim + i][m.dim + j] = n.z_action[i][j]
+    zero = m.field.zero()
+    z = [list(r) + [zero] * n.dim for r in m.z_action] + [[zero] * m.dim + list(r) for r in n.z_action]
     return QuotModule(m.ctx, m.w, z)
 
 
@@ -186,17 +154,16 @@ def _hom_vectors(m: QuotModule, n: QuotModule):
     if nm == 0 or nn == 0:
         return []
     # Unknown F is nn x nm; rows of the system: entries of F Zm - Zn F.
-    nunk = nn * nm
+    zero = field.zero()
+    zm_columns = list(zip(*m.z_action))
     rows = []
-    for i in range(nn):
-        for j in range(nm):
-            row = [field.zero()] * nunk
-            for k in range(nm):
-                row[i * nm + k] = field.add(row[i * nm + k], m.z_action[k][j])
-            for k in range(nn):
-                row[k * nm + j] = field.sub(row[k * nm + j], n.z_action[i][k])
-            rows.append(row)
-    rows = linalg.sparse_rows(rows)
+    for i, zn_row in enumerate(n.z_action):
+        for j, zm_column in enumerate(zm_columns):
+            row = {i * nm + k: x for k, x in enumerate(zm_column) if x}
+            for k, x in enumerate(zn_row):
+                if x:
+                    row[k * nm + j] = field.sub(row.get(k * nm + j, zero), x)
+            rows.append({e: v for e, v in row.items() if v})
     return linalg.null_basis(field, linalg.sparse_rref(field, rows), nn * nm)
 
 
@@ -211,11 +178,18 @@ def _join(rows, cols):
 
 
 def is_module_morphism(m: QuotModule, n: QuotModule, f) -> bool:
+    return _morphism_rows(m, n, f) is not None
+
+
+def _morphism_rows(m: QuotModule, n: QuotModule, f):
+    """A map M -> N as sparse rows of field elements, or None when it does
+    not intertwine the actions."""
     if len(f) != n.dim or any(len(row) != m.dim for row in f):
         raise MfcatError("shape-mismatch", f"a map M -> N is {n.dim}x{m.dim}")
-    f = linalg.sparse_rows(f)
+    field = m.field
+    f = linalg.sparse_rows([[field.coerce(x) for x in row] for row in f])
     zm, zn = linalg.sparse_rows(m.z_action), linalg.sparse_rows(n.z_action)
-    return _mul(m.field, f, zm) == _mul(m.field, zn, f)
+    return f if linalg.sparse_mul(field, f, zm) == linalg.sparse_mul(field, zn, f) else None
 
 
 class StableHom:
@@ -227,7 +201,9 @@ class StableHom:
     ring A is symmetric, and Hom(M, A) has the basis R_0, ..., R_{dim M - 1}
     read off the divided difference B_i of W at Z_M, with no solve: row i of
     R_s is row s of B_i (Higman's criterion; the leading coefficient of W
-    only scales them).  For the zero target nothing is divided out.
+    only scales them).  The B_i come from the one Horner pass, and the Z_N
+    powers and the pi_j . R_s are products of sparse rows.  For the zero
+    target nothing is divided out.
 
     The factoring maps and the Hom basis, in that order, are the columns of
     one sparse system over the entries of a map.  Its pivot columns pick a
@@ -245,17 +221,18 @@ class StableHom:
         self.field = field
         hom = _hom_vectors(m, n)
         self.hom_basis = [_unflatten(field, v, n.dim, m.dim) for v in hom]
-        b = _divided_difference(field, uni.from_poly(m.w, m.var), m.z_matrix())
+        b = _horner(field, uni.from_poly(m.w, m.var), linalg.sparse_rows(m.z_action))[1:]
         hom_to_ring = [[bi[s] for bi in b] for s in range(m.dim)]
+        zn = linalg.sparse_rows(n.z_action)
+        powers = [[{i: field.one()} for i in range(n.dim)]]
+        for _ in range(len(b) - 1):
+            powers.append(linalg.sparse_mul(field, zn, powers[-1]))
         factoring = []
-        zn = n.z_matrix()
-        powers = [linalg.mat_identity(field, n.dim)]
-        for _ in range(max(0, len(b) - 1)):
-            powers.append(linalg.mat_mul(field, zn, powers[-1]))
         for j in range(n.dim):
-            pj = [[powers[k][i][j] for k in range(len(b))] for i in range(n.dim)]
+            # pi_j, whose column k is Z_N^k e_j.
+            pj = [{k: p[i][j] for k, p in enumerate(powers) if j in p[i]} for i in range(n.dim)]
             for h in hom_to_ring:
-                factoring.append(_join(linalg.sparse_rows(linalg.mat_mul(field, pj, h)), m.dim))
+                factoring.append(_join(linalg.sparse_mul(field, pj, h), m.dim))
         rows = [{} for _ in range(n.dim * m.dim)]
         for col, vec in enumerate(factoring + hom):
             for e, v in vec.items():
@@ -279,15 +256,15 @@ class StableHom:
     def stable_coordinates_many(self, maps):
         """The stable coordinates of each map, by one solve with one
         right-hand side per map."""
-        for f in maps:
-            if not is_module_morphism(self.source, self.target, f):
-                raise MfcatError("not-a-morphism", "matrix does not intertwine the actions")
         if not maps:
             return []
         ncols = self._ncols
         rows = [dict(r) for r in self._rows]
         for j, f in enumerate(maps):
-            for e, x in _join(linalg.sparse_rows(f), self.source.dim).items():
+            f = _morphism_rows(self.source, self.target, f)
+            if f is None:
+                raise MfcatError("not-a-morphism", "matrix does not intertwine the actions")
+            for e, x in _join(f, self.source.dim).items():
                 rows[e][ncols + j] = x
         solution = linalg.sparse_solve(self.field, rows, ncols)
         if solution is None:
@@ -317,7 +294,7 @@ def decompose(m: QuotModule) -> Dict[int, int]:
     ranks = [m.dim]
     power = [{i: field.one()} for i in range(m.dim)]
     for _ in range(n + 1):
-        power = _mul(field, power, z)
+        power = linalg.sparse_mul(field, power, z)
         ranks.append(linalg.rank(field, power))
     out: Dict[int, int] = {}
     for mu in range(1, n + 1):
@@ -369,7 +346,7 @@ class CokPresentation:
                 self.blocks.append((offset, i, d))
                 offset += uni.deg(d)
         self.dim = offset
-        z = linalg.mat_zero(field, offset, offset)
+        z = [[field.zero()] * offset for _ in range(offset)]
         for start, _, d in self.blocks:
             k = uni.deg(d)
             for i in range(k - 1):
@@ -453,8 +430,9 @@ def stabilize(m: QuotModule) -> MatrixFactorization:
             row.append(e - ctx.constant(m.z_action[i][j]))
         p1_rows.append(row)
     p1 = PolyMatrix(ctx, p1_rows, cols=d)
-    b = _divided_difference(field, uni.from_poly(m.w, var), m.z_matrix())
+    b = _horner(field, uni.from_poly(m.w, var), linalg.sparse_rows(m.z_action))[1:]
     # p0 = sum_i z^i * B_i.
-    p0_rows = [[uni.to_poly(ctx, var, [bi[r][c] for bi in b]) for c in range(d)] for r in range(d)]
+    zero = field.zero()
+    p0_rows = [[uni.to_poly(ctx, var, [bi[r].get(c, zero) for bi in b]) for c in range(d)] for r in range(d)]
     p0 = PolyMatrix(ctx, p0_rows, cols=d)
     return mf_new(ctx, m.w, p1, p0)

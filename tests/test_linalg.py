@@ -301,3 +301,56 @@ def test_rank_mod_p_never_exceeds_rank_over_q(p):
         dropped += over_p < over_q
     if p == 5:
         assert dropped
+
+
+# -- the product of scalar matrices --------------------------------------------
+
+
+def _naive_product(field, a, b):
+    """The product of dense matrices by the definition: every entry is the
+    sum of all its inner products, zero ones included."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        out.append([])
+        for j in range(cols):
+            acc = field.zero()
+            for x, b_row in zip(row, b):
+                acc = field.add(acc, field.mul(x, b_row[j]))
+            out[-1].append(acc)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
+def test_product_matches_naive_dense_product(field):
+    rng = random.Random(30)
+    values = [-2, -1, 1, 2, F(1, 2), F(-1, 2)]
+    cancelled = 0
+    for rows in range(4):
+        for inner in range(4):
+            for cols in range(4):
+                for _ in range(6):
+                    a = _random_sparse(rng, field, rows, inner, 0.6, values)
+                    b = _random_sparse(rng, field, inner, cols, 0.6, values)
+                    want = _naive_product(field, a, b)
+                    assert linalg.mat_mul(field, a, b) == want
+                    # Sums that cancel are dropped, and only they.
+                    assert linalg.sparse_mul(field, _rows(a), _rows(b)) == _rows(want)
+                    cancelled += sum(
+                        not want[i][j] and any(a[i][k] and b[k][j] for k in range(inner))
+                        for i in range(rows)
+                        for j in range(cols if inner else 0)
+                    )
+    assert cancelled > 0
+    one = field.one()
+    assert linalg.sparse_mul(field, [{0: one, 1: one}], [{0: one}, {0: field.neg(one)}]) == [{}]
+    # A k x 0 times a 0 x k matrix, and a 0 x k times a k x 2 one.
+    assert linalg.mat_mul(field, [[], []], []) == [[], []]
+    assert linalg.sparse_mul(field, [{}, {}], []) == [{}, {}]
+    assert linalg.mat_mul(field, [], [[one, one]] * 3) == []
+
+
+@pytest.mark.parametrize("a, b", [([[F(1), F(2)]], [[F(1)]]), ([[F(1)]], []), ([[]], [[F(1)]])])
+def test_product_rejects_mismatched_shapes(a, b):
+    with pytest.raises(ValueError, match="shape-mismatch"):
+        linalg.mat_mul(QQ, a, b)

@@ -23,7 +23,7 @@ from mfcat import (
     stable_hom,
     stabilize,
 )
-from mfcat import andyn, linalg
+from mfcat import andyn, linalg, modules
 from mfcat import univariate as uni
 
 
@@ -172,6 +172,26 @@ def test_stable_hom_prime_field():
 
 # -- the module side against the factorization side -------------------------
 #
+def test_stable_hom_reads_map_entries_in_the_field():
+    # Over F_5, 5 is 0 and 6 and -4 are 1: the map is read as field elements.
+    field = PrimeField(5)
+    m = cyclic_module(field, 4, 2)
+    sh = stable_hom(m, m)
+    assert sh.is_stably_zero([[5, 0], [0, 5]])
+    assert sh.stable_coordinates([[1, 0], [0, 1]]) == [0, 1]
+    assert sh.stable_coordinates([[6, 0], [0, 6]]) == [0, 1]
+    assert sh.stable_coordinates([[-4, 0], [0, -4]]) == [0, 1]
+    assert sh.stable_coordinates_many([[[6, 0], [0, 6]], [[10, 0], [0, 10]]]) == [[0, 1], [0, 0]]
+    assert modules.is_module_morphism(m, m, [[0, 0], [5, 0]])
+    for bad in ([["1", 0], [0, 1]], [[True, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="context-mismatch"):
+            sh.stable_coordinates(bad)
+        with pytest.raises(ValueError, match="context-mismatch"):
+            modules.is_module_morphism(m, m, bad)
+    with pytest.raises(ValueError, match="shape-mismatch"):
+        sh.stable_coordinates([["1", 0]])
+
+
 # Random modules by the recipe of the benchmark's `modules` workload: a direct
 # sum of cyclic modules over k[z]/z^n in a random unimodular basis, so that
 # the z-action is dense.
@@ -257,15 +277,15 @@ def test_quotient_basis_is_the_greedy_choice():
 # -- Hom(M, A) in closed form against the free-cover construction ------------
 
 
-def _companion(field, coeffs):
+def _companion(coeffs):
     """The action of z on k[z]/(f), f monic with the given coefficients, in
     the basis 1, z, ..., z^(deg f - 1)."""
     d = len(coeffs) - 1
-    z = linalg.mat_zero(field, d, d)
+    z = [[0] * d for _ in range(d)]
     for i in range(d - 1):
-        z[i + 1][i] = field.one()
+        z[i + 1][i] = 1
     for i in range(d):
-        z[i][d - 1] = field.neg(field.coerce(coeffs[i]))
+        z[i][d - 1] = -coeffs[i]
     return z
 
 
@@ -277,18 +297,23 @@ def _free_cover_quotient_basis(m, n):
     raises the rank of the factoring maps and the vectors kept before it."""
     field = m.field
     wc = uni.monic(field, uni.from_poly(m.w, m.var))
-    ring = module_new(m.w, _companion(field, wc))
-    powers = [linalg.mat_identity(field, n.dim)]
+    ring = module_new(m.w, _companion(wc))
+    powers = [[[int(i == j) for j in range(n.dim)] for i in range(n.dim)]]
     for _ in range(len(wc) - 2):
-        powers.append(linalg.mat_mul(field, n.z_matrix(), powers[-1]))
+        powers.append(_product(n.z_matrix(), powers[-1]))
 
     def flat(f):
-        return {i * m.dim + j: x for i, row in enumerate(f) for j, x in enumerate(row) if x}
+        return {
+            i * m.dim + j: v
+            for i, row in enumerate(f)
+            for j, x in enumerate(row)
+            if (v := field.coerce(x))
+        }
 
     span = []
     for j in range(n.dim):
         pj = [[power[i][j] for power in powers] for i in range(n.dim)]
-        span += [flat(linalg.mat_mul(field, pj, h)) for h in hom_space(m, ring)]
+        span += [flat(_product(pj, h)) for h in hom_space(m, ring)]
     rank = linalg.rank(field, span)
     kept = []
     for h in hom_space(m, n):
@@ -308,9 +333,9 @@ def _modules_over(field, w_text, factors, seed, count):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        blocks = [_companion(field, rng.choice(factors)) for _ in range(rng.randint(1, 2))]
+        blocks = [_companion(rng.choice(factors)) for _ in range(rng.randint(1, 2))]
         d = sum(len(b) for b in blocks)
-        z = linalg.mat_zero(field, d, d)
+        z = [[0] * d for _ in range(d)]
         off = 0
         for b in blocks:
             for i, row in enumerate(b):
@@ -353,7 +378,8 @@ def test_cok_induced_map_rejects_a_morphism_between_other_factorizations():
     x = andyn.realize_an_sum(ctx, 4, [1, 2])
     y = andyn.realize_an_sum(ctx, 4, [3, 1])
     px, py = cok(x), cok(y)
-    assert cok_induced_map(px, px, identity_morphism(x)) == linalg.mat_identity(QQ, px.dim)
+    identity = [[F(int(i == j)) for j in range(px.dim)] for i in range(px.dim)]
+    assert cok_induced_map(px, px, identity_morphism(x)) == identity
     for src, dst in ((py, py), (px, py), (py, px)):
         with pytest.raises(ValueError, match="not-composable"):
             cok_induced_map(src, dst, identity_morphism(x))
