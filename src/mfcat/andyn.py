@@ -483,7 +483,6 @@ def an_verify(
     n: int,
     field: Field = QQ,
     lst_sample: str = "all",
-    with_triangles: bool = True,
 ) -> dict:
     """Cross-check the catalogue against the module and factorization
     engines: dimensions, composition, translation, and triangles.
@@ -558,33 +557,32 @@ def an_verify(
                 }
             )
 
-    if with_triangles:
-        for mu in range(1, n):
-            for nu in range(1, n):
-                tri = an_triangle(an_generator(field, n, mu, nu))
+    for mu in range(1, n):
+        for nu in range(1, n):
+            tri = an_triangle(an_generator(field, n, mu, nu))
+            cert = certify_an_triangle(tri, ctx)
+            checks.append(
+                {
+                    "check": "triangle-fst",
+                    "params": {"mu": mu, "nu": nu},
+                    "ok": cert["certified"],
+                    "certificate": cert,
+                }
+            )
+            peaks = an_hom_basis(n, mu, nu)[1:]
+            if lst_sample == "first" and peaks:
+                peaks = peaks[:1]
+            for lam in peaks:
+                tri = an_triangle(an_basis_morphism(field, n, mu, nu, lam))
                 cert = certify_an_triangle(tri, ctx)
                 checks.append(
                     {
-                        "check": "triangle-fst",
-                        "params": {"mu": mu, "nu": nu},
+                        "check": "triangle-lst",
+                        "params": {"mu": mu, "nu": nu, "lam": lam},
                         "ok": cert["certified"],
                         "certificate": cert,
                     }
                 )
-                peaks = an_hom_basis(n, mu, nu)[1:]
-                if lst_sample == "first" and peaks:
-                    peaks = peaks[:1]
-                for lam in peaks:
-                    tri = an_triangle(an_basis_morphism(field, n, mu, nu, lam))
-                    cert = certify_an_triangle(tri, ctx)
-                    checks.append(
-                        {
-                            "check": "triangle-lst",
-                            "params": {"mu": mu, "nu": nu, "lam": lam},
-                            "ok": cert["certified"],
-                            "certificate": cert,
-                        }
-                    )
 
     return {"n": n, "ok": all(c["ok"] for c in checks), "checks": checks}
 

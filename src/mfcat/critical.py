@@ -1,11 +1,12 @@
 """Critical values of a univariate superpotential over the rationals.
 
-The values w where the fiber W - w is singular are the roots of the
-discriminant-type resultant R(w) = Res_z(W - w, W').  R is computed by
-evaluating the resultant at enough sample values of w and interpolating;
-its rational roots are the integer roots of a monic integer rescaling of R,
-isolated with a Sturm chain, and each one is verified directly through a
-gcd computation on the fiber.
+The fiber W = t is singular exactly when W - t and W' share a root, that is
+when t is an eigenvalue of multiplication by W on the Jacobian algebra
+k[z]/(W').  The eigenvalues are the roots of the minimal polynomial of that
+map, read off the first kernel vector of the linear system whose columns are
+1, W, ..., W^d mod W', with d = deg W'.  Its rational roots are the integer
+roots of a monic integer rescaling, isolated with a Sturm chain, and each
+one is verified directly through a gcd computation on the fiber.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import List, Tuple
 
+from . import linalg
 from . import univariate as uni
 from .errors import MfcatError
 from .fields import RationalField
@@ -62,7 +64,7 @@ def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fracti
     """All rational roots of the polynomial with the given coefficients."""
     coeffs = uni.trim(field, coeffs)
     if not coeffs:
-        raise MfcatError("zero-superpotential", "resultant vanished identically")
+        raise MfcatError("zero-superpotential", "polynomial vanished identically")
     # Strip powers of w dividing the polynomial; they contribute the root 0.
     low = 0
     while field.is_zero(coeffs[low]):
@@ -91,8 +93,9 @@ def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
     """Rational critical values of w, plus a flag for irrational ones.
 
     Returns (values, has_irrational) where values lists the rational roots
-    of Res_z(W - t, W') in increasing order, each verified by checking
-    that gcd(W - value, W') is nonconstant.
+    of the minimal polynomial of multiplication by W on k[z]/(W') in
+    increasing order, each verified by checking that gcd(W - value, W') is
+    nonconstant.
     """
     ctx = w.ctx
     if not isinstance(ctx.field, RationalField):
@@ -106,17 +109,20 @@ def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
     deriv = uni.derivative(field, wc)
     if uni.is_zero(deriv):
         raise MfcatError("constant-superpotential", "derivative vanishes identically")
-    # R(t) = Res_z(W - t, W') has degree at most deg(W') in t; sample at
-    # deg(W') + 2 points and interpolate.
-    npoints = (uni.deg(deriv) or 0) + 2
-    points = []
-    for k in range(npoints):
-        t = field.from_int(k)
-        shifted = list(wc)
-        shifted[0] = field.sub(shifted[0], t)
-        points.append((t, uni.resultant(field, shifted, deriv)))
-    r_coeffs = uni.lagrange_interpolate(field, points)
-    roots = _rational_roots(field, r_coeffs)
+    # Column k of the system holds the coefficients of W^k mod W'.  The
+    # algebra has dimension d, so the d + 1 powers are dependent, and the
+    # first power that depends on the lower ones gives the minimal polynomial.
+    d = uni.deg(deriv)
+    rows = [{} for _ in range(d)]
+    power = uni.mod(field, [field.one()], deriv)
+    for k in range(d + 1):
+        for i, c in enumerate(power):
+            if c:
+                rows[i][k] = c
+        power = uni.mod(field, uni.mul(field, power, wc), deriv)
+    kernel = linalg.null_basis(field, linalg.sparse_rref(field, rows), d + 1)[0]
+    minimal = [kernel.get(k, field.zero()) for k in range(max(kernel) + 1)]
+    roots = _rational_roots(field, minimal)
     verified = []
     for value in roots:
         shifted = list(wc)
@@ -124,9 +130,9 @@ def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
         g = uni.gcd(field, shifted, deriv)
         if (uni.deg(g) or 0) >= 1:
             verified.append(value)
-    # Roots of the resultant not explained by rational critical values
-    # signal irrational ones: divide out each verified root completely.
-    work = uni.trim(field, r_coeffs)
+    # Roots of the minimal polynomial not explained by rational critical
+    # values signal irrational ones: divide out each verified root completely.
+    work = minimal
     for value in verified:
         factor = [field.sub(field.zero(), field.coerce(value)), field.one()]
         while (uni.deg(work) or 0) >= 1:

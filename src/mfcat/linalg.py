@@ -33,13 +33,13 @@ therefore the same canonical form, and so are the solution with free
 variables set to zero and the nullspace basis read off it (`null_basis`),
 which keeps witnesses and quotient bases reproducible.
 
-`LinearSystem` in `homotopy` and the module side in `modules` feed their
-sparse rows to these entries directly; `pivot_columns` gives the pivot
-columns from forward elimination alone.  `sparse_mul` is the one product
-of scalar matrices, on sparse rows; it drops sums that cancel.  `mat_mul`
-and `rref` convert lists of row lists to sparse rows and back and are kept
-for callers outside the package; `andyn.an_verify` also multiplies its
-dense module maps with `mat_mul`.
+`LinearSystem` in `homotopy`, the module side in `modules` and `critical`
+feed their sparse rows to these entries directly; `pivot_columns` gives
+the pivot columns from forward elimination alone.  `sparse_mul` is the
+one product of scalar matrices, on sparse rows; it drops sums that
+cancel.  `mat_mul` and `rref` convert lists of row lists to sparse rows
+and back and are kept for callers outside the package; `andyn.an_verify`
+also multiplies its dense module maps with `mat_mul`.
 """
 
 from __future__ import annotations
@@ -68,9 +68,10 @@ def sparse_mul(field: Field, a, b):
 
 def mat_mul(field: Field, a, b):
     """The product of two dense matrices, by `sparse_mul`."""
-    if a and len(a[0]) != len(b):
-        raise MfcatError("shape-mismatch", f"{len(a[0])} vs {len(b)}")
-    return _dense(field, sparse_mul(field, sparse_rows(a), sparse_rows(b)), len(b[0]) if b else 0)
+    ncols = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a) or any(len(row) != ncols for row in b):
+        raise MfcatError("shape-mismatch", f"rows of a need {len(b)} entries, rows of b {ncols}")
+    return _dense(field, sparse_mul(field, sparse_rows(a), sparse_rows(b)), ncols)
 
 
 def rank(field: Field, rows) -> int:

@@ -34,7 +34,7 @@ from .smith import smith_normal_form
 class QuotModule:
     """Module over k[z]/(W) given by the z-action matrix on a k-basis."""
 
-    __slots__ = ("ctx", "w", "dim", "z_action")
+    __slots__ = ("ctx", "w", "dim", "z_action", "_z_rows")
 
     def __init__(self, ctx: RingContext, w: Poly, z_rows: Sequence[Sequence]):
         if ctx.nvars != 1:
@@ -52,12 +52,15 @@ class QuotModule:
                 raise MfcatError("wrong-arity", f"Z must be {dim}x{dim}, got a row of {len(row)}")
             rows.append(tuple(row))
         z = tuple(rows)
-        if any(_horner(field, uni.from_poly(w, ctx.variables[0]), linalg.sparse_rows(z))[0]):
+        z_rows = linalg.sparse_rows(z)
+        if any(_horner(field, uni.from_poly(w, ctx.variables[0]), z_rows)[0]):
             raise MfcatError("superpotential-mismatch", "W(Z) is not zero")
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "z_action", z)
+        # Z as sparse rows, kept from the check for every product with Z.
+        object.__setattr__(self, "_z_rows", z_rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotModule is immutable")
@@ -188,8 +191,7 @@ def _morphism_rows(m: QuotModule, n: QuotModule, f):
         raise MfcatError("shape-mismatch", f"a map M -> N is {n.dim}x{m.dim}")
     field = m.field
     f = linalg.sparse_rows([[field.coerce(x) for x in row] for row in f])
-    zm, zn = linalg.sparse_rows(m.z_action), linalg.sparse_rows(n.z_action)
-    return f if linalg.sparse_mul(field, f, zm) == linalg.sparse_mul(field, zn, f) else None
+    return f if linalg.sparse_mul(field, f, m._z_rows) == linalg.sparse_mul(field, n._z_rows, f) else None
 
 
 class StableHom:
@@ -221,12 +223,11 @@ class StableHom:
         self.field = field
         hom = _hom_vectors(m, n)
         self.hom_basis = [_unflatten(field, v, n.dim, m.dim) for v in hom]
-        b = _horner(field, uni.from_poly(m.w, m.var), linalg.sparse_rows(m.z_action))[1:]
+        b = _horner(field, uni.from_poly(m.w, m.var), m._z_rows)[1:]
         hom_to_ring = [[bi[s] for bi in b] for s in range(m.dim)]
-        zn = linalg.sparse_rows(n.z_action)
         powers = [[{i: field.one()} for i in range(n.dim)]]
         for _ in range(len(b) - 1):
-            powers.append(linalg.sparse_mul(field, zn, powers[-1]))
+            powers.append(linalg.sparse_mul(field, n._z_rows, powers[-1]))
         factoring = []
         for j in range(n.dim):
             # pi_j, whose column k is Z_N^k e_j.
@@ -290,11 +291,10 @@ def decompose(m: QuotModule) -> Dict[int, int]:
         raise MfcatError("not-nilpotent-form", f"fiber polynomial {m.w} is not a pure power")
     n = sum(terms[0][0])
     field = m.field
-    z = linalg.sparse_rows(m.z_action)
     ranks = [m.dim]
     power = [{i: field.one()} for i in range(m.dim)]
     for _ in range(n + 1):
-        power = linalg.sparse_mul(field, power, z)
+        power = linalg.sparse_mul(field, power, m._z_rows)
         ranks.append(linalg.rank(field, power))
     out: Dict[int, int] = {}
     for mu in range(1, n + 1):
@@ -430,7 +430,7 @@ def stabilize(m: QuotModule) -> MatrixFactorization:
             row.append(e - ctx.constant(m.z_action[i][j]))
         p1_rows.append(row)
     p1 = PolyMatrix(ctx, p1_rows, cols=d)
-    b = _horner(field, uni.from_poly(m.w, var), linalg.sparse_rows(m.z_action))[1:]
+    b = _horner(field, uni.from_poly(m.w, var), m._z_rows)[1:]
     # p0 = sum_i z^i * B_i.
     zero = field.zero()
     p0_rows = [[uni.to_poly(ctx, var, [bi[r].get(c, zero) for bi in b]) for c in range(d)] for r in range(d)]

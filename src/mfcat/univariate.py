@@ -2,7 +2,7 @@
 
 Internal representation: list of coefficients [c0, c1, ...] with no
 trailing zeros (the zero polynomial is the empty list).  These lists feed
-the Smith reduction, cokernel extraction, and resultant computations.
+the Smith reduction, cokernel extraction, and the critical values.
 """
 
 from __future__ import annotations
@@ -116,53 +116,3 @@ def to_poly(ctx: RingContext, var: str, coeffs) -> Poly:
             exp = tuple(k if j == i else 0 for j in range(ctx.nvars))
             terms[exp] = c
     return Poly(ctx, terms)
-
-
-def resultant(field: Field, f, g):
-    """Resultant of two univariate polynomials via the Euclidean chain.
-
-    Uses res(f, g) = lc(g)^(deg f - deg r) * (-1)^(deg f * deg g) * res(g, r)
-    with r = f mod g, plus the base cases for constants.
-    """
-    f, g = trim(field, f), trim(field, g)
-    if not f or not g:
-        return field.zero()
-    acc = field.one()
-    while True:
-        df, dg = len(f) - 1, len(g) - 1
-        if dg == 0:
-            # res(f, c) = c^deg f
-            acc = field.mul(acc, _power(field, g[0], df))
-            return acc
-        r = mod(field, f, g)
-        if not r:
-            return field.zero()
-        dr = len(r) - 1
-        sign = field.one() if (df * dg) % 2 == 0 else field.neg(field.one())
-        acc = field.mul(acc, field.mul(sign, _power(field, g[-1], df - dr)))
-        f, g = g, r
-
-def _power(field: Field, c, n: int):
-    out = field.one()
-    for _ in range(n):
-        out = field.mul(out, c)
-    return out
-
-
-def lagrange_interpolate(field: Field, points):
-    """The unique polynomial of degree < len(points) through the points.
-
-    points: list of (x, y) with distinct x.
-    """
-    result = []
-    for i, (xi, yi) in enumerate(points):
-        basis = [field.one()]
-        denom = field.one()
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            basis = mul(field, basis, [field.neg(xj), field.one()])
-            denom = field.mul(denom, field.sub(xi, xj))
-        factor = field.div(yi, denom)
-        result = add(field, result, scale(field, factor, basis))
-    return result

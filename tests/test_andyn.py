@@ -282,10 +282,8 @@ def test_verify_n3_report():
 
 
 def test_verify_prime_field():
-    report = an_verify(3, field=PrimeField(7), with_triangles=False)
+    report = an_verify(3, field=PrimeField(7))
     assert report["ok"]
-    assert {c["check"] for c in report["checks"]} == {
-        "hom-dim",
-        "compose",
-        "translate",
-    }
+    kinds = {c["check"] for c in report["checks"]}
+    assert kinds == {"hom-dim", "compose", "translate", "triangle-fst"}
+    assert len(report["checks"]) == 20

@@ -1,3 +1,14 @@
+"""Critical values, checked against a test-only reference.
+
+The reference is the sampled pipeline: the resultant R(t) = Res_z(W - t, W')
+evaluated at deg W' + 2 integers and interpolated by Lagrange's formula,
+then the same rational roots, gcd verification and division as
+`critical_values`.  R is a nonzero constant times the characteristic
+polynomial of multiplication by W on k[z]/(W'), so it has the roots of the
+minimal polynomial that `critical_values` reads off the sparse kernel, and
+both give the same values and the same irrational flag.
+"""
+
 import random
 import time
 from fractions import Fraction
@@ -8,10 +19,86 @@ import pytest
 from mfcat import QQ, PrimeField, RingContext, critical_values, parse_poly
 from mfcat import univariate as uni
 from mfcat.critical import _rational_roots
+from mfcat.fields import Field
 
 
 CTX = RingContext(QQ, ("z",))
 F = Fraction
+
+
+# -- reference: sampled resultants and Lagrange interpolation ----------
+
+
+def resultant(field: Field, f, g):
+    """Resultant of two univariate polynomials via the Euclidean chain.
+
+    Uses res(f, g) = lc(g)^(deg f - deg r) * (-1)^(deg f * deg g) * res(g, r)
+    with r = f mod g, plus the base cases for constants.
+    """
+    f, g = uni.trim(field, f), uni.trim(field, g)
+    if not f or not g:
+        return field.zero()
+    acc = field.one()
+    while True:
+        df, dg = len(f) - 1, len(g) - 1
+        if dg == 0:
+            # res(f, c) = c^deg f
+            return field.mul(acc, _power(field, g[0], df))
+        r = uni.mod(field, f, g)
+        if not r:
+            return field.zero()
+        dr = len(r) - 1
+        sign = field.one() if (df * dg) % 2 == 0 else field.neg(field.one())
+        acc = field.mul(acc, field.mul(sign, _power(field, g[-1], df - dr)))
+        f, g = g, r
+
+
+def _power(field: Field, c, n: int):
+    out = field.one()
+    for _ in range(n):
+        out = field.mul(out, c)
+    return out
+
+
+def lagrange_interpolate(field: Field, points):
+    """The unique polynomial of degree < len(points) through the points.
+
+    points: list of (x, y) with distinct x.
+    """
+    result = []
+    for i, (xi, yi) in enumerate(points):
+        basis = [field.one()]
+        denom = field.one()
+        for j, (xj, _) in enumerate(points):
+            if i == j:
+                continue
+            basis = uni.mul(field, basis, [field.neg(xj), field.one()])
+            denom = field.mul(denom, field.sub(xi, xj))
+        factor = field.div(yi, denom)
+        result = uni.add(field, result, uni.scale(field, factor, basis))
+    return result
+
+
+def reference_critical_values(w):
+    """(values, has_irrational) from the sampled resultant R(t)."""
+    wc = uni.from_poly(w, "z")
+    deriv = uni.derivative(QQ, wc)
+    points = []
+    for k in range(uni.deg(deriv) + 2):
+        shifted = [wc[0] - k] + wc[1:]
+        points.append((F(k), resultant(QQ, shifted, deriv)))
+    work = lagrange_interpolate(QQ, points)
+    verified = []
+    for value in _rational_roots(QQ, work):
+        if uni.deg(uni.gcd(QQ, [wc[0] - value] + wc[1:], deriv)) >= 1:
+            verified.append(value)
+    for value in verified:
+        while uni.deg(work) >= 1:
+            quot, rem = uni.divmod_poly(QQ, work, [-value, F(1)])
+            if rem:
+                break
+            work = quot
+    return verified, uni.deg(work) >= 1
 
 
 def test_cubic_with_two_rational_values():
@@ -142,3 +229,41 @@ def test_rational_roots_match_the_divisor_sieve():
         if not uni.trim(QQ, coeffs):
             continue
         assert _rational_roots(QQ, coeffs) == _sieve_rational_roots(coeffs), coeffs
+
+
+def _random_superpotential(rng, kind):
+    if kind == "roots":
+        # A product of (z - a)^e, sometimes times z^2 - c, plus a constant.
+        coeffs = [F(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 2)):
+            for _ in range(rng.randint(1, 2)):
+                coeffs = uni.mul(QQ, coeffs, [F(-rng.randint(-3, 3)), F(1)])
+        if rng.random() < 0.5:
+            coeffs = uni.mul(QQ, coeffs, [F(-rng.randint(-3, 3)), F(0), F(1)])
+        return uni.add(QQ, coeffs, [F(rng.randint(-4, 4), rng.randint(1, 2))])
+    if kind == "dense":
+        # A dense W of degree 2 to 5.
+        coeffs = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(rng.randint(3, 6))]
+        return coeffs[:-1] + [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))]
+    # A linear W has no critical values.
+    return [F(rng.randint(-5, 5)), F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))]
+
+
+def test_seeded_superpotentials_match_the_sampled_resultant():
+    rng = random.Random(20)
+    # Rational values at irrational points: (z^2 - 2)^2 takes 0 at +-sqrt(2)
+    # and 4 at 0, (z^2 - 3)^3 takes 0 at +-sqrt(3) and -27 at 0.
+    square, cube = [F(4), F(0), F(-4), F(0), F(1)], [F(-27), F(0), F(27), F(0), F(-9), F(0), F(1)]
+    assert critical_values(uni.to_poly(CTX, "z", square)) == ([F(0), F(4)], False)
+    assert critical_values(uni.to_poly(CTX, "z", cube)) == ([F(-27), F(0)], False)
+    cases = [square, cube]
+    for trial in range(200):
+        cases.append(_random_superpotential(rng, ("roots", "dense", "linear")[trial % 3]))
+    outcomes = set()
+    for coeffs in cases:
+        w = uni.to_poly(CTX, "z", coeffs)
+        values, has_irrational = critical_values(w)
+        assert (values, has_irrational) == reference_critical_values(w), coeffs
+        outcomes.add((bool(values), has_irrational))
+    # Rational values with and without irrational ones, irrational only, none.
+    assert len(outcomes) == 4

@@ -350,7 +350,17 @@ def test_product_matches_naive_dense_product(field):
     assert linalg.mat_mul(field, [], [[one, one]] * 3) == []
 
 
-@pytest.mark.parametrize("a, b", [([[F(1), F(2)]], [[F(1)]]), ([[F(1)]], []), ([[]], [[F(1)]])])
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[F(1), F(2)]], [[F(1)]]),
+        ([[F(1)]], []),
+        ([[]], [[F(1)]]),
+        # Ragged: a row of b, or a later row of a, of the wrong length.
+        ([[F(1), F(1)]], [[F(1), F(2)], [F(3)]]),
+        ([[F(1), F(1)], [F(1)]], [[F(1)], [F(2)]]),
+    ],
+)
 def test_product_rejects_mismatched_shapes(a, b):
     with pytest.raises(ValueError, match="shape-mismatch"):
         linalg.mat_mul(QQ, a, b)

