@@ -5,59 +5,62 @@ when t is an eigenvalue of multiplication by W on the Jacobian algebra
 k[z]/(W').  The eigenvalues are the roots of the minimal polynomial of that
 map, read off the first kernel vector of the linear system whose columns are
 1, W, ..., W^d mod W', with d = deg W'.  Its rational roots are the integer
-roots of a monic integer rescaling, isolated with a Sturm chain, and each
-one is verified directly through a gcd computation on the fiber.
+roots of a monic integer rescaling, found by p-adic lifting of its roots
+modulo a small prime, and each one is verified directly through a gcd
+computation on the fiber.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from typing import List, Tuple
 
 from . import linalg
 from . import univariate as uni
 from .errors import MfcatError
-from .fields import RationalField
+from .fields import RationalField, _is_prime
 from .poly import Poly
+
+
+def _horner(coeffs: List[int], x: int, m: int = 0) -> int:
+    """The integer polynomial coeffs at x, reduced mod m unless m is 0."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        if m:
+            acc %= m
+    return acc
 
 
 def _integer_roots(field: RationalField, g: List[Fraction]) -> List[int]:
     """The integer roots of a monic integer polynomial g of positive degree.
 
-    A Sturm chain of the square-free part counts the distinct real roots in
-    each interval (lo, hi] as V(lo) - V(hi), where V(x) is the number of
-    sign changes along the chain at x.  Every root lies inside the Cauchy
-    bound, so bisecting integer intervals down to width 1 and testing each
-    right end exactly finds every integer root in O(deg g * log bound)
-    evaluations.
+    The square-free part s of g is monic with integer coefficients (Gauss's
+    lemma) and has the roots of g.  At the first odd prime p where every
+    root of s mod p is simple, each integer root of s reduces to one of
+    those roots, and Newton's step r <- r - s(r)/s'(r) lifts each one
+    uniquely mod p^2, p^4, ... (Hensel's lemma; Loos, SIAM J. Comput. 12,
+    1983).  Once the modulus exceeds twice the Cauchy bound, an integer
+    root is the symmetric residue of its lift, and each residue is tested
+    exactly.
     """
     common = uni.gcd(field, g, uni.derivative(field, g))
-    chain = [uni.divmod_poly(field, g, common)[0]]
-    chain.append(uni.derivative(field, chain[0]))
-    while uni.deg(chain[-1]):
-        chain.append(uni.neg(field, uni.mod(field, chain[-2], chain[-1])))
-
-    def variations(x: int) -> int:
-        values = [uni.eval_at(field, p, x) for p in chain]
-        signs = [v > 0 for v in values if v]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
+    s = [int(c) for c in uni.divmod_poly(field, g, common)[0]]
+    ds = [i * c for i, c in enumerate(s)][1:]
+    for p in count(3, 2):
+        if _is_prime(p):
+            roots = [r for r in range(p) if _horner(s, r, p) == 0]
+            if all(_horner(ds, r, p) for r in roots):
+                break
     bound = 1 + int(max(abs(c) for c in g[:-1]))
-    roots = []
-    pending = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
-    while pending:
-        lo, hi, v_lo, v_hi = pending.pop()
-        if v_lo == v_hi:
-            continue
-        if hi - lo == 1:
-            if uni.eval_at(field, g, hi) == 0:
-                roots.append(hi)
-            continue
-        mid = (lo + hi) // 2
-        v_mid = variations(mid)
-        pending += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
-    return roots
+    m = p
+    while m <= 2 * bound:
+        m *= m
+        roots = [(r - _horner(s, r, m) * pow(_horner(ds, r, m), -1, m)) % m for r in roots]
+    residues = [r if 2 * r < m else r - m for r in roots]
+    return [y for y in residues if _horner(s, y) == 0]
 
 
 def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fraction]:
@@ -130,16 +133,11 @@ def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
         g = uni.gcd(field, shifted, deriv)
         if (uni.deg(g) or 0) >= 1:
             verified.append(value)
-    # Roots of the minimal polynomial not explained by rational critical
-    # values signal irrational ones: divide out each verified root completely.
-    work = minimal
-    for value in verified:
-        factor = [field.sub(field.zero(), field.coerce(value)), field.one()]
-        while (uni.deg(work) or 0) >= 1:
-            quot, rem = uni.divmod_poly(field, work, factor)
-            if uni.is_zero(rem):
-                work = quot
-            else:
-                break
-    has_irrational = (uni.deg(work) or 0) >= 1
+    # The minimal polynomial is square-free, with one root per critical
+    # value, so an irrational value leaves it more roots than rational ones.
+    # At a critical point c of multiplicity m in W', W - W(c) vanishes to
+    # order m + 1, so W acts as the scalar W(c) on the local factor
+    # k[z]/(z - c)^m of the algebra: multiplication by W is diagonalisable
+    # over the algebraic closure, and its eigenvalues are the critical values.
+    has_irrational = len(verified) < uni.deg(minimal)
     return verified, has_irrational

@@ -36,9 +36,6 @@ def add(field: Field, a, b):
 def neg(field: Field, a):
     return [field.neg(x) for x in a]
 
-def sub(field: Field, a, b):
-    return add(field, a, neg(field, b))
-
 def mul(field: Field, a, b):
     if not a or not b:
         return []
@@ -92,12 +89,6 @@ def divides(field: Field, a, b) -> bool:
     if not a:
         return not b
     return not mod(field, b, a)
-
-def eval_at(field: Field, a, x):
-    acc = field.zero()
-    for c in reversed(a):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 def derivative(field: Field, a):
     return trim(

@@ -14,8 +14,15 @@ The module family covers:
 - `cok_induced_map` on every catalogue basis morphism V_mu -> V_nu for
   n <= 5, on its shift, and on seeded direct sums of two basis morphisms.
 
-Run `python tests/test_corpus.py` to print the records, one per line, and
-diff them against another checkout's.
+The critical family holds the values and the irrational flag that
+`critical_values` gives on:
+- the 202 seeded W of `tests/test_critical.py`, checked there against the
+  sampled resultant;
+- dense integer W of degree 10, 12 and 14, coefficients in [-50, 50];
+- seeded products of (q z - p)^e with |p| up to 10^12.
+
+Run `python tests/test_corpus.py` to print the records of both families,
+one per line, and diff them against another checkout's.
 """
 
 import hashlib
@@ -23,19 +30,24 @@ import json
 import random
 import sys
 
-from mfcat import QQ, PrimeField, cok, cok_induced_map, identity_morphism, stabilize, stable_hom
+from mfcat import QQ, PrimeField, cok, cok_induced_map, critical_values, identity_morphism, stabilize, stable_hom
+from mfcat import univariate as uni
 from mfcat.andyn import an_basis_morphism, an_context, an_hom_basis, realize_an_morphism
 from mfcat.factorization import direct_sum_morphism, shift_morphism
 from mfcat.formats import field_to_json
 from mfcat.modules import cyclic_module, direct_sum_modules, module_new
+from test_critical import CTX, dense_superpotential, root_product, seeded_superpotentials
 
 
 MODULES_SHA256 = "e9817a525578aa3d67def27c63e7a96638c15ca47fb2d1ef6409f0fcefce4cda"
+CRITICAL_SHA256 = "917dc071d1ebc433972867810f9050b4bc9bf4fb5d2b8b395dab0749a7aa3b17"
 
 FIELDS = (QQ, PrimeField(101))
 RANDOM_MODULES = 16  # per field
 CATALOGUE_N = range(2, 6)
 DIRECT_SUMS = 12  # per field
+DENSE_DEGREES = (10, 12, 14)
+ROOT_PRODUCTS = 20
 
 
 def _scalars(field, rows):
@@ -144,6 +156,24 @@ def module_records():
     return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
 
 
+def _critical_record(case, coeffs):
+    values, irrational = critical_values(uni.to_poly(CTX, "z", coeffs))
+    return {
+        "case": case,
+        "W": [str(c) for c in coeffs],
+        "values": [str(v) for v in values],
+        "irrational": irrational,
+    }
+
+
+def critical_records():
+    rng = random.Random(21)
+    out = [_critical_record("seeded", w) for w in seeded_superpotentials()]
+    out += [_critical_record("dense", dense_superpotential(d)) for d in DENSE_DEGREES]
+    out += [_critical_record("root-product", root_product(rng, 10**12)[0]) for _ in range(ROOT_PRODUCTS)]
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
+
+
 def _digest(records):
     return hashlib.sha256("\n".join(records).encode()).hexdigest()
 
@@ -152,7 +182,12 @@ def test_modules_family():
     assert _digest(module_records()) == MODULES_SHA256, "module family records changed"
 
 
+def test_critical_family():
+    assert _digest(critical_records()) == CRITICAL_SHA256, "critical family records changed"
+
+
 if __name__ == "__main__":
-    records = module_records()
-    sys.stdout.write("\n".join(records) + "\n")
-    print(f"modules: {len(records)} records, sha256 {_digest(records)}", file=sys.stderr)
+    for name, family in (("modules", module_records), ("critical", critical_records)):
+        records = family()
+        sys.stdout.write("\n".join(records) + "\n")
+        print(f"{name}: {len(records)} records, sha256 {_digest(records)}", file=sys.stderr)

@@ -18,7 +18,7 @@ import pytest
 
 from mfcat import QQ, PrimeField, RingContext, critical_values, parse_poly
 from mfcat import univariate as uni
-from mfcat.critical import _rational_roots
+from mfcat.critical import _integer_roots, _rational_roots
 from mfcat.fields import Field
 
 
@@ -27,6 +27,14 @@ F = Fraction
 
 
 # -- reference: sampled resultants and Lagrange interpolation ----------
+
+
+def horner(field: Field, a, x):
+    """The polynomial with coefficients a at the point x."""
+    acc = field.zero()
+    for c in reversed(a):
+        acc = field.add(field.mul(acc, x), c)
+    return acc
 
 
 def resultant(field: Field, f, g):
@@ -205,7 +213,7 @@ def _sieve_rational_roots(coeffs):
     for p in _divisors(ints[0]):
         for q in _divisors(ints[-1]):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in roots and uni.eval_at(QQ, ints, cand) == 0:
+                if cand not in roots and horner(QQ, ints, cand) == 0:
                     roots.append(cand)
     return sorted(roots)
 
@@ -249,16 +257,42 @@ def _random_superpotential(rng, kind):
     return [F(rng.randint(-5, 5)), F(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))]
 
 
-def test_seeded_superpotentials_match_the_sampled_resultant():
+def seeded_superpotentials():
+    """(z^2 - 2)^2, (z^2 - 3)^3 and 200 seeded W of the three kinds above."""
     rng = random.Random(20)
-    # Rational values at irrational points: (z^2 - 2)^2 takes 0 at +-sqrt(2)
-    # and 4 at 0, (z^2 - 3)^3 takes 0 at +-sqrt(3) and -27 at 0.
     square, cube = [F(4), F(0), F(-4), F(0), F(1)], [F(-27), F(0), F(27), F(0), F(-9), F(0), F(1)]
-    assert critical_values(uni.to_poly(CTX, "z", square)) == ([F(0), F(4)], False)
-    assert critical_values(uni.to_poly(CTX, "z", cube)) == ([F(-27), F(0)], False)
     cases = [square, cube]
     for trial in range(200):
         cases.append(_random_superpotential(rng, ("roots", "dense", "linear")[trial % 3]))
+    return cases
+
+
+def dense_superpotential(degree):
+    """A dense integer W of the given degree, coefficients in [-50, 50]."""
+    rng = random.Random(degree)
+    return [F(rng.randint(-50, 50)) for _ in range(degree)] + [F(rng.choice([-1, 1]) * rng.randint(1, 50))]
+
+
+def root_product(rng, size):
+    """c * prod (q z - p)^e with |p| <= size, 1 <= q <= 5 and e <= 3, sometimes
+    times z^2 + a, which has no real root; returns it and its rational roots."""
+    coeffs, roots = [F(rng.choice([-3, -2, -1, 1, 2, 3]))], set()
+    for _ in range(rng.randint(1, 3)):
+        p, q = rng.randint(-size, size), rng.randint(1, 5)
+        for _ in range(rng.randint(1, 3)):
+            coeffs = uni.mul(QQ, coeffs, [F(-p), F(q)])
+        roots.add(F(p, q))
+    if rng.random() < 0.5:
+        coeffs = uni.mul(QQ, coeffs, [F(rng.randint(1, size)), F(0), F(1)])
+    return coeffs, sorted(roots)
+
+
+def test_seeded_superpotentials_match_the_sampled_resultant():
+    cases = seeded_superpotentials()
+    # Rational values at irrational points: (z^2 - 2)^2 takes 0 at +-sqrt(2)
+    # and 4 at 0, (z^2 - 3)^3 takes 0 at +-sqrt(3) and -27 at 0.
+    assert critical_values(uni.to_poly(CTX, "z", cases[0])) == ([F(0), F(4)], False)
+    assert critical_values(uni.to_poly(CTX, "z", cases[1])) == ([F(-27), F(0)], False)
     outcomes = set()
     for coeffs in cases:
         w = uni.to_poly(CTX, "z", coeffs)
@@ -267,3 +301,32 @@ def test_seeded_superpotentials_match_the_sampled_resultant():
         outcomes.add((bool(values), has_irrational))
     # Rational values with and without irrational ones, irrational only, none.
     assert len(outcomes) == 4
+
+
+def test_rational_roots_of_products_with_large_roots():
+    # Beyond the divisor sieve: |p| up to 10^12 makes the constant term of
+    # the monic rescaling hundreds of bits long.
+    rng = random.Random(21)
+    for size in (10, 10**6, 10**12):
+        for _ in range(60):
+            coeffs, roots = root_product(rng, size)
+            assert _rational_roots(QQ, coeffs) == roots, coeffs
+
+
+def test_integer_roots_that_collide_mod_small_primes():
+    # Roots meet mod 3 (0, 3, 21), mod 5 (0, 5, 10), mod 7 (0, 7, 14, 21)
+    # and mod 11 (3, 14), so the prime search has to go on to 13.
+    roots = [0, 3, 5, 7, 10, 14, 21]
+    for shift in (0, -10):
+        g = [F(1)]
+        for r in roots:
+            g = uni.mul(QQ, g, [F(-r - shift), F(1)])
+        assert sorted(_integer_roots(QQ, g)) == [r + shift for r in roots]
+        assert sorted(_integer_roots(QQ, uni.mul(QQ, g, g))) == [r + shift for r in roots]
+
+
+def test_dense_degree_14_answers_quickly():
+    start = time.perf_counter()
+    values = critical_values(uni.to_poly(CTX, "z", dense_superpotential(14)))
+    assert time.perf_counter() - start < 2
+    assert values == ([], True)

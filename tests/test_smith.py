@@ -48,7 +48,7 @@ def _poly_mat_eq(field: Field, a, b) -> bool:
         if len(ra) != len(rb):
             return False
         for x, y in zip(ra, rb):
-            if uni.sub(field, x, y):
+            if uni.add(field, x, uni.neg(field, y)):
                 return False
     return True
 
