@@ -717,25 +717,26 @@ def bounded_stable_hom_estimate(
     """
     hom = HomComplex(x, y)
     # Z is the space of closed maps and B the span of the boundaries
-    # D(s, t), every piece of degree <= bound; C, D and V are the ranks of
-    # `cycles`, `boundaries` and `meets`.  Every D(s, t) is closed, so the
-    # solutions of f = D(s, t) have dimension dim(Z meet B) + dim ker D, and
-    # the answer dim(Z + B) - dim B = dim Z - dim(Z meet B) is V - C - D.
-    # With the f1 slot alone, f = D(s, t) needs f closed to imply the f0
-    # slot, so `meets` also constrains f; that leaves its solutions as they
-    # are.
+    # D(s, t), every piece of degree <= bound; dim Z = N - C for the N
+    # coefficients of f and C the rank of `cycles`.  The solutions of
+    # `meets`, f closed and f = D(s, t), map onto Z meet B with kernel ker D.
+    # A column is a pivot exactly when it is not a combination of earlier
+    # ones, so rank D pivots lie among the (s, t) columns, declared first, and
+    # N - dim(Z meet B) among the f columns; the answer dim(Z + B) - dim B =
+    # dim Z - dim(Z meet B) is that count minus C.  With the f1 slot alone,
+    # f = D(s, t) needs f closed to imply the f0 slot, so `meets` also
+    # constrains f; that leaves its solutions as they are.
     cycles = LinearSystem(x.ctx)
     f1, f0 = hom.bounded_unknowns(cycles, ("f1", "f0"), bound)
     hom.equate(cycles, hom.closed(f1, f0))
-    boundaries = LinearSystem(x.ctx)
-    s, t = hom.bounded_unknowns(boundaries, ("s", "t"), bound)
-    hom.equate(boundaries, hom.boundary(s, t))
     meets = LinearSystem(x.ctx)
-    f = hom.bounded_unknowns(meets, ("f1", "f0"), bound)
     s, t = hom.bounded_unknowns(meets, ("s", "t"), bound)
+    homotopies = meets.total
+    f = hom.bounded_unknowns(meets, ("f1", "f0"), bound)
     hom.equate(meets, hom.closed(*f))
     hom.equate(meets, hom.compose(identity_morphism(y), f), hom.boundary(s, t, -1))
-    return meets.coefficient_rank() - cycles.coefficient_rank() - boundaries.coefficient_rank()
+    labels = [c >= homotopies for c in range(meets.total)]
+    return meets.coefficient_rank(labels)[True] - cycles.coefficient_rank()
 
 
 # -- morphism spaces and isomorphism search ----------------------------

@@ -314,9 +314,11 @@ class CokPresentation:
 
     The module is the direct sum of k[z]/(d_i) over the nonunit diagonal
     entries; `blocks` lists (start in the module basis, diagonal index i,
-    d_i) for each.  `class_of` sends a polynomial column vector to its
-    class through the rows of U at those indices, and `lift_of_basis`
-    lifts a basis class through the matching column of U^(-1).
+    d_i) for each.  `class_of` pushes a polynomial column vector into
+    Smith coordinates by replaying the row operations of U and reduces
+    entry i mod d_i, and `lift_of_basis` lifts z^k e_i by replaying their
+    inverses in reverse order.  The module is built by `module_new`, which
+    drops w0.
     """
 
     def __init__(self, x: MatrixFactorization):
@@ -353,8 +355,7 @@ class CokPresentation:
                 z[start + i + 1][start + i] = field.one()
             for i in range(k):
                 z[start + i][start + k - 1] = field.neg(d[i])
-        w = uni.to_poly(ctx if ctx.w0 == field.zero() else ctx.shifted(w0=field.zero()), var, wc)
-        self.module = QuotModule(w.ctx, w, z)
+        self.module = module_new(uni.to_poly(ctx, var, wc), z)
 
     def class_of(self, column: Sequence[Poly]):
         """Class in the module of a column vector over k[z]."""
@@ -363,13 +364,10 @@ class CokPresentation:
                 "shape-mismatch", f"need a column of {self.source.rank} entries, got {len(column)}"
             )
         field = self.field
-        dense = [uni.from_poly(p, self.var) for p in column]
+        pushed = self.snf.replay([uni.from_poly(p, self.var) for p in column])
         out = [field.zero()] * self.dim
         for start, i, d in self.blocks:
-            pushed = []
-            for c, e in zip(self.snf.u[i], dense):
-                pushed = uni.add(field, pushed, uni.mul(field, c, e))
-            for k, c in enumerate(uni.mod(field, pushed, d)):
+            for k, c in enumerate(uni.mod(field, pushed[i], d)):
                 out[start + k] = c
         return out
 
@@ -378,11 +376,9 @@ class CokPresentation:
         field = self.field
         for start, i, d in self.blocks:
             if start <= index < start + uni.deg(d):
-                power = [field.zero()] * (index - start) + [field.one()]
-                return [
-                    uni.to_poly(self.ctx, self.var, uni.mul(field, row[i], power))
-                    for row in self.snf.u_inv
-                ]
+                column = [[] for _ in range(self.source.rank)]
+                column[i] = [field.zero()] * (index - start) + [field.one()]
+                return [uni.to_poly(self.ctx, self.var, e) for e in self.snf.replay(column, inverse=True)]
         raise MfcatError("index-out-of-range", f"{index} not below {self.dim}")
 
 

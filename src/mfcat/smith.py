@@ -5,11 +5,14 @@ Pivoting picks the nonzero entry of minimal degree, ties broken row-major,
 and clears by Euclidean division; the diagonal is made monic and the
 divisibility chain d_i | d_{i+1} is enforced.
 
-For unimodular U and V with U * M * V = D, only the row transform U and
-its inverse are tracked.  The image of M * V is the image of M, so U alone
-maps coker M onto coker D, the direct sum of the k[z]/(d_i): U pushes
-classes into the Smith coordinates and U^(-1) lifts them back.  The column
-transform V is applied to M but never kept.
+For unimodular U and V with U * M * V = D, only the row transform U is
+kept, and only as the row operations that build it, in order: swap rows
+i and j, add q times row j to row i, scale row i by c.  The image of
+M * V is the image of M, so U alone maps coker M onto coker D, the direct
+sum of the k[z]/(d_i): U pushes classes into the Smith coordinates and
+U^(-1) lifts them back.  `SmithDecomposition.replay` applies either to a
+column, U by the operations in order and U^(-1) by their inverses in
+reverse order.  The column transform V is applied to M but never kept.
 """
 
 from __future__ import annotations
@@ -18,35 +21,44 @@ from . import univariate as uni
 from .fields import Field
 
 
-def _poly_mat_identity(field: Field, n: int):
-    return [[[field.one()] if i == j else [] for j in range(n)] for i in range(n)]
-
-
 class SmithDecomposition:
     """U * M * V = D for some unimodular V, with U unimodular and D =
-    diag(d_1 | d_2 | ...); V itself is not kept."""
+    diag(d_1 | d_2 | ...); U is kept as its row operations, V not at all."""
 
-    def __init__(self, u, u_inv, diagonal):
-        self.u = u
-        self.u_inv = u_inv
+    def __init__(self, field: Field, ops, diagonal):
+        self.field = field
+        # ("swap", i, j), ("add", i, j, q): row i += q * row j, or ("scale", i, c)
+        self.ops = ops
         self.diagonal = diagonal  # dense lists, length min(rows, cols)
+
+    def replay(self, column, inverse: bool = False):
+        """U * column, or U^(-1) * column, for a column of dense lists."""
+        field = self.field
+        v = list(column)
+        for op in reversed(self.ops) if inverse else self.ops:
+            kind, i = op[0], op[1]
+            if kind == "swap":
+                v[i], v[op[2]] = v[op[2]], v[i]
+            elif kind == "add":
+                if v[op[2]]:
+                    q = uni.neg(field, op[3]) if inverse else op[3]
+                    v[i] = uni.add(field, v[i], uni.mul(field, q, v[op[2]]))
+            elif v[i]:
+                v[i] = uni.scale(field, field.inv(op[2]) if inverse else op[2], v[i])
+        return v
 
 
 def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
     m = [[list(e) for e in row] for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    u = _poly_mat_identity(field, rows)
-    u_inv = _poly_mat_identity(field, rows)
+    ops = []
 
     def swap_rows(i, j):
         if i == j:
             return
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        # Column swap on the inverse transform.
-        for r in range(rows):
-            u_inv[r][i], u_inv[r][j] = u_inv[r][j], u_inv[r][i]
+        ops.append(("swap", i, j))
 
     def swap_cols(i, j):
         if i == j:
@@ -56,29 +68,18 @@ def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
 
     def add_row_multiple(dst, src, q):
         # row dst += q * row src
-        if uni.is_zero(q):
-            return
         for c in range(cols):
             m[dst][c] = uni.add(field, m[dst][c], uni.mul(field, q, m[src][c]))
-        for c in range(rows):
-            u[dst][c] = uni.add(field, u[dst][c], uni.mul(field, q, u[src][c]))
-        nq = uni.neg(field, q)
-        for r in range(rows):
-            u_inv[r][src] = uni.add(field, u_inv[r][src], uni.mul(field, nq, u_inv[r][dst]))
+        ops.append(("add", dst, src, q))
 
     def add_col_multiple(dst, src, q):
         # col dst += q * col src
-        if uni.is_zero(q):
-            return
         for r in range(rows):
             m[r][dst] = uni.add(field, m[r][dst], uni.mul(field, q, m[r][src]))
 
     def scale_row(i, c):
-        inv = field.inv(c)
         m[i] = [uni.scale(field, c, e) for e in m[i]]
-        u[i] = [uni.scale(field, c, e) for e in u[i]]
-        for r in range(rows):
-            u_inv[r][i] = uni.scale(field, inv, u_inv[r][i])
+        ops.append(("scale", i, c))
 
     def select_pivot(k):
         best = None
@@ -121,16 +122,7 @@ def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
     # Enforce the divisibility chain, repeating the reduction as needed.
     while True:
         diag = [m[i][i] for i in range(min(rows, cols))]
-        bad = None
-        for i in range(len(diag) - 1):
-            if uni.is_zero(diag[i]):
-                if not uni.is_zero(diag[i + 1]):
-                    bad = i
-                    break
-                continue
-            if not uni.divides(field, diag[i], diag[i + 1]):
-                bad = i
-                break
+        bad = next((i for i in range(len(diag) - 1) if not uni.divides(field, diag[i], diag[i + 1])), None)
         if bad is None:
             break
         add_col_multiple(bad, bad + 1, [field.one()])
@@ -143,4 +135,4 @@ def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
                 scale_row(i, field.inv(lead))
 
     diagonal = [m[i][i] for i in range(min(rows, cols))]
-    return SmithDecomposition(u, u_inv, diagonal)
+    return SmithDecomposition(field, ops, diagonal)

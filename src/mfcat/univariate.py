@@ -55,19 +55,15 @@ def divmod_poly(field: Field, a, b):
     """Euclidean division: a = q*b + r with deg r < deg b."""
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
+    n = len(b) - 1
     r = list(a)
-    q = [field.zero()] * max(0, len(a) - len(b) + 1)
+    q = [field.zero()] * max(0, len(a) - n)
     inv_lead = field.inv(b[-1])
-    while len(r) >= len(b) and trim(field, r):
-        r = trim(field, r)
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        factor = field.mul(r[-1], inv_lead)
-        q[shift] = field.add(q[shift], factor)
+    for k in reversed(range(len(q))):
+        q[k] = factor = field.mul(r[k + n], inv_lead)
         for i, y in enumerate(b):
-            r[shift + i] = field.sub(r[shift + i], field.mul(factor, y))
-    return trim(field, q), trim(field, r)
+            r[k + i] = field.sub(r[k + i], field.mul(factor, y))
+    return trim(field, q), trim(field, r[:n])
 
 def mod(field: Field, a, b):
     return divmod_poly(field, a, b)[1]

@@ -14,6 +14,18 @@ The module family covers:
 - `cok_induced_map` on every catalogue basis morphism V_mu -> V_nu for
   n <= 5, on its shift, and on seeded direct sums of two basis morphisms.
 
+The cokernel family covers what the row transform U of the Smith form
+decides, which the identity map of the module family cannot show: on
+seeded stabilized modules M over Q, F_101 and F_3, with X = stabilize(M)
+and its presentation cok(X), the classes of every unit column, of every
+column of p0 and of z times it, and the lift of every basis class.
+
+The bounded family holds `bounded_stable_hom_estimate` at bounds 0, n
+and 2n on every pair of V_0, ..., V_(n-1) and the shift of V_1 for
+2 <= n <= 5 over Q, F_101 and F_2, on every pair of Knoerrer lifts of
+V_1, ..., V_(n-1) for n = 3, 4 over Q, and at bounds 0 to 6 on X = (z + 1,
+z^2 - z - 2) against itself over z^3 - 3z with w0 = 2.
+
 The critical family holds the values and the irrational flag that
 `critical_values` gives on:
 - the 202 seeded W of `tests/test_critical.py`, checked there against the
@@ -21,7 +33,7 @@ The critical family holds the values and the irrational flag that
 - dense integer W of degree 10, 12 and 14, coefficients in [-50, 50];
 - seeded products of (q z - p)^e with |p| up to 10^12.
 
-Run `python tests/test_corpus.py` to print the records of both families,
+Run `python tests/test_corpus.py` to print the records of every family,
 one per line, and diff them against another checkout's.
 """
 
@@ -30,10 +42,24 @@ import json
 import random
 import sys
 
-from mfcat import QQ, PrimeField, cok, cok_induced_map, critical_values, identity_morphism, stabilize, stable_hom
+from mfcat import (
+    QQ,
+    PrimeField,
+    RingContext,
+    bounded_stable_hom_estimate,
+    cok,
+    cok_induced_map,
+    critical_values,
+    identity_morphism,
+    mf_shift,
+    rank_one,
+    stabilize,
+    stable_hom,
+)
 from mfcat import univariate as uni
-from mfcat.andyn import an_basis_morphism, an_context, an_hom_basis, realize_an_morphism
+from mfcat.andyn import an_basis_morphism, an_context, an_hom_basis, realize_an_morphism, realize_an_object
 from mfcat.factorization import direct_sum_morphism, shift_morphism
+from mfcat.knorrer import knorrer
 from mfcat.formats import field_to_json
 from mfcat.modules import cyclic_module, direct_sum_modules, module_new
 from test_critical import CTX, dense_superpotential, root_product, seeded_superpotentials
@@ -41,11 +67,14 @@ from test_critical import CTX, dense_superpotential, root_product, seeded_superp
 
 MODULES_SHA256 = "e9817a525578aa3d67def27c63e7a96638c15ca47fb2d1ef6409f0fcefce4cda"
 CRITICAL_SHA256 = "917dc071d1ebc433972867810f9050b4bc9bf4fb5d2b8b395dab0749a7aa3b17"
+COKERNEL_SHA256 = "922e853b44a6908ebf5232115d63d2ca3b198488cf620b2587dd168903ccb740"
+BOUNDED_SHA256 = "2e612a356d4497cf312971486a010f31dafc83f20eac30f08a229df0d80cb6f2"
 
 FIELDS = (QQ, PrimeField(101))
 RANDOM_MODULES = 16  # per field
 CATALOGUE_N = range(2, 6)
 DIRECT_SUMS = 12  # per field
+COKERNEL_MODULES = 120  # per field
 DENSE_DEGREES = (10, 12, 14)
 ROOT_PRODUCTS = 20
 
@@ -156,6 +185,65 @@ def module_records():
     return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
 
 
+def cokernel_records():
+    rng = random.Random(22)
+    out = []
+    for field in FIELDS + (PrimeField(3),):
+        for _ in range(COKERNEL_MODULES):
+            n, parts, m = _random_module(rng, field)
+            x = stabilize(m)
+            pres = cok(x)
+            ctx, rank = x.ctx, x.rank
+            z = ctx.variable("z")
+            units = [[ctx.one() if i == j else ctx.zero() for i in range(rank)] for j in range(rank)]
+            p0 = [[x.p0.entries[i][j] for i in range(rank)] for j in range(rank)]
+            out.append({
+                "field": field_to_json(field),
+                "n": n,
+                "parts": parts,
+                "Z_M": _scalars(field, m.z_action),
+                "units": _scalars(field, [pres.class_of(col) for col in units]),
+                "p0": _scalars(field, [pres.class_of(col) for col in p0]),
+                "z_p0": _scalars(field, [pres.class_of([z * p for p in col]) for col in p0]),
+                "lifts": [[str(p) for p in pres.lift_of_basis(b)] for b in range(pres.dim)],
+            })
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
+
+
+def _bounded_record(case, field, n, pairs, bounds):
+    for (a, x), (b, y) in pairs:
+        for bound in bounds:
+            yield {
+                "case": case,
+                "field": field_to_json(field),
+                "n": n,
+                "pair": [a, b],
+                "bound": bound,
+                "dim": bounded_stable_hom_estimate(x, y, bound),
+            }
+
+
+def bounded_records():
+    out = []
+    for field in FIELDS + (PrimeField(2),):
+        ctx = an_context(field)
+        for n in CATALOGUE_N:
+            objects = [(str(mu), realize_an_object(ctx, n, mu)) for mu in range(n)]
+            objects.append(("1[1]", mf_shift(objects[1][1])))
+            pairs = [(a, b) for a in objects for b in objects]
+            out.extend(_bounded_record("catalogue", field, n, pairs, (0, n, 2 * n)))
+    ctx = an_context(QQ)
+    for n in (3, 4):
+        lifts = [(str(mu), knorrer(realize_an_object(ctx, n, mu))) for mu in range(1, n)]
+        pairs = [(a, b) for a in lifts for b in lifts]
+        out.extend(_bounded_record("knorrer", QQ, n, pairs, (0, n, 2 * n)))
+    ctx = RingContext(QQ, ("z",), weights=(1,), w0=2)
+    z = ctx.variable("z")
+    x = rank_one(ctx, z**3 - 3 * z, z + 1, z**2 - z - 2)
+    out.extend(_bounded_record("w0", QQ, 3, [(("X", x), ("X", x))], range(7)))
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
+
+
 def _critical_record(case, coeffs):
     values, irrational = critical_values(uni.to_poly(CTX, "z", coeffs))
     return {
@@ -182,12 +270,26 @@ def test_modules_family():
     assert _digest(module_records()) == MODULES_SHA256, "module family records changed"
 
 
+def test_cokernel_family():
+    assert _digest(cokernel_records()) == COKERNEL_SHA256, "cokernel family records changed"
+
+
+def test_bounded_family():
+    assert _digest(bounded_records()) == BOUNDED_SHA256, "bounded family records changed"
+
+
 def test_critical_family():
     assert _digest(critical_records()) == CRITICAL_SHA256, "critical family records changed"
 
 
 if __name__ == "__main__":
-    for name, family in (("modules", module_records), ("critical", critical_records)):
+    families = (
+        ("modules", module_records),
+        ("cokernel", cokernel_records),
+        ("bounded", bounded_records),
+        ("critical", critical_records),
+    )
+    for name, family in families:
         records = family()
         sys.stdout.write("\n".join(records) + "\n")
         print(f"{name}: {len(records)} records, sha256 {_digest(records)}", file=sys.stderr)

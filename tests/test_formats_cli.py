@@ -99,6 +99,17 @@ def test_homotopy_roundtrip(tmp_path):
     assert b.f1.entries[0][0] == parse_poly(ctx, "1")
 
 
+def test_cli_validate_homotopy(tmp_path, capsys):
+    x, y = v(5, 3), v(5, 2)
+    formats.save_mf(str(tmp_path / "x.json"), x)
+    formats.save_mf(str(tmp_path / "y.json"), y)
+    zeros = formats._matrix_from_strings(x.ctx, [["0"]], 1)
+    path = str(tmp_path / "h.json")
+    formats.save_homotopy(path, Homotopy(x, y, zeros, zeros), "x.json", "y.json")
+    assert cli.run(["validate", path]) == 0
+    assert capsys.readouterr().out == "valid homotopy: rank 1 -> rank 1\n"
+
+
 def test_module_roundtrip_with_custom_variable(tmp_path):
     ctx = RingContext(QQ, ("t",))
     w = parse_poly(ctx, "t^3")

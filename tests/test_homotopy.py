@@ -177,6 +177,15 @@ def test_rank_zero_certificate_takes_the_common_shape():
         graded_stable_hom_dim(zero, zero)
 
 
+def test_iso_between_zero_objects_is_trivial():
+    zero = v(5, 0)
+    for policy in (SearchPolicy(mode="bounded", bound=2), SearchPolicy(mode="graded")):
+        r = is_iso_in_db(zero, zero, policy)
+        assert (r.status, r.certificate) == ("iso", {"trivial": True})
+        assert (r.u.source, r.u.target, r.v.source, r.v.target) == (zero,) * 4
+        assert r.u.f1.rows == r.source_homotopy.s.rows == 0
+
+
 def _nonzero_degrees(x, y):
     return {phi: d for phi, d in graded_stable_hom_dim(x, y)[1]["degrees"] if d}
 

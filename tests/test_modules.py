@@ -155,6 +155,24 @@ def test_stabilize_roundtrip():
     assert decompose(back.module) == {2: 1}
 
 
+def test_cok_over_a_shifted_fiber():
+    # W = z^3 - 3z with w0 = 2: X = (z + 1, z^2 - z - 2) factors W - w0, and
+    # its cokernel lives over the fiber z^3 - 3z - 2 with w0 dropped.
+    ctx = RingContext(QQ, ("z",), weights=(1,), w0=2)
+    x = rank_one(ctx, parse_poly(ctx, "z^3 - 3*z"), parse_poly(ctx, "z + 1"), parse_poly(ctx, "z^2 - z - 2"))
+    pres = cok(x)
+    m = pres.module
+    assert (m.dim, m.ctx.w0, m.z_matrix()) == (1, F(0), [[F(-1)]])
+    assert m.w == parse_poly(m.ctx, "z^3 - 3*z - 2")
+    assert [(start, d) for start, _, d in pres.blocks] == [(0, [F(1), F(1)])]
+    assert stable_hom(m, m).dim == 1
+    assert pres.lift_of_basis(0) == [ctx.one()]
+    assert pres.class_of([parse_poly(ctx, "z^2")]) == [F(1)]
+    back = cok(stabilize(m))
+    assert back.module == m
+    assert [d for _, _, d in back.blocks] == [[F(1), F(1)]]
+
+
 def test_stabilize_of_free_is_contractible_block():
     m = jordan_module(3, [3])
     x = stabilize(m)

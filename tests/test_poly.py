@@ -72,6 +72,13 @@ def test_partial_derivative():
         p.partial_derivative("q")
 
 
+def test_partial_derivative_drops_exponents_the_characteristic_divides():
+    ctx = RingContext(PrimeField(3), ("z", "x"))
+    p = parse_poly(ctx, "z^3*x + z^6 + 2*z^4 + z")
+    assert p.partial_derivative("z") == parse_poly(ctx, "2*z^3 + 1")
+    assert parse_poly(ctx, "z^3 + x^6").partial_derivative("z").is_zero()
+
+
 def test_term_order_is_graded():
     # Higher total degree prints first; ties broken lexicographically.
     p = parse_poly(ZX, "1 + z + x^2 + z*x")

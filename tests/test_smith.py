@@ -2,10 +2,12 @@
 
 `reference_smith_normal_form` is the reduction with both transforms
 tracked: the same pivoting as `smith.smith_normal_form`, which keeps only
-U, U^(-1) and the diagonal, plus the column transform V and its inverse.
-Its `check` verifies U * M * V = D, U * U^(-1) = I, V^(-1) * V = I and the
-divisibility chain.  Every test asserts `check` on the reference and that
-`smith_normal_form` returns the reference's U, U^(-1) and diagonal.
+the row operations of U and the diagonal, with U, U^(-1), the column
+transform V and its inverse as matrices.  Its `check` verifies U * M * V =
+D, U * U^(-1) = I, V^(-1) * V = I and the divisibility chain.  Every test
+asserts `check` on the reference and that replaying the row operations of
+`smith_normal_form` on the unit columns rebuilds the reference's U and
+U^(-1), and that the diagonals agree.
 """
 
 import random
@@ -219,12 +221,21 @@ def reference_smith_normal_form(field: Field, matrix) -> ReferenceDecomposition:
 # -- tests ---------------------------------------------------------------
 
 
+def _transform(d, rows, inverse):
+    """U, or U^(-1) with inverse set, rebuilt column by column by replaying
+    the recorded row operations on the unit columns."""
+    units = _poly_mat_identity(d.field, rows)
+    columns = [d.replay(e, inverse) for e in units]
+    return [[column[r] for column in columns] for r in range(rows)]
+
+
 def decompose(field, m):
     """smith_normal_form(field, m), after checking it against the reference."""
     reference = reference_smith_normal_form(field, m)
     assert reference.check(m)
     d = smith.smith_normal_form(field, m)
-    assert (d.u, d.u_inv, d.diagonal) == (reference.u, reference.u_inv, reference.diagonal)
+    u, u_inv = _transform(d, len(m), False), _transform(d, len(m), True)
+    assert (u, u_inv, d.diagonal) == (reference.u, reference.u_inv, reference.diagonal)
     return d
 
 

@@ -34,6 +34,41 @@ def test_divmod():
         uni.divmod_poly(QQ, a, [])
 
 
+def reference_divmod(field, a, b):
+    """Euclidean division by trimming the remainder after every step."""
+    r = list(a)
+    q = [field.zero()] * max(0, len(a) - len(b) + 1)
+    inv_lead = field.inv(b[-1])
+    while len(r) >= len(b) and uni.trim(field, r):
+        r = uni.trim(field, r)
+        if len(r) < len(b):
+            break
+        shift = len(r) - len(b)
+        factor = field.mul(r[-1], inv_lead)
+        q[shift] = field.add(q[shift], factor)
+        for i, y in enumerate(b):
+            r[shift + i] = field.sub(r[shift + i], field.mul(factor, y))
+    return uni.trim(field, q), uni.trim(field, r)
+
+
+def test_divmod_matches_reference():
+    # Dividends are left untrimmed (trailing zeros kept) and may be shorter
+    # than the divisor; divisors are trimmed, as division requires.
+    rng = random.Random(22)
+    shapes = set()
+    for field in (QQ, PrimeField(2), PrimeField(5), PrimeField(101)):
+        for _ in range(500):
+            a = [field.coerce(rng.randrange(-4, 5)) for _ in range(rng.randrange(0, 9))]
+            b = uni.trim(field, [field.coerce(rng.randrange(-4, 5)) for _ in range(rng.randrange(1, 6))])
+            if not b:
+                continue
+            q, r = uni.divmod_poly(field, a, b)
+            assert (q, r) == reference_divmod(field, a, b)
+            assert uni.add(field, uni.mul(field, q, b), r) == uni.trim(field, a)
+            shapes.add((len(a) < len(b), a != uni.trim(field, a)))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_gcd_is_monic():
     # gcd(z^2 - 1, z^2 - 2z + 1) = z - 1
     a = [F(-1), F(0), F(1)]
