@@ -259,6 +259,8 @@ class LinearSystem:
         packed_supports: Dict[Tuple[Exponent, ...], List[int]] = {}
         for left, unk, right, sign in terms:
             sgn = field.coerce(sign)
+            if field.is_zero(sgn):
+                continue  # adds nothing; every other factor below is a nonzero scalar
             # lefts[k]: (key offset of row i plus monomial, sign * coefficient)
             if left is None:
                 lefts = [[(k * ncols * stride, sgn)] for k in range(unk.rows)]
@@ -296,8 +298,6 @@ class LinearSystem:
                     for key_left, c_left in lefts[k]:
                         for key_right, c_right in rights[l]:
                             coeff = mul(c_left, c_right)
-                            if not coeff:
-                                continue
                             key_lr = key_left + key_right
                             for var, key_unk in enumerate(packed, first):
                                 key = key_lr + key_unk

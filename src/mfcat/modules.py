@@ -410,8 +410,8 @@ def stabilize(m: QuotModule) -> MatrixFactorization:
     The kernel of the surjection k[z]^dim ->> M sending generators to the
     k-basis is free with basis the columns of z*I - Z, so p1 = z*I - Z;
     p0 solves p1 * p0 = W * I exactly via the divided difference
-    (W(z) - W(y)) / (z - y) evaluated at y = Z, and both products are
-    verified by the factorization constructor.
+    (W(z) - W(y)) / (z - y) evaluated at y = Z, and `mf_new` checks
+    p1 * p0 = W * I, from which p0 * p1 = W * I follows.
     """
     ctx = m.ctx
     field = ctx.field

@@ -33,6 +33,17 @@ The critical family holds the values and the irrational flag that
 - dense integer W of degree 10, 12 and 14, coefficients in [-50, 50];
 - seeded products of (q z - p)^e with |p| up to 10^12.
 
+The witnesses family holds certificates with their witness matrices as
+strings, over Q and F_101:
+- `certify_an_triangle` on the triangle of every catalogue basis morphism
+  for n <= 5, at bounds 0, 1 and 2 and the default; the low bounds reach
+  "comparison maps found but none invertible", and bound 2 also the search
+  through the kernel directions;
+- `is_iso_in_db` of stabilize(V_mu) against V_mu for n <= 4, at bounds 3
+  and 0 and in graded mode; of the rotation cone(g) against X[1] of the
+  generator's triangle for n <= 3, at bound 4; and of V_1 against V_2 over
+  z^4 in graded mode, a certified "not-iso".
+
 Run `python tests/test_corpus.py` to print the records of every family,
 one per line, and diff them against another checkout's.
 """
@@ -46,18 +57,31 @@ from mfcat import (
     QQ,
     PrimeField,
     RingContext,
+    SearchPolicy,
     bounded_stable_hom_estimate,
     cok,
     cok_induced_map,
     critical_values,
+    cone,
     identity_morphism,
+    is_iso_in_db,
     mf_shift,
     rank_one,
     stabilize,
     stable_hom,
+    standard_triangle,
 )
 from mfcat import univariate as uni
-from mfcat.andyn import an_basis_morphism, an_context, an_hom_basis, realize_an_morphism, realize_an_object
+from mfcat.andyn import (
+    an_basis_morphism,
+    an_context,
+    an_generator,
+    an_hom_basis,
+    an_triangle,
+    certify_an_triangle,
+    realize_an_morphism,
+    realize_an_object,
+)
 from mfcat.factorization import direct_sum_morphism, shift_morphism
 from mfcat.knorrer import knorrer
 from mfcat.formats import field_to_json
@@ -69,6 +93,7 @@ MODULES_SHA256 = "e9817a525578aa3d67def27c63e7a96638c15ca47fb2d1ef6409f0fcefce4c
 CRITICAL_SHA256 = "917dc071d1ebc433972867810f9050b4bc9bf4fb5d2b8b395dab0749a7aa3b17"
 COKERNEL_SHA256 = "922e853b44a6908ebf5232115d63d2ca3b198488cf620b2587dd168903ccb740"
 BOUNDED_SHA256 = "2e612a356d4497cf312971486a010f31dafc83f20eac30f08a229df0d80cb6f2"
+WITNESSES_SHA256 = "5692c42361a56a945d2f706f4c39c4ee513effb21aaeac29bd8314cd410d98fe"
 
 FIELDS = (QQ, PrimeField(101))
 RANDOM_MODULES = 16  # per field
@@ -77,6 +102,8 @@ DIRECT_SUMS = 12  # per field
 COKERNEL_MODULES = 120  # per field
 DENSE_DEGREES = (10, 12, 14)
 ROOT_PRODUCTS = 20
+TRIANGLE_BOUNDS = (0, 1, 2, None)  # None: the default bound 2n
+ISO_POLICIES = (("bounded", 3), ("graded", None), ("bounded", 0))
 
 
 def _scalars(field, rows):
@@ -244,6 +271,66 @@ def bounded_records():
     return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
 
 
+def _strings(**matrices):
+    return {name: [[str(p) for p in row] for row in m.entries] for name, m in matrices.items()}
+
+
+def _iso_record(case, field, params, policy, r):
+    record = {
+        "case": case,
+        "field": field_to_json(field),
+        **params,
+        "policy": [policy.mode, policy.bound],
+        "status": r.status,
+        "certificate": r.certificate,
+    }
+    if r.u is not None:
+        record["witness"] = _strings(
+            u1=r.u.f1, u0=r.u.f0, v1=r.v.f1, v0=r.v.f0,
+            s1=r.source_homotopy.s, t1=r.source_homotopy.t,
+            s2=r.target_homotopy.s, t2=r.target_homotopy.t,
+        )
+    return record
+
+
+def witness_records():
+    out = []
+    for field in FIELDS:
+        ctx = an_context(field)
+        for n in CATALOGUE_N:
+            for mu in range(1, n):
+                for nu in range(1, n):
+                    for lam in an_hom_basis(n, mu, nu):
+                        tri = an_triangle(an_basis_morphism(field, n, mu, nu, lam))
+                        for bound in TRIANGLE_BOUNDS:
+                            out.append({
+                                "case": "triangle",
+                                "field": field_to_json(field),
+                                "bound": bound,
+                                "certificate": certify_an_triangle(tri, ctx, bound),
+                            })
+        for n in range(2, 5):
+            for mu in range(1, n):
+                x = stabilize(cyclic_module(field, n, mu))
+                y = realize_an_object(ctx, n, mu)
+                for mode, bound in ISO_POLICIES:
+                    policy = SearchPolicy(mode=mode, bound=bound)
+                    params = {"n": n, "mu": mu}
+                    out.append(_iso_record("stabilize", field, params, policy, is_iso_in_db(x, y, policy)))
+        policy = SearchPolicy(mode="bounded", bound=4)
+        for n in range(2, 4):
+            for mu in range(1, n):
+                for nu in range(1, n):
+                    f = realize_an_morphism(an_generator(field, n, mu, nu), ctx)
+                    _, g, _ = standard_triangle(f)
+                    r = is_iso_in_db(cone(g), mf_shift(f.source), policy)
+                    out.append(_iso_record("rotation", field, {"n": n, "mu": mu, "nu": nu}, policy, r))
+        policy = SearchPolicy(mode="graded")
+        r = is_iso_in_db(realize_an_object(ctx, 4, 1), realize_an_object(ctx, 4, 2), policy)
+        out.append(_iso_record("not-iso", field, {"n": 4, "mu": 1, "nu": 2}, policy, r))
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
+
+
 def _critical_record(case, coeffs):
     values, irrational = critical_values(uni.to_poly(CTX, "z", coeffs))
     return {
@@ -278,6 +365,10 @@ def test_bounded_family():
     assert _digest(bounded_records()) == BOUNDED_SHA256, "bounded family records changed"
 
 
+def test_witnesses_family():
+    assert _digest(witness_records()) == WITNESSES_SHA256, "witnesses family records changed"
+
+
 def test_critical_family():
     assert _digest(critical_records()) == CRITICAL_SHA256, "critical family records changed"
 
@@ -287,6 +378,7 @@ if __name__ == "__main__":
         ("modules", module_records),
         ("cokernel", cokernel_records),
         ("bounded", bounded_records),
+        ("witnesses", witness_records),
         ("critical", critical_records),
     )
     for name, family in families:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from mfcat import (
     QQ,
     PolyMatrix,
+    PrimeField,
     RingContext,
     compose,
     cone,
@@ -29,7 +31,17 @@ from mfcat import (
     w_multiplication_homotopy,
     zero_morphism,
 )
-from mfcat.factorization import Homotopy, direct_sum_morphism
+from mfcat.andyn import an_basis_morphism, an_context, an_hom_basis, realize_an_morphism, realize_an_object
+from mfcat.errors import MfcatError
+from mfcat.factorization import (
+    Homotopy,
+    MatrixFactorization,
+    MFMorphism,
+    _check_same_fiber,
+    _first_difference,
+    direct_sum_morphism,
+)
+from mfcat.knorrer import knorrer, knorrer_morphism
 
 
 CTX = RingContext(QQ, ("z",), weights=(1,))
@@ -53,7 +65,7 @@ def test_constructor_checks_products():
 
 
 def test_noncommutative_factorization():
-    # both orders of the product are checked
+    # p1 and p0 are not scalar matrices; p0 * p1 = W follows from p1 * p0 = W
     ctx = RingContext(QQ, ("z",))
     w = parse_poly(ctx, "z^2")
     p1 = PolyMatrix(ctx, [[parse_poly(ctx, "z"), parse_poly(ctx, "1")],
@@ -221,3 +233,161 @@ def test_multiplication_morphism_is_central():
     zx = multiplication_morphism(x, parse_poly(CTX, "z"))
     zy = multiplication_morphism(y, parse_poly(CTX, "z"))
     assert compose(f, zx).f1 == compose(zy, f).f1
+
+
+# -- one product identity each, against the two-check reference -----------
+#
+# Over the polynomial ring, a domain, p1 p0 = (W - w0) I implies p0 p1 =
+# (W - w0) I for square matrices, and for factorizations X and Y the
+# identity f1 p0 = q0 f0 implies q1 f1 = f0 p1.  The references below check
+# both halves and the library checks one: every input must get the same
+# object or the same error text.
+
+
+def _reference_mf_new(ctx, w_total, p1, p0):
+    if w_total.ctx is not ctx and w_total.ctx != ctx:
+        raise MfcatError("context-mismatch", "W from a different context")
+    if (p1.ctx is not ctx and p1.ctx != ctx) or (p0.ctx is not ctx and p0.ctx != ctx):
+        raise MfcatError("context-mismatch", "matrices from a different context")
+    w = w_total - ctx.constant(ctx.w0)
+    if w.is_zero():
+        raise MfcatError("zero-superpotential", "W - w0 must be nonzero")
+    if p1.rows != p1.cols or p0.rows != p0.cols or p1.rows != p0.rows:
+        raise MfcatError(
+            "invalid-shape", f"need equal square shapes, got {p1.rows}x{p1.cols} and {p0.rows}x{p0.cols}"
+        )
+    w_ident = PolyMatrix.scalar(ctx, w, p1.rows)
+    for prod, name in ((p1 @ p0, "p1 * p0"), (p0 @ p1, "p0 * p1")):
+        if prod != w_ident:
+            raise MfcatError(
+                "not-a-factorization", f"{name} differs from (W - w0) * I; "
+                f"first offending entry {_first_difference(prod, w_ident)}"
+            )
+    return MatrixFactorization(ctx, w, p1.rows, p1, p0)
+
+
+def _reference_morphism_new(x, y, f1, f0):
+    _check_same_fiber(x, y)
+    if f1.rows != y.rank or f1.cols != x.rank or f0.rows != y.rank or f0.cols != x.rank:
+        raise MfcatError(
+            "invalid-shape", f"morphism components must be {y.rank}x{x.rank}, "
+            f"got {f1.rows}x{f1.cols} and {f0.rows}x{f0.cols}"
+        )
+    for lhs, rhs, name in (
+        (f1 @ x.p0, y.p0 @ f0, "f1 * p0 differs from q0 * f0"),
+        (y.p1 @ f1, f0 @ x.p1, "q1 * f1 differs from f0 * p1"),
+    ):
+        if lhs != rhs:
+            raise MfcatError("not-a-morphism", f"{name}; first offending entry {_first_difference(lhs, rhs)}")
+    return MFMorphism(x, y, f1, f0)
+
+
+def _reference_cone(f):
+    x, y = f.source, f.target
+    ctx = x.ctx
+    z = PolyMatrix.zero(ctx, x.rank, y.rank)
+    c1 = PolyMatrix.block([[y.p1, f.f0], [z, -x.p0]])
+    c0 = PolyMatrix.block([[y.p0, f.f1], [z, -x.p1]])
+    w_ident = PolyMatrix.scalar(ctx, x.w, x.rank + y.rank)
+    if c1 @ c0 != w_ident or c0 @ c1 != w_ident:
+        raise MfcatError("not-a-factorization", "cone blocks fail the product identity")
+    return MatrixFactorization(ctx, x.w, x.rank + y.rank, c1, c0)
+
+
+def _outcome(build, *args):
+    """The object built, or the text of the error raised."""
+    try:
+        return build(*args)
+    except MfcatError as exc:
+        return str(exc)
+
+
+def _bump(rng, m):
+    """m with c z^k added to one seeded entry, c a nonzero scalar."""
+    ctx = m.ctx
+    field = ctx.field
+    rows = [list(row) for row in m.entries]
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    c = field.coerce(rng.choice([c for c in (1, -1, 2, 3) if not field.is_zero(field.coerce(c))]))
+    rows[i][j] = rows[i][j] + ctx.monomial((rng.randrange(4),) + (0,) * (ctx.nvars - 1), c)
+    return PolyMatrix(ctx, rows, cols=m.cols)
+
+
+def _catalogue(field, rng):
+    """Objects and morphisms for n <= 5: V_mu, shifts, direct sums, cones and
+    Knoerrer lifts; basis morphisms, their shifts, sums and lifts."""
+    ctx = an_context(field)
+    objects, morphisms = [], []
+    for n in range(2, 6):
+        vs = [realize_an_object(ctx, n, mu) for mu in range(n)]
+        basis = [
+            realize_an_morphism(an_basis_morphism(field, n, mu, nu, lam), ctx)
+            for mu in range(1, n)
+            for nu in range(1, n)
+            for lam in an_hom_basis(n, mu, nu)
+        ]
+        sums = [
+            morphism_add(f, g)
+            for f in basis
+            for g in basis
+            if f is not g and (f.source, f.target) == (g.source, g.target)
+        ]
+        pairs = [rng.sample(basis, 2) for _ in range(3 if len(basis) > 1 else 0)]
+        morphisms += basis + sums + [shift_morphism(f) for f in basis]
+        morphisms += [direct_sum_morphism(f, g) for f, g in pairs]
+        objects += vs + [mf_shift(x) for x in vs] + [mf_direct_sum(f.source, g.target) for f, g in pairs]
+        objects += [cone(f) for f in basis]
+        if n <= 4:
+            objects += [knorrer(x) for x in vs[1:]]
+            morphisms += [knorrer_morphism(f) for f in basis]
+    return objects, morphisms
+
+
+def _rank_one_candidates(field, rng):
+    """(ctx, W, a, b) with a b = W - w0 and with a b off by one term."""
+    for ctx in (an_context(field), RingContext(field, ("z",), weights=(1,), w0=2)):
+        z = ctx.variable("z")
+        yield ctx, ctx.constant(ctx.w0), z, ctx.zero()
+        for _ in range(20):
+            a = sum((ctx.constant(rng.randrange(-2, 3)) * z**k for k in range(3)), ctx.zero())
+            b = sum((ctx.constant(rng.randrange(-2, 3)) * z**k for k in range(3)), ctx.zero())
+            w = a * b + ctx.constant(ctx.w0)
+            for w_total in (w, w + ctx.constant(rng.choice([1, 2])) * z ** rng.randrange(5)):
+                yield ctx, w_total, a, b
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=lambda f: f.name)
+def test_one_product_check_matches_the_two_check_reference(field):
+    rng = random.Random(23)
+    objects, morphisms = _catalogue(field, rng)
+    outcomes = []
+
+    def same(build, reference, *args):
+        got, want = _outcome(build, *args), _outcome(reference, *args)
+        assert got == want, (args, got, want)
+        outcomes.append(want)
+
+    for x in objects:
+        w_total = unshifted_w(x)
+        same(mf_new, _reference_mf_new, x.ctx, w_total, x.p1, x.p0)
+        if x.rank:
+            same(mf_new, _reference_mf_new, x.ctx, w_total, _bump(rng, x.p1), x.p0)
+            same(mf_new, _reference_mf_new, x.ctx, w_total, x.p1, _bump(rng, x.p0))
+    for ctx, w_total, a, b in _rank_one_candidates(field, rng):
+        same(mf_new, _reference_mf_new, ctx, w_total, PolyMatrix(ctx, [[a]]), PolyMatrix(ctx, [[b]]))
+    for f in morphisms:
+        x, y = f.source, f.target
+        g = rng.choice([g for g in morphisms if (g.source, g.target) == (x, y)])
+        candidates = [
+            (f.f1, f.f0),
+            (f.f1 + g.f1, f.f0 + g.f0),
+            (f.f1 + g.f0, f.f0 + g.f1),
+        ]
+        if x.rank and y.rank:
+            candidates += [(_bump(rng, f.f1), f.f0), (f.f1, _bump(rng, f.f0))]
+        for f1, f0 in candidates:
+            same(morphism_new, _reference_morphism_new, x, y, f1, f0)
+            same(cone, _reference_cone, MFMorphism(x, y, f1, f0))
+    texts = [o for o in outcomes if isinstance(o, str)]
+    assert sum(map(bool, texts)) > 100 and len(outcomes) - len(texts) > 100
+    assert {t.split(":")[0] for t in texts} == {"not-a-factorization", "not-a-morphism", "zero-superpotential"}

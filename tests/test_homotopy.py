@@ -572,6 +572,35 @@ def test_packed_assembly_matches_tuple_reference(field):
     assert high_rhs > 5
 
 
+def test_assembly_skips_a_term_whose_sign_is_zero_in_the_field():
+    ctx = RingContext(PrimeField(2), ("x", "y"))
+
+    def matrix(rows):
+        return PolyMatrix(ctx, [[ctx.parse(e) for e in row] for row in rows])
+
+    left, right = matrix([["x + 1", "y"], ["0", "x*y + y^2"]]), matrix([["1", "x"], ["y^2", "x + y"]])
+    rhs = matrix([["x^2", "0"], ["y", "1"]])
+    monomials = ho.monomials_up_to_degree(2, 2)
+
+    def system_and_terms(with_zero_signs):
+        system = ho.LinearSystem(ctx)
+        u = system.unknown("u", 2, 2, lambda r, c: monomials)
+        v = system.unknown("v", 2, 2, lambda r, c: monomials[r + c:])
+        terms = [(left, u, right, 1), (None, u, right, -1)]
+        if with_zero_signs:
+            # Over F_2 the sign 2 is zero: these terms add no entry and no row.
+            terms += [(left, v, None, 2), (None, v, None, 2)]
+        return system, terms
+
+    system, terms = system_and_terms(True)
+    want = _reference_add_matrix_equation(system, terms, rhs, (2, 2))
+    system.add_matrix_equation(terms, rhs, (2, 2))
+    assert system.rows == want
+    plain, terms = system_and_terms(False)
+    plain.add_matrix_equation(terms, rhs, (2, 2))
+    assert plain.rows == want
+
+
 # -- f1-slot equations against the two-slot reference ---------------------
 
 
