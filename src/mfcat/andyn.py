@@ -479,11 +479,7 @@ def certify_an_triangle(
 # -- cross verification -------------------------------------------------
 
 
-def an_verify(
-    n: int,
-    field: Field = QQ,
-    lst_sample: str = "all",
-) -> dict:
+def an_verify(n: int, field: Field = QQ) -> dict:
     """Cross-check the catalogue against the module and factorization
     engines: dimensions, composition, translation, and triangles.
 
@@ -569,10 +565,7 @@ def an_verify(
                     "certificate": cert,
                 }
             )
-            peaks = an_hom_basis(n, mu, nu)[1:]
-            if lst_sample == "first" and peaks:
-                peaks = peaks[:1]
-            for lam in peaks:
+            for lam in an_hom_basis(n, mu, nu)[1:]:
                 tri = an_triangle(an_basis_morphism(field, n, mu, nu, lam))
                 cert = certify_an_triangle(tri, ctx)
                 checks.append(

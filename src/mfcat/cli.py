@@ -175,7 +175,7 @@ def cmd_an_table(args) -> int:
 
 def cmd_an_verify(args) -> int:
     field = field_from_token(args.field)
-    report = andyn.an_verify(args.n, field, lst_sample=args.lst_sample)
+    report = andyn.an_verify(args.n, field)
     failures = 0
     for check in report["checks"]:
         params = ",".join(f"{k}={v}" for k, v in sorted(check["params"].items()))
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_out(sub.add_parser("an-verify", help="cross-check the z^n catalogue"))
     p.add_argument("n", type=int)
     p.add_argument("--field", default="Q")
-    p.add_argument("--lst-sample", choices=("all", "first"), default="all")
     p.set_defaults(func=cmd_an_verify)
 
     p = with_out(sub.add_parser("verify-knorrer", help="check hom dimensions across the hyperbolic tensor"))

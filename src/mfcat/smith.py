@@ -10,15 +10,34 @@ kept, and only as the row operations that build it, in order: swap rows
 i and j, add q times row j to row i, scale row i by c.  The image of
 M * V is the image of M, so U alone maps coker M onto coker D, the direct
 sum of the k[z]/(d_i): U pushes classes into the Smith coordinates and
-U^(-1) lifts them back.  `SmithDecomposition.replay` applies either to a
-column, U by the operations in order and U^(-1) by their inverses in
-reverse order.  The column transform V is applied to M but never kept.
+U^(-1) lifts them back.
+
+One step, `_row_op`, applies a row operation or its inverse to a column
+in place, and skips an add whose source entry is zero.  The reduction
+holds M as a list of columns, records each row operation and applies it
+to every column by that step; `SmithDecomposition.replay` applies the
+recorded list to a column by the same step, U by the operations in order
+and U^(-1) by their inverses in reverse order.  The column operations of
+V are applied to M (a swap is one list swap) but never kept.
 """
 
 from __future__ import annotations
 
 from . import univariate as uni
 from .fields import Field
+
+
+def _row_op(field: Field, op, v, inverse: bool = False) -> None:
+    """Apply one recorded row operation, or its inverse, to the column v."""
+    kind, i = op[0], op[1]
+    if kind == "swap":
+        v[i], v[op[2]] = v[op[2]], v[i]
+    elif kind == "add":
+        if v[op[2]]:
+            q = uni.neg(field, op[3]) if inverse else op[3]
+            v[i] = uni.add(field, v[i], uni.mul(field, q, v[op[2]]))
+    elif v[i]:
+        v[i] = uni.scale(field, field.inv(op[2]) if inverse else op[2], v[i])
 
 
 class SmithDecomposition:
@@ -33,60 +52,34 @@ class SmithDecomposition:
 
     def replay(self, column, inverse: bool = False):
         """U * column, or U^(-1) * column, for a column of dense lists."""
-        field = self.field
         v = list(column)
         for op in reversed(self.ops) if inverse else self.ops:
-            kind, i = op[0], op[1]
-            if kind == "swap":
-                v[i], v[op[2]] = v[op[2]], v[i]
-            elif kind == "add":
-                if v[op[2]]:
-                    q = uni.neg(field, op[3]) if inverse else op[3]
-                    v[i] = uni.add(field, v[i], uni.mul(field, q, v[op[2]]))
-            elif v[i]:
-                v[i] = uni.scale(field, field.inv(op[2]) if inverse else op[2], v[i])
+            _row_op(self.field, op, v, inverse)
         return v
 
 
 def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
-    m = [[list(e) for e in row] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    rows = len(matrix)
+    # m[j][i] is the entry in row i and column j.
+    m = [[list(row[j]) for row in matrix] for j in range(len(matrix[0]) if rows else 0)]
+    cols = len(m)
     ops = []
 
-    def swap_rows(i, j):
-        if i == j:
-            return
-        m[i], m[j] = m[j], m[i]
-        ops.append(("swap", i, j))
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in range(rows):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-
-    def add_row_multiple(dst, src, q):
-        # row dst += q * row src
-        for c in range(cols):
-            m[dst][c] = uni.add(field, m[dst][c], uni.mul(field, q, m[src][c]))
-        ops.append(("add", dst, src, q))
+    def row_op(*op):
+        ops.append(op)
+        for column in m:
+            _row_op(field, op, column)
 
     def add_col_multiple(dst, src, q):
         # col dst += q * col src
-        for r in range(rows):
-            m[r][dst] = uni.add(field, m[r][dst], uni.mul(field, q, m[r][src]))
-
-    def scale_row(i, c):
-        m[i] = [uni.scale(field, c, e) for e in m[i]]
-        ops.append(("scale", i, c))
+        m[dst] = [uni.add(field, d, uni.mul(field, q, s)) if s else d for d, s in zip(m[dst], m[src])]
 
     def select_pivot(k):
         best = None
         for i in range(k, rows):
             for j in range(k, cols):
-                if not uni.is_zero(m[i][j]):
-                    d = uni.deg(m[i][j])
+                if m[j][i]:
+                    d = uni.deg(m[j][i])
                     if best is None or d < best[0]:
                         best = (d, i, j)
         return best
@@ -98,23 +91,22 @@ def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
                 if found is None:
                     return
                 _, pi, pj = found
-                swap_rows(k, pi)
-                swap_cols(k, pj)
+                if pi != k:
+                    row_op("swap", k, pi)
+                m[k], m[pj] = m[pj], m[k]
                 dirty = False
                 for i in range(k + 1, rows):
-                    if uni.is_zero(m[i][k]):
-                        continue
-                    q, _ = uni.divmod_poly(field, m[i][k], m[k][k])
-                    add_row_multiple(i, k, uni.neg(field, q))
-                    if not uni.is_zero(m[i][k]):
-                        dirty = True
+                    if m[k][i]:
+                        q, _ = uni.divmod_poly(field, m[k][i], m[k][k])
+                        row_op("add", i, k, uni.neg(field, q))
+                        if m[k][i]:
+                            dirty = True
                 for j in range(k + 1, cols):
-                    if uni.is_zero(m[k][j]):
-                        continue
-                    q, _ = uni.divmod_poly(field, m[k][j], m[k][k])
-                    add_col_multiple(j, k, uni.neg(field, q))
-                    if not uni.is_zero(m[k][j]):
-                        dirty = True
+                    if m[j][k]:
+                        q, _ = uni.divmod_poly(field, m[j][k], m[k][k])
+                        add_col_multiple(j, k, uni.neg(field, q))
+                        if m[j][k]:
+                            dirty = True
                 if not dirty:
                     break
 
@@ -129,10 +121,8 @@ def smith_normal_form(field: Field, matrix) -> SmithDecomposition:
         diagonalize()
 
     for i in range(min(rows, cols)):
-        if not uni.is_zero(m[i][i]):
-            lead = m[i][i][-1]
-            if not field.is_zero(field.sub(lead, field.one())):
-                scale_row(i, field.inv(lead))
+        if m[i][i] and not field.is_zero(field.sub(m[i][i][-1], field.one())):
+            row_op("scale", i, field.inv(m[i][i][-1]))
 
     diagonal = [m[i][i] for i in range(min(rows, cols))]
     return SmithDecomposition(field, ops, diagonal)

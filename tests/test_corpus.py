@@ -44,6 +44,14 @@ strings, over Q and F_101:
   generator's triangle for n <= 3, at bound 4; and of V_1 against V_2 over
   z^4 in graded mode, a certified "not-iso".
 
+The graded family holds `graded_stable_hom_dim` (the dimension and its
+certificate) on every pair of V_0, ..., V_n over Q for n = 2, ..., 7, F_3
+for n <= 6, F_101 for n <= 8 and F_2 for n <= 5, and on every pair of
+Knoerrer lifts of V_1, ..., V_(n-1) over Q, single for n <= 6 and double
+for n <= 4.  It also holds the status, certificate and witness of graded
+`find_null_homotopy` on every catalogue basis morphism f for n <= 6 over
+Q and F_3, and on z^(n-1) f.
+
 Run `python tests/test_corpus.py` to print the records of every family,
 one per line, and diff them against another checkout's.
 """
@@ -61,11 +69,15 @@ from mfcat import (
     bounded_stable_hom_estimate,
     cok,
     cok_induced_map,
+    compose,
     critical_values,
     cone,
+    find_null_homotopy,
+    graded_stable_hom_dim,
     identity_morphism,
     is_iso_in_db,
     mf_shift,
+    multiplication_morphism,
     rank_one,
     stabilize,
     stable_hom,
@@ -94,6 +106,7 @@ CRITICAL_SHA256 = "917dc071d1ebc433972867810f9050b4bc9bf4fb5d2b8b395dab0749a7aa3
 COKERNEL_SHA256 = "922e853b44a6908ebf5232115d63d2ca3b198488cf620b2587dd168903ccb740"
 BOUNDED_SHA256 = "2e612a356d4497cf312971486a010f31dafc83f20eac30f08a229df0d80cb6f2"
 WITNESSES_SHA256 = "5692c42361a56a945d2f706f4c39c4ee513effb21aaeac29bd8314cd410d98fe"
+GRADED_SHA256 = "ea62ba2181815c1033857a4c646221b7828fa70e8ba12da76751ef26e4c75101"
 
 FIELDS = (QQ, PrimeField(101))
 RANDOM_MODULES = 16  # per field
@@ -104,6 +117,9 @@ DENSE_DEGREES = (10, 12, 14)
 ROOT_PRODUCTS = 20
 TRIANGLE_BOUNDS = (0, 1, 2, None)  # None: the default bound 2n
 ISO_POLICIES = (("bounded", 3), ("graded", None), ("bounded", 0))
+GRADED_CATALOGUE = ((QQ, 7), (PrimeField(3), 6), (PrimeField(101), 8), (PrimeField(2), 5))  # n <= max
+NULL_HOMOTOPY_FIELDS = (QQ, PrimeField(3))
+NULL_HOMOTOPY_N = range(2, 7)
 
 
 def _scalars(field, rows):
@@ -331,6 +347,59 @@ def witness_records():
     return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
 
 
+def _graded_records(case, field, n, objects):
+    for a, x in objects:
+        for b, y in objects:
+            dim, certificate = graded_stable_hom_dim(x, y)
+            yield {
+                "case": case,
+                "field": field_to_json(field),
+                "n": n,
+                "pair": [a, b],
+                "dim": dim,
+                "certificate": certificate,
+            }
+
+
+def graded_records():
+    out = []
+    for field, top in GRADED_CATALOGUE:
+        ctx = an_context(field)
+        for n in range(2, top + 1):
+            objects = [(mu, realize_an_object(ctx, n, mu)) for mu in range(n + 1)]
+            out.extend(_graded_records("catalogue", field, n, objects))
+    ctx = an_context(QQ)
+    for case, top, lift in (
+        ("lift", 6, knorrer),
+        ("double-lift", 4, lambda x: knorrer(knorrer(x), "u", "v")),
+    ):
+        for n in range(2, top + 1):
+            objects = [(mu, lift(realize_an_object(ctx, n, mu))) for mu in range(1, n)]
+            out.extend(_graded_records(case, QQ, n, objects))
+    policy = SearchPolicy(mode="graded")
+    for field in NULL_HOMOTOPY_FIELDS:
+        ctx = an_context(field)
+        for n in NULL_HOMOTOPY_N:
+            for mu in range(1, n):
+                for nu in range(1, n):
+                    for lam in an_hom_basis(n, mu, nu):
+                        f = realize_an_morphism(an_basis_morphism(field, n, mu, nu, lam), ctx)
+                        zf = compose(multiplication_morphism(f.target, ctx.monomial((n - 1,))), f)
+                        for case, g in (("basis", f), ("z-multiple", zf)):
+                            r = find_null_homotopy(g, policy)
+                            record = {
+                                "case": case,
+                                "field": field_to_json(field),
+                                "n": n, "mu": mu, "nu": nu, "lam": lam,
+                                "status": r.status,
+                                "certificate": r.certificate,
+                            }
+                            if r.homotopy is not None:
+                                record["witness"] = _strings(s=r.homotopy.s, t=r.homotopy.t)
+                            out.append(record)
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
+
+
 def _critical_record(case, coeffs):
     values, irrational = critical_values(uni.to_poly(CTX, "z", coeffs))
     return {
@@ -369,6 +438,10 @@ def test_witnesses_family():
     assert _digest(witness_records()) == WITNESSES_SHA256, "witnesses family records changed"
 
 
+def test_graded_family():
+    assert _digest(graded_records()) == GRADED_SHA256, "graded family records changed"
+
+
 def test_critical_family():
     assert _digest(critical_records()) == CRITICAL_SHA256, "critical family records changed"
 
@@ -379,6 +452,7 @@ if __name__ == "__main__":
         ("cokernel", cokernel_records),
         ("bounded", bounded_records),
         ("witnesses", witness_records),
+        ("graded", graded_records),
         ("critical", critical_records),
     )
     for name, family in families:

@@ -5,13 +5,16 @@ tracked: the same pivoting as `smith.smith_normal_form`, which keeps only
 the row operations of U and the diagonal, with U, U^(-1), the column
 transform V and its inverse as matrices.  Its `check` verifies U * M * V =
 D, U * U^(-1) = I, V^(-1) * V = I and the divisibility chain.  Every test
-asserts `check` on the reference and that replaying the row operations of
-`smith_normal_form` on the unit columns rebuilds the reference's U and
-U^(-1), and that the diagonals agree.
+but the last asserts `check` on the reference and that replaying the row
+operations of `smith_normal_form` on the unit columns rebuilds the
+reference's U and U^(-1), and that the diagonals agree.  The last checks
+on the same seeded matrices that no product in the reduction or the
+replay has a zero factor.
 """
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from mfcat import QQ, PrimeField
 from mfcat import smith
@@ -330,14 +333,37 @@ def _random_matrix(rng, field):
     return [[entry() for _ in range(cols)] for _ in range(rows)]
 
 
-def test_seeded_matrices_match_reference():
+def _seeded_matrices():
     rng = random.Random(18)
-    shapes, zero = set(), 0
     for field in (QQ, PrimeField(5), PrimeField(101)):
         for _ in range(200):
-            m = _random_matrix(rng, field)
-            decompose(field, m)
-            shapes.add((len(m), len(m[0]) if m else 0))
-            zero += bool(m and m[0]) and not any(e for row in m for e in row)
+            yield field, _random_matrix(rng, field)
+
+
+def test_seeded_matrices_match_reference():
+    shapes, zero = set(), 0
+    for field, m in _seeded_matrices():
+        decompose(field, m)
+        shapes.add((len(m), len(m[0]) if m else 0))
+        zero += bool(m and m[0]) and not any(e for row in m for e in row)
     assert len(shapes) == 21  # every r x c with 0 <= r, c <= 4; 0 x c reads as 0 x 0
     assert zero > 0
+
+
+def test_no_product_has_a_zero_factor(monkeypatch):
+    # Every recorded quotient is nonzero and every zero source entry is
+    # skipped, in the reduction and in the replay of U and U^(-1).
+    operands = []
+
+    def mul(field, a, b):
+        operands.append((a, b))
+        return uni.mul(field, a, b)
+
+    monkeypatch.setattr(smith, "uni", SimpleNamespace(**{**vars(uni), "mul": mul}))
+    for field, m in _seeded_matrices():
+        d = smith.smith_normal_form(field, m)
+        for e in _poly_mat_identity(field, len(m)):
+            d.replay(e)
+            d.replay(e, inverse=True)
+    assert operands
+    assert all(a and b for a, b in operands)
