@@ -19,7 +19,7 @@ factorizations and certified against the cone construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import MfcatError
@@ -89,46 +89,35 @@ def an_hom_table(n: int) -> List[List[int]]:
     ]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class AnMorphism:
     """A morphism V_mu -> V_nu as coefficients over the peak basis.
 
     Index 0 for source or target stands for the zero object (empty basis).
     """
 
-    __slots__ = ("field", "n", "mu", "nu", "peaks", "coeffs")
+    field: Field = dc_field(hash=False)  # hashed by (n, mu, nu, coeffs)
+    n: int
+    mu: int
+    nu: int
+    coeffs: Tuple
+    peaks: Tuple[int, ...] = dc_field(init=False, compare=False)
 
-    def __init__(self, field: Field, n: int, mu: int, nu: int, coeffs: Sequence):
+    def __post_init__(self):
+        n, mu, nu = self.n, self.mu, self.nu
         _check_n(n)
         if not 0 <= mu <= n - 1 or not 0 <= nu <= n - 1:
             raise MfcatError("index-out-of-range", f"({mu}, {nu}) for n={n}")
         peaks = _basis_padded(n, mu, nu)
-        if len(coeffs) != len(peaks):
+        if len(self.coeffs) != len(peaks):
             raise MfcatError(
-                "shape-mismatch", f"{len(peaks)} basis peaks, {len(coeffs)} coefficients"
+                "shape-mismatch", f"{len(peaks)} basis peaks, {len(self.coeffs)} coefficients"
             )
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "peaks", tuple(peaks))
-        object.__setattr__(self, "coeffs", tuple(field.coerce(c) for c in coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AnMorphism is immutable")
+        object.__setattr__(self, "coeffs", tuple(self.field.coerce(c) for c in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(self.field.is_zero(c) for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AnMorphism)
-            and self.field == other.field
-            and (self.n, self.mu, self.nu) == (other.n, other.mu, other.nu)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.mu, self.nu, self.coeffs))
 
     def __repr__(self):
         terms = [

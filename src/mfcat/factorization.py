@@ -28,6 +28,7 @@ corner block q1 f1 - f0 p1 checks that f is a morphism.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Tuple
 
 from .errors import MfcatError
@@ -35,31 +36,15 @@ from .matrices import PolyMatrix
 from .poly import Poly, RingContext
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class MatrixFactorization:
     """Pair of matrices multiplying to (W - w0) times the identity."""
 
-    __slots__ = ("ctx", "w", "rank", "p1", "p0")
-
-    def __init__(self, ctx: RingContext, w: Poly, rank: int, p1: PolyMatrix, p0: PolyMatrix):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p0", p0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixFactorization is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixFactorization):
-            return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.w == other.w
-            and self.rank == other.rank
-            and self.p1 == other.p1
-            and self.p0 == other.p0
-        )
+    ctx: RingContext
+    w: Poly
+    rank: int
+    p1: PolyMatrix
+    p0: PolyMatrix
 
     def __repr__(self):
         return f"MatrixFactorization(rank={self.rank}, W={self.w})"
@@ -151,29 +136,14 @@ def _check_same_fiber(x: MatrixFactorization, y: MatrixFactorization):
         raise MfcatError("superpotential-mismatch", "factorizations of different fibers")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class MFMorphism:
     """Morphism (f1, f0) between factorizations of the same fiber."""
 
-    __slots__ = ("source", "target", "f1", "f0")
-
-    def __init__(self, source, target, f1: PolyMatrix, f0: PolyMatrix):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f0", f0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MFMorphism is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, MFMorphism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.f1 == other.f1
-            and self.f0 == other.f0
-        )
+    source: MatrixFactorization
+    target: MatrixFactorization
+    f1: PolyMatrix
+    f0: PolyMatrix
 
     def is_zero(self) -> bool:
         return self.f1.is_zero() and self.f0.is_zero()
@@ -257,6 +227,7 @@ def direct_sum_morphism(f: MFMorphism, g: MFMorphism) -> MFMorphism:
     return MFMorphism(src, dst, f1, f0)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Homotopy:
     """Pair (s, t) with s : P0 -> Q1 and t : P1 -> Q0.
 
@@ -265,20 +236,17 @@ class Homotopy:
     category.
     """
 
-    __slots__ = ("source", "target", "s", "t")
+    source: MatrixFactorization
+    target: MatrixFactorization
+    s: PolyMatrix
+    t: PolyMatrix
 
-    def __init__(self, source, target, s: PolyMatrix, t: PolyMatrix):
+    def __post_init__(self):
+        source, target, s, t = self.source, self.target, self.s, self.t
         if s.rows != target.rank or s.cols != source.rank or t.rows != target.rank or t.cols != source.rank:
             raise MfcatError(
                 "invalid-shape", f"homotopy components must be {target.rank}x{source.rank}"
             )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Homotopy is immutable")
 
     def boundary(self) -> MFMorphism:
         x, y = self.source, self.target

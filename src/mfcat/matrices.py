@@ -13,14 +13,19 @@ sums each entry's terms into one dict, with no ``Poly`` per term.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import MfcatError
 from .poly import Poly, RingContext, _add_products
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class PolyMatrix:
-    __slots__ = ("ctx", "rows", "cols", "entries")
+    ctx: RingContext
+    rows: int
+    cols: int
+    entries: Tuple[Tuple[Poly, ...], ...]
 
     def __init__(self, ctx: RingContext, entries: Sequence[Sequence[Poly]], cols: int = None):
         rows = len(entries)
@@ -63,9 +68,6 @@ class PolyMatrix:
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "entries", entries)
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
 
     @staticmethod
     def zero(ctx: RingContext, rows: int, cols: int) -> "PolyMatrix":
@@ -186,19 +188,6 @@ class PolyMatrix:
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.entries for a in row)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return (
-            self.ctx == other.ctx
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.rows, self.cols, self.entries))
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(a) for a in row) for row in self.entries) + "]"

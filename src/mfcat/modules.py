@@ -20,6 +20,7 @@ W(Z) = 0 check, and on the way the divided difference of W at Z, which
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Sequence, Tuple
 
 from . import linalg, univariate as uni
@@ -31,10 +32,16 @@ from .poly import Poly, RingContext
 from .smith import smith_normal_form
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class QuotModule:
     """Module over k[z]/(W) given by the z-action matrix on a k-basis."""
 
-    __slots__ = ("ctx", "w", "dim", "z_action", "_z_rows")
+    ctx: RingContext
+    w: Poly
+    dim: int
+    z_action: Tuple[Tuple, ...]
+    # Z as sparse rows, kept from the check for every product with Z.
+    _z_rows: List[Dict] = dc_field(compare=False)
 
     def __init__(self, ctx: RingContext, w: Poly, z_rows: Sequence[Sequence]):
         if ctx.nvars != 1:
@@ -59,11 +66,7 @@ class QuotModule:
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "z_action", z)
-        # Z as sparse rows, kept from the check for every product with Z.
         object.__setattr__(self, "_z_rows", z_rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotModule is immutable")
 
     @property
     def field(self) -> Field:
@@ -75,11 +78,6 @@ class QuotModule:
 
     def z_matrix(self) -> List[List]:
         return [list(r) for r in self.z_action]
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotModule):
-            return NotImplemented
-        return self.ctx == other.ctx and self.w == other.w and self.z_action == other.z_action
 
     def __repr__(self):
         return f"QuotModule(W={self.w}, dim={self.dim})"

@@ -25,7 +25,7 @@ each entry over k into one dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Optional, Tuple
@@ -110,14 +110,7 @@ class RingContext:
 
     def shifted(self, **changes) -> "RingContext":
         """A copy with some fields replaced (weights, w0, ...)."""
-        data = {
-            "field": self.field,
-            "variables": self.variables,
-            "weights": self.weights,
-            "w0": self.w0,
-        }
-        data.update(changes)
-        return RingContext(**data)
+        return replace(self, **changes)
 
 
 def _check_exponents(exp: Exponent) -> None:

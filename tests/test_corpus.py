@@ -52,8 +52,15 @@ for n <= 4.  It also holds the status, certificate and witness of graded
 `find_null_homotopy` on every catalogue basis morphism f for n <= 6 over
 Q and F_3, and on z^(n-1) f.
 
+The shifted-cones family holds `graded_stable_hom_dim` both ways between
+each V_mu and each object X among the shifts V_nu[1] and the cones of the
+catalogue basis morphisms, for n <= 5 over Q and F_101.  Four of its
+certificates, V_1 against V_1[1] both ways at n = 2, list degrees past
+`scan_bound`.
+
 Run `python tests/test_corpus.py` to print the records of every family,
-one per line, and diff them against another checkout's.
+one per line, and diff them against another checkout's; `python
+tests/test_corpus.py graded critical` prints only the named families.
 """
 
 import hashlib
@@ -107,6 +114,7 @@ COKERNEL_SHA256 = "922e853b44a6908ebf5232115d63d2ca3b198488cf620b2587dd168903ccb
 BOUNDED_SHA256 = "2e612a356d4497cf312971486a010f31dafc83f20eac30f08a229df0d80cb6f2"
 WITNESSES_SHA256 = "5692c42361a56a945d2f706f4c39c4ee513effb21aaeac29bd8314cd410d98fe"
 GRADED_SHA256 = "ea62ba2181815c1033857a4c646221b7828fa70e8ba12da76751ef26e4c75101"
+SHIFTED_CONES_SHA256 = "a1a913e2a2fc90c4a6dcbf6451d876ef544d9c1c5a8a220117c0cf536bc85d13"
 
 FIELDS = (QQ, PrimeField(101))
 RANDOM_MODULES = 16  # per field
@@ -347,18 +355,21 @@ def witness_records():
     return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
 
 
-def _graded_records(case, field, n, objects):
-    for a, x in objects:
-        for b, y in objects:
-            dim, certificate = graded_stable_hom_dim(x, y)
-            yield {
-                "case": case,
-                "field": field_to_json(field),
-                "n": n,
-                "pair": [a, b],
-                "dim": dim,
-                "certificate": certificate,
-            }
+def _graded_records(case, field, n, pairs):
+    for (a, x), (b, y) in pairs:
+        dim, certificate = graded_stable_hom_dim(x, y)
+        yield {
+            "case": case,
+            "field": field_to_json(field),
+            "n": n,
+            "pair": [a, b],
+            "dim": dim,
+            "certificate": certificate,
+        }
+
+
+def _all_pairs(objects):
+    return [(a, b) for a in objects for b in objects]
 
 
 def graded_records():
@@ -367,7 +378,7 @@ def graded_records():
         ctx = an_context(field)
         for n in range(2, top + 1):
             objects = [(mu, realize_an_object(ctx, n, mu)) for mu in range(n + 1)]
-            out.extend(_graded_records("catalogue", field, n, objects))
+            out.extend(_graded_records("catalogue", field, n, _all_pairs(objects)))
     ctx = an_context(QQ)
     for case, top, lift in (
         ("lift", 6, knorrer),
@@ -375,7 +386,7 @@ def graded_records():
     ):
         for n in range(2, top + 1):
             objects = [(mu, lift(realize_an_object(ctx, n, mu))) for mu in range(1, n)]
-            out.extend(_graded_records(case, QQ, n, objects))
+            out.extend(_graded_records(case, QQ, n, _all_pairs(objects)))
     policy = SearchPolicy(mode="graded")
     for field in NULL_HOMOTOPY_FIELDS:
         ctx = an_context(field)
@@ -397,6 +408,24 @@ def graded_records():
                             if r.homotopy is not None:
                                 record["witness"] = _strings(s=r.homotopy.s, t=r.homotopy.t)
                             out.append(record)
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
+
+
+def shifted_cone_records():
+    out = []
+    for field in FIELDS:
+        ctx = an_context(field)
+        for n in CATALOGUE_N:
+            objects = [(f"{nu}[1]", mf_shift(realize_an_object(ctx, n, nu))) for nu in range(1, n)]
+            for mu in range(1, n):
+                for nu in range(1, n):
+                    for lam in an_hom_basis(n, mu, nu):
+                        f = realize_an_morphism(an_basis_morphism(field, n, mu, nu, lam), ctx)
+                        objects.append((f"cone({mu},{nu},{lam})", cone(f)))
+            for mu in range(1, n):
+                v = (mu, realize_an_object(ctx, n, mu))
+                pairs = [pair for x in objects for pair in ((v, x), (x, v))]
+                out.extend(_graded_records("shifted-cone", field, n, pairs))
     return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
 
 
@@ -446,16 +475,27 @@ def test_critical_family():
     assert _digest(critical_records()) == CRITICAL_SHA256, "critical family records changed"
 
 
+def test_shifted_cones_family():
+    assert _digest(shifted_cone_records()) == SHIFTED_CONES_SHA256, "shifted-cones family records changed"
+
+
+FAMILIES = {
+    "modules": module_records,
+    "cokernel": cokernel_records,
+    "bounded": bounded_records,
+    "witnesses": witness_records,
+    "graded": graded_records,
+    "critical": critical_records,
+    "shifted-cones": shifted_cone_records,
+}
+
+
 if __name__ == "__main__":
-    families = (
-        ("modules", module_records),
-        ("cokernel", cokernel_records),
-        ("bounded", bounded_records),
-        ("witnesses", witness_records),
-        ("graded", graded_records),
-        ("critical", critical_records),
-    )
-    for name, family in families:
-        records = family()
+    names = sys.argv[1:] or list(FAMILIES)
+    unknown = [name for name in names if name not in FAMILIES]
+    if unknown:
+        sys.exit(f"unknown family {', '.join(unknown)}; choose from {', '.join(FAMILIES)}")
+    for name in names:
+        records = FAMILIES[name]()
         sys.stdout.write("\n".join(records) + "\n")
         print(f"{name}: {len(records)} records, sha256 {_digest(records)}", file=sys.stderr)
