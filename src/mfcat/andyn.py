@@ -20,14 +20,14 @@ factorizations and certified against the cone construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import MfcatError
 from .factorization import (
     MatrixFactorization,
     MFMorphism,
-    compose,
-    mf_new,
+    mf_direct_sum,
     mf_shift,
     mf_zero_object,
     morphism_new,
@@ -254,16 +254,10 @@ def realize_an_object(ctx: RingContext, n: int, mu: int) -> MatrixFactorization:
 
 
 def realize_an_sum(ctx: RingContext, n: int, indices: Sequence[int]) -> MatrixFactorization:
-    parts = [pad(n, i) for i in indices if pad(n, i) != 0]
+    parts = [realize_an_object(ctx, n, i) for i in indices if pad(n, i) != 0]
     if not parts:
         return mf_zero_object(ctx, an_w(ctx, n))
-    rank = len(parts)
-
-    def diagonal(exps):
-        rows = [[_z_power(ctx, e) if i == j else ctx.zero() for j in range(rank)] for i, e in enumerate(exps)]
-        return PolyMatrix(ctx, rows, cols=rank)
-
-    return mf_new(ctx, an_w(ctx, n), diagonal(parts), diagonal([n - m for m in parts]))
+    return reduce(mf_direct_sum, parts)
 
 
 def realize_an_morphism(a: AnMorphism, ctx: RingContext, built: Optional[dict] = None) -> MFMorphism:
@@ -380,27 +374,22 @@ def realize_an_triangle(tri: AnTriangle, ctx: RingContext):
     lands in the shift X[1] through the standard identification.
 
     Each catalogue object V_k is built once per call and shared by every
-    morphism that starts or ends at it."""
+    morphism that starts or ends at it, and by the sum T."""
     n = tri.n
-    back_index = pad(n, -tri.f.mu)
-    built = {k: realize_an_object(ctx, n, k) for k in {tri.f.mu, tri.f.nu, back_index, *tri.third}}
+    built = {k: realize_an_object(ctx, n, k) for k in {tri.f.mu, tri.f.nu, pad(n, -tri.f.mu), *tri.third}}
     f = realize_an_morphism(tri.f, ctx, built)
     x, y = f.source, f.target
-    t = realize_an_sum(ctx, n, tri.third)
+    t = reduce(mf_direct_sum, [built[k] for k in tri.third])
     g_parts = [realize_an_morphism(gi, ctx, built) for gi in tri.g]
     h_parts = [realize_an_morphism(hi, ctx, built) for hi in tri.h]
     g1 = PolyMatrix.block([[p.f1] for p in g_parts])
     g0 = PolyMatrix.block([[p.f0] for p in g_parts])
     g = morphism_new(y, t, g1, g0)
-    back = built[back_index]
     h1 = PolyMatrix.block([[p.f1 for p in h_parts]])
     h0 = PolyMatrix.block([[p.f0 for p in h_parts]])
-    h_to_back = morphism_new(t, back, h1, h0)
-    # Reroute h into X[1] through the strict identification V_{n-mu} = X[1]
-    # with components (-1, 1), as in `shift_identification`.
-    one = PolyMatrix.identity(ctx, 1)
-    ident_back = morphism_new(back, mf_shift(x), -one, one)
-    h = compose(ident_back, h_to_back)
+    # The parts land in V_(n-mu) = X[1], identified with components (-1, 1)
+    # as in `shift_identification`.
+    h = morphism_new(t, mf_shift(x), -h1, h0)
     return x, y, t, f, g, h
 
 

@@ -73,15 +73,15 @@ def cmd_cone(args) -> int:
     data = formats.read_json(args.file)
     base = os.path.dirname(os.path.abspath(args.file))
     f = formats.morphism_from_dict(data, base)
-    target_ref = os.path.abspath(os.path.join(base, data["target"]))
     cone_obj, g, h = standard_triangle(f)
     stem = _stem(args.file)
-    cone_path = os.path.abspath(_out_path(args, f"{stem}-cone.json"))
-    shift_path = os.path.abspath(_out_path(args, f"{stem}-source-shift.json"))
-    _emit(formats.save_mf(cone_path, cone_obj))
-    _emit(formats.save_mf(shift_path, h.target))
-    _emit(formats.save_morphism(_out_path(args, f"{stem}-cone-g.json"), g, target_ref, cone_path))
-    _emit(formats.save_morphism(_out_path(args, f"{stem}-cone-h.json"), h, cone_path, shift_path))
+    cone_name, shift_name = f"{stem}-cone.json", f"{stem}-source-shift.json"
+    _emit(formats.save_mf(_out_path(args, cone_name), cone_obj))
+    _emit(formats.save_mf(_out_path(args, shift_name), h.target))
+    # A morphism file names its ends relative to its own directory (`formats._resolve`).
+    target_ref = os.path.relpath(os.path.join(base, data["target"]), args.out or ".")
+    _emit(formats.save_morphism(_out_path(args, f"{stem}-cone-g.json"), g, target_ref, cone_name))
+    _emit(formats.save_morphism(_out_path(args, f"{stem}-cone-h.json"), h, cone_name, shift_name))
     return 0
 
 
@@ -198,27 +198,19 @@ def cmd_verify_knorrer(args) -> int:
     n = args.n
     andyn._check_n(n)
     ctx = andyn.an_context(field)
-    pairs = []
-    for mu in range(1, n):
-        for nu in range(1, n):
-            if args.pairs == "diag" and mu != nu:
-                continue
-            pairs.append((mu, nu))
-    failures = 0
+    pairs = [(mu, nu) for mu in range(1, n) for nu in range(1, n) if args.pairs == "all" or mu == nu]
+    lifted = {mu: knorrer(andyn.realize_an_object(ctx, n, mu)) for mu in range(1, n)}
     records = []
     for mu, nu in pairs:
-        kx = knorrer(andyn.realize_an_object(ctx, n, mu))
-        ky = knorrer(andyn.realize_an_object(ctx, n, nu))
-        got, cert = homotopy.graded_stable_hom_dim(kx, ky)
+        got, cert = homotopy.graded_stable_hom_dim(lifted[mu], lifted[nu])
         want = andyn.an_hom_dim(n, mu, nu)
         ok = got == want
-        if not ok:
-            failures += 1
         records.append(
             {"mu": mu, "nu": nu, "want": want, "got": got, "ok": ok, "scan": cert}
         )
         print(f"pair mu={mu} nu={nu} want {want} got {got} {'PASS' if ok else 'FAIL'}")
     _emit(formats.write_json(_out_path(args, f"verify-knorrer-{n}-{args.pairs}.json"), records))
+    failures = sum(not r["ok"] for r in records)
     print(f"pairs {len(pairs)}, failures {failures}")
     return 0 if failures == 0 else 1
 

@@ -20,7 +20,7 @@ from typing import List, Tuple
 from . import linalg
 from . import univariate as uni
 from .errors import MfcatError
-from .fields import RationalField, _is_prime
+from .fields import PrimeField, RationalField, _is_prime
 from .poly import Poly
 
 
@@ -38,16 +38,23 @@ def _integer_roots(field: RationalField, g: List[Fraction]) -> List[int]:
     """The integer roots of a monic integer polynomial g of positive degree.
 
     The square-free part s of g is monic with integer coefficients (Gauss's
-    lemma) and has the roots of g.  At the first odd prime p where every
-    root of s mod p is simple, each integer root of s reduces to one of
-    those roots, and Newton's step r <- r - s(r)/s'(r) lifts each one
-    uniquely mod p^2, p^4, ... (Hensel's lemma; Loos, SIAM J. Comput. 12,
-    1983).  Once the modulus exceeds twice the Cauchy bound, an integer
-    root is the symmetric residue of its lift, and each residue is tested
-    exactly.
+    lemma) and has the roots of g.  By the same lemma a repeated factor of
+    g can be taken monic and integral, so it stays repeated mod every
+    prime: s is g when g is square-free mod 2^31 - 1, and only otherwise is
+    s found by a gcd over Q, on coefficients of up to thousands of bits.
+    At the first odd prime p where every root of s mod p is simple, each
+    integer root of s reduces to one of those roots, and Newton's step
+    r <- r - s(r)/s'(r) lifts each one uniquely mod p^2, p^4, ... (Hensel's
+    lemma; Loos, SIAM J. Comput. 12, 1983).  Once the modulus exceeds twice
+    the Cauchy bound, an integer root is the symmetric residue of its lift,
+    and each residue is tested exactly.
     """
-    common = uni.gcd(field, g, uni.derivative(field, g))
-    s = [int(c) for c in uni.divmod_poly(field, g, common)[0]]
+    fp = PrimeField(2**31 - 1)
+    gp = [fp.from_int(int(c)) for c in g]
+    s = g
+    if uni.deg(uni.gcd(fp, gp, uni.derivative(fp, gp))):
+        s = uni.divmod_poly(field, g, uni.gcd(field, g, uni.derivative(field, g)))[0]
+    s = [int(c) for c in s]
     ds = [i * c for i, c in enumerate(s)][1:]
     for p in count(3, 2):
         if _is_prime(p):

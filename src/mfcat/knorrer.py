@@ -10,7 +10,9 @@ import math
 from typing import Optional
 
 from .errors import MfcatError
-from .factorization import MatrixFactorization, MFMorphism, mf_new, morphism_new
+from .factorization import (
+    MatrixFactorization, MFMorphism, direct_sum_morphism, mf_new, morphism_new, shift_morphism,
+)
 from .matrices import PolyMatrix
 from .poly import Poly, RingContext
 
@@ -80,14 +82,9 @@ def knorrer(
 def knorrer_morphism(
     f: MFMorphism, x_var: str = "x", y_var: str = "y"
 ) -> MFMorphism:
-    """The functor on morphisms: block-diagonal extension (f1 + f0 on odd,
-    f0 + f1 on even)."""
+    """The functor on morphisms: the components of f + f[1], that is
+    f1 + f0 on odd and f0 + f1 on even, lifted to the extended ring."""
     kx = knorrer(f.source, x_var, y_var)
     ky = knorrer(f.target, x_var, y_var)
-    big = kx.ctx
-    f1 = _lift(big, f.f1)
-    f0 = _lift(big, f.f0)
-    zero_tf = PolyMatrix.zero(big, f.target.rank, f.source.rank)
-    g1 = PolyMatrix.block([[f1, zero_tf], [zero_tf, f0]])
-    g0 = PolyMatrix.block([[f0, zero_tf], [zero_tf, f1]])
-    return morphism_new(kx, ky, g1, g0)
+    g = direct_sum_morphism(f, shift_morphism(f))
+    return morphism_new(kx, ky, _lift(kx.ctx, g.f1), _lift(kx.ctx, g.f0))

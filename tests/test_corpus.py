@@ -58,6 +58,13 @@ catalogue basis morphisms, for n <= 5 over Q and F_101.  Four of its
 certificates, V_1 against V_1[1] both ways at n = 2, list degrees past
 `scan_bound`.
 
+The constructions family holds, as strings over Q and F_101 for
+n = 2, ..., 5, the factorizations that `realize_an_sum` gives on every
+index tuple of length 1 to 3 from 0, ..., n (so padded and zero summands
+appear); the six parts (X, Y, T, f, g, h) that `realize_an_triangle`
+gives on the triangle of every catalogue basis morphism; and
+`knorrer_morphism` of every catalogue basis morphism for n <= 4.
+
 Run `python tests/test_corpus.py` to print the records of every family,
 one per line, and diff them against another checkout's; `python
 tests/test_corpus.py graded critical` prints only the named families.
@@ -67,6 +74,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import product
 
 from mfcat import (
     QQ,
@@ -100,9 +108,11 @@ from mfcat.andyn import (
     certify_an_triangle,
     realize_an_morphism,
     realize_an_object,
+    realize_an_sum,
+    realize_an_triangle,
 )
 from mfcat.factorization import direct_sum_morphism, shift_morphism
-from mfcat.knorrer import knorrer
+from mfcat.knorrer import knorrer, knorrer_morphism
 from mfcat.formats import field_to_json
 from mfcat.modules import cyclic_module, direct_sum_modules, module_new
 from test_critical import CTX, dense_superpotential, root_product, seeded_superpotentials
@@ -115,6 +125,7 @@ BOUNDED_SHA256 = "2e612a356d4497cf312971486a010f31dafc83f20eac30f08a229df0d80cb6
 WITNESSES_SHA256 = "5692c42361a56a945d2f706f4c39c4ee513effb21aaeac29bd8314cd410d98fe"
 GRADED_SHA256 = "ea62ba2181815c1033857a4c646221b7828fa70e8ba12da76751ef26e4c75101"
 SHIFTED_CONES_SHA256 = "a1a913e2a2fc90c4a6dcbf6451d876ef544d9c1c5a8a220117c0cf536bc85d13"
+CONSTRUCTIONS_SHA256 = "b5ec0deb1a54f9c1f77755eca380de5dfac39f6d538f8f0bfe793350c9183e5b"
 
 FIELDS = (QQ, PrimeField(101))
 RANDOM_MODULES = 16  # per field
@@ -128,6 +139,8 @@ ISO_POLICIES = (("bounded", 3), ("graded", None), ("bounded", 0))
 GRADED_CATALOGUE = ((QQ, 7), (PrimeField(3), 6), (PrimeField(101), 8), (PrimeField(2), 5))  # n <= max
 NULL_HOMOTOPY_FIELDS = (QQ, PrimeField(3))
 NULL_HOMOTOPY_N = range(2, 7)
+SUM_LENGTHS = (1, 2, 3)
+KNORRER_MORPHISM_N = range(2, 5)
 
 
 def _scalars(field, rows):
@@ -429,6 +442,45 @@ def shifted_cone_records():
     return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
 
 
+def _object(x):
+    return {"W": str(x.w), "rank": x.rank, **_strings(p1=x.p1, p0=x.p0)}
+
+
+def _morphism(f):
+    return {"source": _object(f.source), "target": _object(f.target), **_strings(f1=f.f1, f0=f.f0)}
+
+
+def construction_records():
+    out = []
+    for field in FIELDS:
+        ctx = an_context(field)
+        params = {"field": field_to_json(field)}
+        for n in CATALOGUE_N:
+            for length in SUM_LENGTHS:
+                for indices in product(range(n + 1), repeat=length):
+                    x = realize_an_sum(ctx, n, indices)
+                    out.append({"case": "sum", **params, "n": n, "indices": indices, **_object(x)})
+            for mu in range(1, n):
+                for nu in range(1, n):
+                    for lam in an_hom_basis(n, mu, nu):
+                        a = an_basis_morphism(field, n, mu, nu, lam)
+                        x, y, t, f, g, h = realize_an_triangle(an_triangle(a), ctx)
+                        out.append({
+                            "case": "triangle",
+                            **params, "n": n, "mu": mu, "nu": nu, "lam": lam,
+                            "X": _object(x), "Y": _object(y), "T": _object(t),
+                            "f": _morphism(f), "g": _morphism(g), "h": _morphism(h),
+                        })
+                        if n in KNORRER_MORPHISM_N:
+                            k = knorrer_morphism(realize_an_morphism(a, ctx))
+                            out.append({
+                                "case": "knorrer-morphism",
+                                **params, "n": n, "mu": mu, "nu": nu, "lam": lam,
+                                **_morphism(k),
+                            })
+    return [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in out]
+
+
 def _critical_record(case, coeffs):
     values, irrational = critical_values(uni.to_poly(CTX, "z", coeffs))
     return {
@@ -479,6 +531,10 @@ def test_shifted_cones_family():
     assert _digest(shifted_cone_records()) == SHIFTED_CONES_SHA256, "shifted-cones family records changed"
 
 
+def test_constructions_family():
+    assert _digest(construction_records()) == CONSTRUCTIONS_SHA256, "constructions family records changed"
+
+
 FAMILIES = {
     "modules": module_records,
     "cokernel": cokernel_records,
@@ -487,6 +543,7 @@ FAMILIES = {
     "graded": graded_records,
     "critical": critical_records,
     "shifted-cones": shifted_cone_records,
+    "constructions": construction_records,
 }
 
 

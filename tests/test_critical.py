@@ -325,6 +325,31 @@ def test_integer_roots_that_collide_mod_small_primes():
         assert sorted(_integer_roots(QQ, uni.mul(QQ, g, g))) == [r + shift for r in roots]
 
 
+def test_integer_roots_take_a_rational_gcd_only_without_a_square_free_test(monkeypatch):
+    fields = []
+    gcd = uni.gcd
+
+    def recording(field, a, b):
+        fields.append(field)
+        return gcd(field, a, b)
+
+    monkeypatch.setattr(uni, "gcd", recording)
+    roots = [-4, 0, 3, 7]
+    g = [F(1)]
+    for r in roots:
+        g = uni.mul(QQ, g, [F(-r), F(1)])
+    p = 2**31 - 1
+    cases = (
+        (g, roots, False),  # square-free mod p
+        (uni.mul(QQ, g, g), roots, True),
+        ([F(0), F(-p), F(1)], [0, p], True),  # z (z - p): square-free over Q only
+    )
+    for poly, want, rational in cases:
+        fields.clear()
+        assert sorted(_integer_roots(QQ, poly)) == want
+        assert (QQ in fields) is rational
+
+
 def test_dense_degree_14_answers_quickly():
     start = time.perf_counter()
     values = critical_values(uni.to_poly(CTX, "z", dense_superpotential(14)))

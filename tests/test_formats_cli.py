@@ -253,6 +253,28 @@ def test_cli_cone_emits_revalidating_triangle(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_cli_cone_references_survive_a_move(tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run"
+    x, y = v(5, 3), v(5, 2)
+    formats.save_mf(str(run / "x.json"), x)
+    formats.save_mf(str(run / "y.json"), y)
+    f = morphism_from_polys(x, y, [["z"]], [["1"]])
+    formats.save_morphism(str(run / "f.json"), f, "x.json", "y.json")
+    names = ["f-cone.json", "f-source-shift.json", "f-cone-g.json", "f-cone-h.json"]
+    for cwd, args, out in ((run, ["f.json"], "o"), (tmp_path, ["run/f.json"], "run/p")):
+        monkeypatch.chdir(cwd)
+        assert cli.run(["cone", *args, "--out", out]) == 0
+        assert capsys.readouterr().out == "".join(f"wrote {out}/{name}\n" for name in names)
+    for name in names:
+        assert (run / "o" / name).read_bytes() == (run / "p" / name).read_bytes()
+    assert json.loads((run / "o" / "f-cone-g.json").read_text())["source"] == "../y.json"
+    moved = tmp_path / "moved"
+    run.rename(moved)
+    for name, ranks in zip(names[2:], ("1 -> rank 2", "2 -> rank 1")):
+        assert cli.run(["validate", str(moved / "o" / name)]) == 0
+        assert capsys.readouterr().out == f"valid morphism: rank {ranks}, W = z^5\n"
+
+
 def test_cli_module_pipeline(tmp_path, capsys):
     x = v(5, 2)
     xp = str(tmp_path / "x.json")
@@ -302,6 +324,20 @@ def test_cli_an_verify_and_knorrer_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "pair mu=1 nu=1 want 1 got 1 PASS" in out
     assert out.splitlines()[-1] == "pairs 1, failures 0"
+
+
+def test_verify_knorrer_lifts_each_object_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    lift = cli.knorrer
+
+    def counting(x, *names):
+        calls.append(x)
+        return lift(x, *names)
+
+    monkeypatch.setattr(cli, "knorrer", counting)
+    assert cli.run(["verify-knorrer", "4", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "pairs 9, failures 0"
+    assert len(calls) == 3  # outputs pinned in GOLDEN
 
 
 def test_cli_error_exits(tmp_path, capsys):
@@ -447,7 +483,8 @@ def test_python_dash_m_runs_the_cli():
 
 # sha256 of stdout (output directory written as OUT) and of every emitted
 # file, recorded before the isomorphism and triangle searches were merged;
-# an-verify 6 before Hom(M, k[z]/(W)) was read off the divided difference.
+# an-verify 6 before Hom(M, k[z]/(W)) was read off the divided difference;
+# verify-knorrer 4 when each pair lifted both of its objects.
 GOLDEN = {
     ("an-verify", "4"): (
         "5c9044ec214d80b995d74619aa73e2e7d22b33e9086189d2e7049a2f3946759c",
@@ -507,6 +544,10 @@ GOLDEN = {
     ("verify-knorrer", "3"): (
         "dfcf1ca2bd27c23947b47384779442be6b6d2ae32124b5f1122c8698ba3ad7c4",
         {"verify-knorrer-3-all.json": "478cc76dfb7da784c1be8e6dfbd01f030fd5bbac60cd7fb0a3a0ec1dd5f81a63"},
+    ),
+    ("verify-knorrer", "4"): (
+        "09963dcd7fbed27a4a78fcb742d4cf892e3eb4ef42c4df15837eee5763f38e72",
+        {"verify-knorrer-4-all.json": "ca350a168d0a96d92dfb74d13be8caf5487c280fcc8e21ad372ff857412d4726"},
     ),
 }
 
