@@ -6,6 +6,13 @@ and ``int`` in the canonical range [0, p) for a prime field.  A field
 object supplies the operations and the canonical parsing/formatting, so a
 scalar is always interpreted relative to the field carried by the
 surrounding ring context.
+
+The elements this module returns over Q are Fractions.  Its operations
+also take ints, since an int is an integral rational (``n == Fraction(n)``,
+with the same hash and string), and ``add``, ``sub``, ``mul`` and ``neg``
+return an int for two ints.  ``poly.Poly`` relies on this: it stores each
+integral coefficient as an int, so products and assembled rows stay in
+ints.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ from .factorization import (
     _check_same_fiber,
 )
 from .matrices import PolyMatrix
-from .poly import Exponent, Poly, RingContext, grlex_key
+from .poly import Exponent, Poly, RingContext, _stored, grlex_key
 
 DEFAULT_STALE_WINDOW = 3
 ISO_CANDIDATE_CAP = 240
@@ -233,7 +233,7 @@ class LinearSystem:
     def add_matrix_equation(self, terms, rhs: Optional[PolyMatrix], shape: Tuple[int, int]):
         """Sum of sign * L @ U @ R over the terms equals rhs (entrywise)."""
         field = self.field
-        add, mul, zero, one = field.add, field.mul, field.zero(), field.one()
+        add, mul = field.add, field.mul
         nrows, ncols = shape
         top = 0 if rhs is None else _max_entry_degree([rhs])
         for left, unk, right, sign in terms:
@@ -258,7 +258,7 @@ class LinearSystem:
         buckets: Dict[int, Dict[int, object]] = {}
         packed_supports: Dict[Tuple[Exponent, ...], List[int]] = {}
         for left, unk, right, sign in terms:
-            sgn = field.coerce(sign)
+            sgn = _stored(field.coerce(sign))
             if field.is_zero(sgn):
                 continue  # adds nothing; every other factor below is a nonzero scalar
             # lefts[k]: (key offset of row i plus monomial, sign * coefficient)
@@ -274,7 +274,7 @@ class LinearSystem:
                     for k in range(unk.rows)
                 ]
             if right is None:
-                rights = [[(l * stride, one)] for l in range(unk.cols)]
+                rights = [[(l * stride, 1)] for l in range(unk.cols)]
             else:
                 rights = [
                     [
@@ -318,9 +318,9 @@ class LinearSystem:
                 for j in range(ncols):
                     for e, c in rhs.entries[i][j].terms.items():
                         key = (i * ncols + j) * stride + pack(e)
-                        consts[key] = add(consts.get(key, zero), c)
+                        consts[key] = add(consts.get(key, 0), c)
         for key in sorted(buckets.keys() | consts.keys()):
-            self.rows.append((buckets.get(key, {}), consts.get(key, zero)))
+            self.rows.append((buckets.get(key, {}), consts.get(key, 0)))
 
     def solve(self) -> Optional[Dict[str, PolyMatrix]]:
         """One solution with free variables set to zero, or None.  The
@@ -369,7 +369,7 @@ class LinearSystem:
             k = i - unk.base
             cell = bisect_right(unk.starts, k) - 1
             exp = unk.supports[cell // unk.cols][cell % unk.cols][k - unk.starts[cell]]
-            cells[u][cell][exp] = values[i]
+            cells[u][cell][exp] = _stored(values[i])
         out = {}
         for unk, terms in zip(self.unknowns, cells):
             polys = tuple(Poly._clean(ctx, t) for t in terms)

@@ -14,7 +14,13 @@ The zero polynomial has no degree: ``degree``/``weighted_degree`` raise on
 it rather than returning a sentinel value.
 
 Inputs are validated once, by ``Poly(ctx, terms)``, which also coerces
-each coefficient into the field.  The results of ``+``, ``-`` and ``*``
+each coefficient into the field.  Over Q it stores an integral coefficient
+as an int and any other as a Fraction; ``n`` and ``Fraction(n)`` are equal,
+hash equal and print the same, so no result depends on which is stored,
+and products of integral terms stay in ints.  Arithmetic keeps what the
+field returns (a Fraction that cancels to an integer stays a Fraction).
+``univariate_coefficients`` returns field elements (Fractions over Q) for
+the dense univariate code.  The results of ``+``, ``-`` and ``*``
 are clean by construction (checked operands; a coefficient that cancels is
 dropped), so they skip the per-term checks, except that a product still
 checks its exponents against the machine-width bound.  A sum with a zero
@@ -139,6 +145,12 @@ def _add_products(fld: Field, acc: Dict[Exponent, Scalar], left, right) -> None:
             acc[e] = c
 
 
+def _stored(c: Scalar) -> Scalar:
+    """A field element as a Poly holds it: an integral rational as its
+    int, any other element unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
 def grlex_key(exp: Exponent):
     return (sum(exp), exp)
 
@@ -159,7 +171,7 @@ class Poly:
             _check_exponents(exp)
             c = fld.coerce(c)
             if not fld.is_zero(c):
-                clean[exp] = c
+                clean[exp] = _stored(c)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
 
@@ -277,7 +289,7 @@ class Poly:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            coeff = fld.mul(c, fld.from_int(e[i]))
+            coeff = fld.mul(c, e[i])
             if fld.is_zero(coeff):
                 continue
             e2 = tuple(x - 1 if j == i else x for j, x in enumerate(e))
@@ -313,7 +325,7 @@ class Poly:
         d = max(e[i] for e in self.terms)
         coeffs = [fld.zero()] * (d + 1)
         for e, c in self.terms.items():
-            coeffs[e[i]] = c
+            coeffs[e[i]] = fld.coerce(c)
         return coeffs
 
     # -- equality and printing ----------------------------------------

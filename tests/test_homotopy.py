@@ -60,7 +60,27 @@ def test_frozen_smooth_fiber_witness():
     assert res.status == "found"
     assert res.homotopy.s.entries[0][0] == ctx.constant(F(-1, 2))
     assert res.homotopy.t.entries[0][0] == ctx.constant(F(1, 2))
+    assert _coefficient_types(res.homotopy.s, res.homotopy.t) == {F}
     assert res.certificate["bound_used"] == 0
+
+
+def _coefficient_types(*matrices):
+    return {type(c) for m in matrices for row in m.entries for p in row for c in p.terms.values()}
+
+
+def test_catalogue_witnesses_hold_integral_coefficients_as_ints():
+    rot = andyn.realize_an_morphism(andyn.an_generator(QQ, 2, 1, 1), CTX)
+    _, g, _ = standard_triangle(rot)
+    x = cone(g)
+    r = is_iso_in_db(x, mf_shift(rot.source), SearchPolicy(mode="bounded", bound=4))
+    assert r.status == "iso"
+    assert _coefficient_types(x.p1, x.p0, r.u.f1, r.u.f0, r.v.f1, r.v.f0) == {int}
+    assert _coefficient_types(r.source_homotopy.s, r.source_homotopy.t) == {int}
+    f = morphism_from_polys(v(5, 2), v(5, 2), [["z^3"]], [["z^3"]])
+    res = find_null_homotopy(f, SearchPolicy(mode="graded"))
+    assert _coefficient_types(res.homotopy.s, res.homotopy.t) == {int}
+    basis = morphism_space_basis(v(5, 2), v(5, 3), 4)
+    assert _coefficient_types(*(m for b in basis for m in (b.f1, b.f0))) == {int}
 
 
 def test_zero_morphism_fast_path():
@@ -477,13 +497,16 @@ def test_linear_system_nullspace_edges():
 
 def _reference_add_matrix_equation(system, terms, rhs, shape):
     """The rows `add_matrix_equation` appends, computed with exponent-tuple
-    keys sorted by grlex_key: the reference for the packed-int keys."""
+    keys sorted by grlex_key: the reference for the packed-int keys.  Over Q
+    the sign, 0 and 1 are ints, as a Poly holds integral coefficients, so a
+    value is an int exactly when every scalar it comes from is one."""
     field = system.field
     buckets, consts = {}, {}
     nrows, ncols = shape
-    one = ((0,) * system.ctx.nvars, field.one())
+    one = ((0,) * system.ctx.nvars, 1)
     for left, unk, right, sign in terms:
         sgn = field.coerce(sign)
+        sgn = sgn.numerator if sgn.denominator == 1 else sgn
         for k in range(unk.rows):
             lefts = [(k, one)] if left is None else [
                 (i, term) for i in range(nrows) for term in left.entries[i][k].terms.items()
@@ -501,7 +524,7 @@ def _reference_add_matrix_equation(system, terms, rhs, shape):
                             exp = tuple(a + b + c for a, b, c in zip(e_left, e_unk, e_right))
                             row = buckets.setdefault((i, j, exp), {})
                             var = unk.index(k, l, k_idx)
-                            acc = field.add(row.get(var, field.zero()), coeff)
+                            acc = field.add(row.get(var, 0), coeff)
                             if field.is_zero(acc):
                                 row.pop(var, None)
                             else:
@@ -510,9 +533,9 @@ def _reference_add_matrix_equation(system, terms, rhs, shape):
         for i in range(nrows):
             for j in range(ncols):
                 for exp, c in rhs.entries[i][j].terms.items():
-                    consts[i, j, exp] = field.add(consts.get((i, j, exp), field.zero()), c)
+                    consts[i, j, exp] = field.add(consts.get((i, j, exp), 0), c)
     keys = sorted(set(buckets) | set(consts), key=lambda k: (k[0], k[1], ho.grlex_key(k[2])))
-    return [(buckets.get(key, {}), consts.get(key, field.zero())) for key in keys]
+    return [(buckets.get(key, {}), consts.get(key, 0)) for key in keys]
 
 
 def _random_poly(rng, ctx, nterms, max_exp):
@@ -569,6 +592,9 @@ def test_packed_assembly_matches_tuple_reference(field):
         assert system.rows == want
         assert [list(row.items()) for row, _ in system.rows] == [list(row.items()) for row, _ in want]
         assert [type(c) for _, c in system.rows] == [type(c) for _, c in want]
+        assert [list(map(type, row.values())) for row, _ in system.rows] == [
+            list(map(type, row.values())) for row, _ in want
+        ]
     assert high_rhs > 5
 
 

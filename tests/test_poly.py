@@ -175,7 +175,49 @@ def test_constructor_coerces_coefficients():
     assert p == f7.monomial((1,), 2)
     assert str(p) == "2*z"
     assert Poly(f7, {(1,): 7}).is_zero()
-    assert Poly(RingContext(), {(1,): 3}).terms == {(1,): Fraction(3)}
+    assert type(Poly(f7, {(1,): Fraction(1, 2)}).terms[1,]) is int
+    stored = Poly(RingContext(), {(2,): 3, (1,): Fraction(4, 2), (0,): Fraction(3, 2)}).terms
+    assert stored == {(2,): 3, (1,): 2, (0,): Fraction(3, 2)}
+    assert [type(c) for c in stored.values()] == [int, int, Fraction]
+
+
+def _coefficient_types(*polys):
+    return {type(c) for p in polys for c in p.terms.values()}
+
+
+def test_integral_rationals_are_stored_as_ints():
+    p = parse_poly(ZX, "3*z^2*x - 2*z + 1")
+    assert _coefficient_types(p) == {int}
+    z = ZX.variable("z")
+    assert _coefficient_types(z, ZX.one(), ZX.constant(Fraction(6, 3)), ZX.monomial((1, 1), -4)) == {int}
+    assert _coefficient_types(p * p, p + z, p - 1, -p, p**3, p.partial_derivative("z")) == {int}
+    half = parse_poly(ZX, "1/2*z + 1")
+    assert [type(c) for _, c in half.sorted_terms()] == [Fraction, int]
+    # Arithmetic keeps what the field gives: (1/2) * 2 is Fraction(1), equal to 1.
+    doubled = half * 2
+    assert doubled == parse_poly(ZX, "z + 2")
+    assert [type(c) for _, c in doubled.sorted_terms()] == [Fraction, int]
+
+
+@pytest.mark.parametrize("two", [2, Fraction(2)], ids=["int", "Fraction"])
+def test_integral_coefficient_is_the_same_value_either_way(two):
+    built = Poly(ZX, {(1, 0): two, (0, 0): -two})
+    stored = Poly._clean(ZX, {(1, 0): Fraction(2), (0, 0): Fraction(-2)})
+    assert built == stored and stored == built
+    assert hash(built) == hash(stored)
+    assert str(built) == str(stored) == "2*z - 2"
+    assert built == parse_poly(ZX, "2*z - 2")
+
+
+def test_univariate_coefficients_are_field_elements():
+    ctx = RingContext(QQ, ("z",))
+    coeffs = parse_poly(ctx, "z^3 - 3/2*z + 2").univariate_coefficients("z")
+    assert coeffs == [2, Fraction(-3, 2), 0, 1]
+    assert {type(c) for c in coeffs} == {Fraction}
+    f5 = RingContext(PrimeField(5), ("z",))
+    coeffs = parse_poly(f5, "z^3 - 3/2*z + 2").univariate_coefficients("z")
+    assert coeffs == [2, 1, 0, 1]
+    assert {type(c) for c in coeffs} == {int}
 
 
 def test_eq_with_scalars_never_raises():

@@ -85,6 +85,11 @@ def test_assignment_raises(kind):
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         assert getattr(obj, name) is before
+    # A name that is no field: Poly raises AttributeError, and the frozen
+    # slotted dataclasses raise TypeError from their generated __setattr__.
+    with pytest.raises((AttributeError, TypeError)):
+        setattr(obj, "extra", None)
+    assert not hasattr(obj, "extra")
 
 
 @pytest.mark.parametrize("kind", VALUE_EQUAL)
