@@ -260,34 +260,33 @@ def realize_an_sum(ctx: RingContext, n: int, indices: Sequence[int]) -> MatrixFa
     return reduce(mf_direct_sum, parts)
 
 
-def realize_an_morphism(a: AnMorphism, ctx: RingContext, built: Optional[dict] = None) -> MFMorphism:
-    """The basis element with peak lam becomes (z^(lam-nu), z^(lam-mu)).
+def realize_an_morphism(a: AnMorphism, ctx: RingContext) -> MFMorphism:
+    """The basis element with peak lam becomes (z^(lam-nu), z^(lam-mu)), a
+    morphism since z^(lam-nu) z^(n-mu) = z^(n-nu) z^(lam-mu) for every lam."""
+    return _realize_morphism(a, ctx, {k: realize_an_object(ctx, a.n, k) for k in {a.mu, a.nu}})
 
-    `built` maps object indices to their realizations over `ctx`; without
-    it, both ends are realized here."""
-    if built is None:
-        built = {k: realize_an_object(ctx, a.n, k) for k in {a.mu, a.nu}}
+
+def _realize_morphism(a: AnMorphism, ctx: RingContext, built: dict) -> MFMorphism:
+    """`realize_an_morphism` between objects already built, indexed by k."""
     x, y = built[a.mu], built[a.nu]
     if x.rank == 0 or y.rank == 0:
         return zero_morphism(x, y)
     # A zero coefficient gives the zero monomial.
     f1 = sum((_z_power(ctx, lam - a.nu, c) for lam, c in zip(a.peaks, a.coeffs)), ctx.zero())
     f0 = sum((_z_power(ctx, lam - a.mu, c) for lam, c in zip(a.peaks, a.coeffs)), ctx.zero())
-    return morphism_new(x, y, PolyMatrix(ctx, [[f1]], cols=1), PolyMatrix(ctx, [[f0]], cols=1))
+    return MFMorphism(x, y, PolyMatrix(ctx, [[f1]], cols=1), PolyMatrix(ctx, [[f0]], cols=1))
 
 
 def shift_identification(ctx: RingContext, n: int, mu: int) -> MFMorphism:
-    """The strict isomorphism V_mu[1] -> V_{n-mu}, components (-1, 1).
-
-    Either component sign pattern gives a strict isomorphism; this is the
-    one under which the catalogue triangles certify with their stated
-    signs.  It is its own inverse.
-    """
+    """The strict isomorphism V_mu[1] -> V_{n-mu}, components (-1, 1): a
+    morphism since (-1) (-z^mu) = z^mu 1, and its own inverse.  Either sign
+    pattern gives a strict isomorphism; this is the one under which the
+    catalogue triangles certify with their stated signs."""
     _check_index(n, mu)
     shifted = mf_shift(realize_an_object(ctx, n, mu))
     target = realize_an_object(ctx, n, n - mu)
     one = PolyMatrix.identity(ctx, 1)
-    return morphism_new(shifted, target, -one, one)
+    return MFMorphism(shifted, target, -one, one)
 
 
 # -- module realization -------------------------------------------------
@@ -374,14 +373,16 @@ def realize_an_triangle(tri: AnTriangle, ctx: RingContext):
     lands in the shift X[1] through the standard identification.
 
     Each catalogue object V_k is built once per call and shared by every
-    morphism that starts or ends at it, and by the sum T."""
+    morphism that starts or ends at it, and by the sum T.  g and h are
+    checked: an `AnTriangle` may hold parts that do not match its summands,
+    and certification's f1-slot systems need them closed."""
     n = tri.n
     built = {k: realize_an_object(ctx, n, k) for k in {tri.f.mu, tri.f.nu, pad(n, -tri.f.mu), *tri.third}}
-    f = realize_an_morphism(tri.f, ctx, built)
+    f = _realize_morphism(tri.f, ctx, built)
     x, y = f.source, f.target
     t = reduce(mf_direct_sum, [built[k] for k in tri.third])
-    g_parts = [realize_an_morphism(gi, ctx, built) for gi in tri.g]
-    h_parts = [realize_an_morphism(hi, ctx, built) for hi in tri.h]
+    g_parts = [_realize_morphism(gi, ctx, built) for gi in tri.g]
+    h_parts = [_realize_morphism(hi, ctx, built) for hi in tri.h]
     g1 = PolyMatrix.block([[p.f1] for p in g_parts])
     g0 = PolyMatrix.block([[p.f0] for p in g_parts])
     g = morphism_new(y, t, g1, g0)

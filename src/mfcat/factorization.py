@@ -11,11 +11,16 @@ applying it twice is literally the identity.
 Over the polynomial ring, a domain, each second identity follows from the
 first (Eisenbud 1980): p1 p0 = (W - w0) I makes p0 / (W - w0) the inverse
 of p1, and q1 (f1 p0 - q0 f0) p1 = (W - w0) (q1 f1 - f0 p1) with q1, p1
-injective.  So `mf_new` and `morphism_new`, the validating entries, check
-the first alone.  The raw constructors trust their arguments, and every
-factorization built here keeps the invariant (`mf_new`, `mf_shift`,
-`mf_direct_sum`, the checked `cone`).  `Homotopy.bounds` compares both
-components: a raw `MFMorphism` need not be a morphism.
+injective.  So `mf_new` and `morphism_new` check the first alone.
+
+One rule says where an identity is checked.  Entries check input they
+cannot trust: `mf_new`, `morphism_new`, `cone` and the helpers on them, the
+file readers, the catalogue's objects and triangle maps, `knorrer_morphism`.
+Solvers and witness functions check what they hand out.  Constructions from
+valid inputs (`mf_shift`, `mf_direct_sum`, `standard_triangle`'s g and h,
+the catalogue's morphisms, `knorrer`) use the raw constructors and state
+their identity.  A raw `MFMorphism` need not be a morphism, so
+`Homotopy.bounds` compares both components.
 
 The mapping cone of f : X -> Y is the factorization
 
@@ -276,30 +281,17 @@ def cone(f: MFMorphism) -> MatrixFactorization:
 def standard_triangle(f: MFMorphism) -> Tuple[MatrixFactorization, MFMorphism, MFMorphism]:
     """The cone with its inclusion g = (id, 0) and projection h = (0, -id).
 
-    Returns (cone, g : Y -> cone, h : cone -> X[1]); both maps are
-    validated as morphisms.
+    Returns (cone, g : Y -> cone, h : cone -> X[1]).  `cone` checks f; g and
+    h are morphisms for every f, since c0 g0 = [q0; 0] = g1 q0 and
+    h1 c0 = [0, p1] = (-p1) h0, where -p1 is the p0 of X[1].
     """
     x, y = f.source, f.target
     ctx = x.ctx
     c = cone(f)
-    ident_y = PolyMatrix.identity(ctx, y.rank)
-    zx = PolyMatrix.zero(ctx, x.rank, y.rank)
-    g = morphism_new(
-        y,
-        c,
-        PolyMatrix.block([[ident_y], [zx]]),
-        PolyMatrix.block([[ident_y], [zx]]),
-    )
-    xs = mf_shift(x)
-    ident_x = PolyMatrix.identity(ctx, x.rank)
-    zy = PolyMatrix.zero(ctx, x.rank, y.rank)
-    h = morphism_new(
-        c,
-        xs,
-        PolyMatrix.block([[zy, -ident_x]]),
-        PolyMatrix.block([[zy, -ident_x]]),
-    )
-    return c, g, h
+    zero = PolyMatrix.zero(ctx, x.rank, y.rank)
+    g = PolyMatrix.block([[PolyMatrix.identity(ctx, y.rank)], [zero]])
+    h = PolyMatrix.block([[zero, -PolyMatrix.identity(ctx, x.rank)]])
+    return c, MFMorphism(y, c, g, g), MFMorphism(c, mf_shift(x), h, h)
 
 
 def cone_inclusion_homotopy(f: MFMorphism) -> Homotopy:
@@ -307,11 +299,8 @@ def cone_inclusion_homotopy(f: MFMorphism) -> Homotopy:
     x, y = f.source, f.target
     ctx = x.ctx
     c, g, _ = standard_triangle(f)
-    zero_block = PolyMatrix.zero(ctx, y.rank, x.rank)
-    ident = PolyMatrix.identity(ctx, x.rank)
-    s = PolyMatrix.block([[zero_block], [ident]])
-    t = PolyMatrix.block([[zero_block], [ident]])
-    h = Homotopy(x, c, s, t)
+    s = PolyMatrix.block([[PolyMatrix.zero(ctx, y.rank, x.rank)], [PolyMatrix.identity(ctx, x.rank)]])
+    h = Homotopy(x, c, s, s)
     if not h.bounds(compose(g, f)):
         raise MfcatError("not-a-morphism", "cone inclusion witness failed")
     return h

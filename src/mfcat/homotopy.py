@@ -74,6 +74,7 @@ from .factorization import (
     morphism_new,
     morphism_scale,
     morphism_sub,
+    zero_morphism,
     _check_same_fiber,
 )
 from .matrices import PolyMatrix
@@ -833,19 +834,16 @@ def is_iso_in_db(
     A graded dimension mismatch between End(X), End(Y) and Hom(X, Y) is a
     certified negative; a pair (u, v) with both composites homotopic to
     identities, u found by `_find_invertible` among combinations of a basis
-    of the morphisms up to the bound, is a certified positive; otherwise
-    the answer is the non-certified "unknown".
+    of the morphisms up to the bound (the zero map if one rank is 0), is a
+    certified positive; otherwise the answer is the non-certified "unknown".
     """
     if policy is None:
         policy = SearchPolicy()
     certificate: dict = {"mode": policy.mode}
     if x.rank == 0 and y.rank == 0:
-        _check_same_fiber(x, y)
         empty = PolyMatrix(x.ctx, [], cols=0)
-        u = MFMorphism(x, y, empty, empty)
-        v = MFMorphism(y, x, empty, empty)
         h = Homotopy(x, x, empty, empty)
-        return IsoResult("iso", u, v, h, h, {"trivial": True})
+        return IsoResult("iso", zero_morphism(x, y), zero_morphism(y, x), h, h, {"trivial": True})
     if x.ctx.weights is not None and policy.mode == "graded":
         try:
             dim_xy, _ = graded_stable_hom_dim(x, y)
@@ -866,7 +864,8 @@ def is_iso_in_db(
     bound = resolve_bound(policy, x, y)
     certificate["bound"] = bound
     certificate["candidates_tried"] = 0
-    found = _find_invertible(certificate, bound, None, lambda: morphism_space_basis(x, y, bound))
+    base = zero_morphism(x, y) if 0 in (x.rank, y.rank) else None
+    found = _find_invertible(certificate, bound, base, lambda: morphism_space_basis(x, y, bound))
     if found is None:
         return IsoResult("unknown", None, None, None, None, certificate)
     return IsoResult("iso", *found, certificate)

@@ -11,7 +11,7 @@ from typing import Optional
 
 from .errors import MfcatError
 from .factorization import (
-    MatrixFactorization, MFMorphism, direct_sum_morphism, mf_new, morphism_new, shift_morphism,
+    MatrixFactorization, MFMorphism, direct_sum_morphism, morphism_new, shift_morphism,
 )
 from .matrices import PolyMatrix
 from .poly import Poly, RingContext
@@ -57,7 +57,8 @@ def knorrer(
 
     Sends (p1, p0) of rank n to the rank-2n factorization
         k1 = [[p1, -y], [x, p0]],   k0 = [[p0, y], [-x, p1]]
-    of W + x*y over the extended ring.
+    of W + x*y over the extended ring, built raw: p1 p0 = p0 p1 =
+    (W - w0) I gives k1 k0 = (W - w0 + x*y) I.
     """
     ctx = m.ctx
     dw = None
@@ -74,9 +75,8 @@ def knorrer(
     p0 = _lift(big, m.p0)
     k1 = PolyMatrix.block([[p1, -ym], [xm, p0]])
     k0 = PolyMatrix.block([[p0, ym], [-xm, p1]])
-    w_total = Poly(big, {exp + (0, 0): c for exp, c in m.w.terms.items()})
-    w_total = w_total + big.variable(x_var) * big.variable(y_var) + big.constant(big.w0)
-    return mf_new(big, w_total, k1, k0)
+    w = Poly(big, {exp + (0, 0): c for exp, c in m.w.terms.items()})
+    return MatrixFactorization(big, w + big.variable(x_var) * big.variable(y_var), 2 * n, k1, k0)
 
 
 def knorrer_morphism(

@@ -408,8 +408,9 @@ def stabilize(m: QuotModule) -> MatrixFactorization:
     The kernel of the surjection k[z]^dim ->> M sending generators to the
     k-basis is free with basis the columns of z*I - Z, so p1 = z*I - Z;
     p0 solves p1 * p0 = W * I exactly via the divided difference
-    (W(z) - W(y)) / (z - y) evaluated at y = Z, and `mf_new` checks
-    p1 * p0 = W * I, from which p0 * p1 = W * I follows.
+    (W(z) - W(y)) / (z - y) at y = Z, as `QuotModule` checks W(Z) = 0.  It
+    keeps `mf_new`: a faster raw build raises the benchmark's peak memory
+    through its per-query record (ROADMAP item 1).
     """
     ctx = m.ctx
     field = ctx.field

@@ -1,4 +1,7 @@
+import importlib
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,7 +34,19 @@ from mfcat import (
     w_multiplication_homotopy,
     zero_morphism,
 )
-from mfcat.andyn import an_basis_morphism, an_context, an_hom_basis, realize_an_morphism, realize_an_object
+from mfcat import andyn
+from mfcat.andyn import (
+    an_add,
+    an_basis_morphism,
+    an_context,
+    an_hom_basis,
+    an_scale,
+    an_triangle,
+    realize_an_morphism,
+    realize_an_object,
+    realize_an_triangle,
+    shift_identification,
+)
 from mfcat.errors import MfcatError
 from mfcat.factorization import (
     Homotopy,
@@ -42,6 +57,7 @@ from mfcat.factorization import (
     direct_sum_morphism,
 )
 from mfcat.knorrer import knorrer, knorrer_morphism
+from mfcat.poly import Poly
 
 
 CTX = RingContext(QQ, ("z",), weights=(1,))
@@ -391,3 +407,128 @@ def test_one_product_check_matches_the_two_check_reference(field):
     texts = [o for o in outcomes if isinstance(o, str)]
     assert sum(map(bool, texts)) > 100 and len(outcomes) - len(texts) > 100
     assert {t.split(":")[0] for t in texts} == {"not-a-factorization", "not-a-morphism", "zero-superpotential"}
+
+
+# -- constructions from valid inputs, against the validating entries ------
+#
+# `standard_triangle`'s g and h, the catalogue's morphisms, the shift
+# identification and `knorrer` build with the raw constructors, each valid by
+# an identity that holds for every valid input.  The entries they no longer
+# call must accept every output and return it unchanged, and the entries and
+# witness functions must still refuse bad raw input.
+
+
+def _catalogue_maps(field, ns):
+    """Realized basis morphisms and two-term sums a + 2b, for n in ns."""
+    ctx = an_context(field)
+    out = []
+    for n in ns:
+        for mu in range(1, n):
+            for nu in range(1, n):
+                basis = [an_basis_morphism(field, n, mu, nu, lam) for lam in an_hom_basis(n, mu, nu)]
+                sums = [an_add(a, an_scale(b, 2)) for a, b in itertools.combinations(basis, 2)]
+                out += [realize_an_morphism(a, ctx) for a in basis + sums]
+    return out
+
+
+def _revalidated(f):
+    return morphism_new(f.source, f.target, f.f1, f.f0)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=lambda f: f.name)
+def test_catalogue_morphisms_pass_the_validating_entry(field):
+    ctx = an_context(field)
+    maps = _catalogue_maps(field, range(2, 7))
+    maps += [shift_identification(ctx, n, mu) for n in range(2, 7) for mu in range(1, n)]
+    assert len(maps) > 100
+    for f in maps:
+        assert _revalidated(f) == f
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=lambda f: f.name)
+def test_standard_triangle_maps_pass_the_validating_entry(field):
+    # f, its shift, and the maps into and out of its cone
+    for f in _catalogue_maps(field, range(2, 7)):
+        _, g, h = standard_triangle(f)
+        for m in (f, shift_morphism(f), g, h):
+            _, *maps = standard_triangle(m)
+            assert [_revalidated(u) for u in maps] == maps
+
+
+def _moved(ctx, x):
+    """x over ctx, whose base point w0 shifts the fiber back to that of x."""
+
+    def move(m):
+        return PolyMatrix(ctx, [[Poly(ctx, p.terms) for p in row] for row in m.entries], cols=m.cols)
+
+    return mf_new(ctx, Poly(ctx, x.w.terms) + ctx.constant(ctx.w0), move(x.p1), move(x.p0))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=lambda f: f.name)
+def test_knorrer_passes_the_validating_entry(field):
+    # catalogue objects, their shifts, sums and cones, weighted and over an
+    # unweighted context with w0 = 2
+    ctx = an_context(field)
+    objects = []
+    for n in range(2, 6):
+        vs = [realize_an_object(ctx, n, mu) for mu in range(n)]
+        objects += vs + [mf_shift(x) for x in vs]
+        objects += [mf_direct_sum(x, y) for x, y in itertools.combinations_with_replacement(vs[1:], 2)]
+        objects += [cone(f) for f in _catalogue_maps(field, [n])]
+    unweighted = RingContext(field, ("z",), w0=2)
+    objects += [_moved(unweighted, x) for x in objects]
+    for x in objects:
+        k = knorrer(x)
+        assert mf_new(k.ctx, unshifted_w(k), k.p1, k.p0) == k
+
+
+def test_constructions_call_no_validating_entry(monkeypatch):
+    # Calls are counted through each name that the three modules bind.  The
+    # catalogue objects are built first, through their validating entry.
+    ctx = an_context(QQ)
+    objects = {k: realize_an_object(ctx, 5, k) for k in range(5)}
+    realize = andyn.realize_an_object
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module in [importlib.import_module(f"mfcat.{m}") for m in ("factorization", "andyn", "knorrer")]:
+        for name in ("mf_new", "morphism_new"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(andyn, "realize_an_object", lambda ctx, n, mu: objects[andyn.pad(n, mu)])
+    a = an_basis_morphism(QQ, 5, 2, 3, 4)
+    c, _, _ = standard_triangle(realize_an_morphism(a, ctx))
+    shift_identification(ctx, 5, 2)
+    knorrer(c)
+    assert calls == Counter()
+    # The triangle's g and h are entries: its parts need not match T.
+    realize_an_triangle(an_triangle(a), ctx)
+    assert calls == Counter(morphism_new=2)
+    calls.clear()
+    realize(ctx, 5, 2)
+    assert calls == Counter(mf_new=1)
+
+
+def test_entries_and_witnesses_reject_bad_raw_input():
+    x, y = v(3), v(2)
+    one = PolyMatrix.identity(CTX, 1)
+    bad = MFMorphism(x, y, one, one)
+    for build in (cone, standard_triangle):
+        with pytest.raises(MfcatError, match="not-a-factorization"):
+            build(bad)
+    with pytest.raises(MfcatError, match="not-a-morphism"):
+        knorrer_morphism(bad)
+    # p1 p0 = z^5 + z^4, off by a non-constant term
+    off = MatrixFactorization(
+        CTX, W5, 1, PolyMatrix(CTX, [[parse_poly(CTX, "z^2")]]), PolyMatrix(CTX, [[parse_poly(CTX, "z^3 + z^2")]])
+    )
+    with pytest.raises(MfcatError, match="not-a-morphism"):
+        w_multiplication_homotopy(off)
+    with pytest.raises(MfcatError, match="not-a-morphism"):
+        partial_derivative_homotopy(off, "z")

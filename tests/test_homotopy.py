@@ -206,6 +206,27 @@ def test_iso_between_zero_objects_is_trivial():
         assert r.u.f1.rows == r.source_homotopy.s.rows == 0
 
 
+def test_iso_between_zero_and_contractible_tries_the_zero_map():
+    # With a rank-0 side the only map is 0 and the morphism basis is empty:
+    # the zero map is the one candidate, certified against the contractible
+    # (1, z^3) and failing against V_1.
+    w = andyn.an_w(CTX, 3)
+    zero, contractible, v1 = v(3, 0), rank_one(CTX, w, CTX.one(), w), v(3, 1)
+    for mode in ("bounded", "graded"):
+        for x, y in ((zero, contractible), (contractible, zero)):
+            r = is_iso_in_db(x, y, SearchPolicy(mode=mode, bound=3))
+            assert (r.status, r.certificate["candidates_tried"]) == ("iso", 1)
+            assert r.u == zero_morphism(x, y) and r.v == zero_morphism(y, x)
+            assert r.source_homotopy.bounds(morphism_sub(compose(r.v, r.u), identity_morphism(x)))
+            assert r.target_homotopy.bounds(morphism_sub(compose(r.u, r.v), identity_morphism(y)))
+        for x, y in ((zero, v1), (v1, zero)):
+            r = is_iso_in_db(x, y, SearchPolicy(mode=mode, bound=3))
+            if mode == "bounded":
+                assert (r.status, r.certificate["candidates_tried"]) == ("unknown", 1)
+            else:
+                assert r.status == "not-iso"
+
+
 def _nonzero_degrees(x, y):
     return {phi: d for phi, d in graded_stable_hom_dim(x, y)[1]["degrees"] if d}
 
