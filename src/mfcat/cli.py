@@ -55,7 +55,6 @@ def cmd_validate(args) -> int:
         )
     elif kind == "homotopy":
         h = formats.homotopy_from_dict(data, base)
-        h.boundary()
         print(f"valid homotopy: rank {h.source.rank} -> rank {h.target.rank}")
     else:
         m = formats.module_from_dict(data)
@@ -95,10 +94,7 @@ def cmd_knorrer(args) -> int:
 def cmd_hom(args) -> int:
     x = formats.load_mf(args.left)
     y = formats.load_mf(args.right)
-    if x.ctx != y.ctx:
-        raise MfcatError("context-mismatch", "the two factorization files differ in ring data")
-    if x.w != y.w:
-        raise MfcatError("superpotential-mismatch", "the two files factor different fibers")
+    # `HomComplex` refuses different rings or fibers on both routes before any work.
     bounded = args.bounded or args.bound is not None
     if args.graded or (x.ctx.weights is not None and not bounded):
         dim, cert = homotopy.graded_stable_hom_dim(x, y)

@@ -71,20 +71,11 @@ def _integer_roots(field: RationalField, g: List[Fraction]) -> List[int]:
 
 
 def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fraction]:
-    """All rational roots of the polynomial with the given coefficients."""
+    """The rational roots, in increasing order, of the nonzero polynomial
+    with the given coefficients; `_integer_roots` finds the root 0 too."""
     coeffs = uni.trim(field, coeffs)
-    if not coeffs:
-        raise MfcatError("zero-superpotential", "polynomial vanished identically")
-    # Strip powers of w dividing the polynomial; they contribute the root 0.
-    low = 0
-    while field.is_zero(coeffs[low]):
-        low += 1
-    roots = []
-    if low > 0:
-        roots.append(Fraction(0))
-        coeffs = coeffs[low:]
     if len(coeffs) == 1:
-        return roots
+        return []
     # Clear denominators and divide out the content, giving a primitive f
     # with leading coefficient a and degree d.  Its rational roots are y/a
     # for the integer roots y of the monic g(y) = a^(d-1) f(y/a).
@@ -94,9 +85,7 @@ def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fracti
     ints = [c // content for c in ints]
     a, d = ints[-1], len(ints) - 1
     g = [Fraction(c * a ** (d - 1 - i)) for i, c in enumerate(ints[:-1])] + [Fraction(1)]
-    roots += [Fraction(y, a) for y in _integer_roots(field, g)]
-    roots.sort()
-    return roots
+    return sorted(Fraction(y, a) for y in _integer_roots(field, g))
 
 
 def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
@@ -112,13 +101,12 @@ def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
         raise MfcatError("context-mismatch", "critical values need the rational field")
     if len(ctx.variables) != 1:
         raise MfcatError("not-univariate", "critical values need one variable")
-    if w.is_zero() or w.is_constant():
+    if w.is_constant():  # the zero polynomial too
         raise MfcatError("constant-superpotential", "no critical fiber structure")
     field = ctx.field
     wc = uni.from_poly(w, ctx.variables[0])
+    # W is nonconstant in one variable over Q, so W' is nonzero.
     deriv = uni.derivative(field, wc)
-    if uni.is_zero(deriv):
-        raise MfcatError("constant-superpotential", "derivative vanishes identically")
     # Column k of the system holds the coefficients of W^k mod W'.  The
     # algebra has dimension d, so the d + 1 powers are dependent, and the
     # first power that depends on the lower ones gives the minimal polynomial.
@@ -130,6 +118,7 @@ def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
             if c:
                 rows[i][k] = c
         power = uni.mod(field, uni.mul(field, power, wc), deriv)
+    # The first kernel vector ends in 1: the minimal polynomial is monic (1 for a linear W).
     kernel = linalg.null_basis(field, linalg.sparse_rref(field, rows), d + 1)[0]
     minimal = [kernel.get(k, field.zero()) for k in range(max(kernel) + 1)]
     roots = _rational_roots(field, minimal)

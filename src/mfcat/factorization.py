@@ -20,7 +20,9 @@ Solvers and witness functions check what they hand out.  Constructions from
 valid inputs (`mf_shift`, `mf_direct_sum`, `standard_triangle`'s g and h,
 the catalogue's morphisms, `knorrer`) use the raw constructors and state
 their identity.  A raw `MFMorphism` need not be a morphism, so
-`Homotopy.bounds` compares both components.
+`Homotopy.bounds` compares both components.  A `Homotopy` is input as
+often as output, so it checks its fiber and its shapes itself.  Assembly
+follows the same rule (`homotopy` module docstring).
 
 The mapping cone of f : X -> Y is the factorization
 
@@ -248,6 +250,7 @@ class Homotopy:
 
     def __post_init__(self):
         source, target, s, t = self.source, self.target, self.s, self.t
+        _check_same_fiber(source, target)
         if s.rows != target.rank or s.cols != source.rank or t.rows != target.rank or t.cols != source.rank:
             raise MfcatError(
                 "invalid-shape", f"homotopy components must be {target.rank}x{source.rank}"

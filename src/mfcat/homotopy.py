@@ -50,7 +50,9 @@ degree's rank off its own pivot columns.
 
 Isomorphism search and triangle certification share `_find_invertible`: a
 fixed stream of maps in base + span(directions), each tested by one joint
-system for an inverse and both homotopies.
+system for an inverse and both homotopies.  Assembly keeps the rule of the
+`factorization` docstring: `HomComplex` checks that its ends share a fiber,
+and the systems it writes trust the shapes it pairs.
 """
 
 from __future__ import annotations
@@ -122,29 +124,14 @@ class IsoResult:
     certificate: dict
 
 
-def resolve_bound(policy: Optional[SearchPolicy], *objects_and_maps) -> int:
-    """Explicit policy bound, else the derived default.
-
-    The derived default is the maximal total entry degree over all supplied
-    matrices plus the total degree of the fiber polynomial.
-    """
+def resolve_bound(policy: Optional[SearchPolicy], x: MatrixFactorization, *others) -> int:
+    """Explicit policy bound, else the largest total entry degree of x and
+    of others, factorizations or morphisms of x's fiber, plus deg(W - w0);
+    W - w0 is nonzero, as `mf_new` requires and every construction keeps."""
     if policy is not None and policy.bound is not None:
         return policy.bound
-    matrices = []
-    fiber = None
-    for item in objects_and_maps:
-        if isinstance(item, MatrixFactorization):
-            matrices += [item.p1, item.p0]
-            fiber = item.w
-        elif isinstance(item, MFMorphism):
-            matrices += [item.f1, item.f0]
-            fiber = item.source.w
-        else:
-            matrices.append(item)
-    degree = _max_entry_degree(matrices)
-    if fiber is not None and not fiber.is_zero():
-        degree += fiber.degree()
-    return degree
+    pairs = [(m.p1, m.p0) if isinstance(m, MatrixFactorization) else (m.f1, m.f0) for m in (x, *others)]
+    return _max_entry_degree([m for pair in pairs for m in pair]) + x.w.degree()
 
 
 def _max_entry_degree(matrices: Sequence[PolyMatrix]) -> int:
@@ -232,24 +219,15 @@ class LinearSystem:
         return unk
 
     def add_matrix_equation(self, terms, rhs: Optional[PolyMatrix], shape: Tuple[int, int]):
-        """Sum of sign * L @ U @ R over the terms equals rhs (entrywise)."""
+        """Sum of sign * L @ U @ R over the terms equals rhs (entrywise), all of the
+        given shape, unchecked: the one caller, `HomComplex.equate`, pairs X's and Y's."""
         field = self.field
         add, mul = field.add, field.mul
         nrows, ncols = shape
         top = 0 if rhs is None else _max_entry_degree([rhs])
         for left, unk, right, sign in terms:
-            if left is not None and (left.rows != nrows or left.cols != unk.rows):
-                raise MfcatError("shape-mismatch", "left factor in linear system")
-            if right is not None and (right.rows != unk.cols or right.cols != ncols):
-                raise MfcatError("shape-mismatch", "right factor in linear system")
-            if left is None and unk.rows != nrows:
-                raise MfcatError("shape-mismatch", "unknown rows in linear system")
-            if right is None and unk.cols != ncols:
-                raise MfcatError("shape-mismatch", "unknown cols in linear system")
             factors = [_max_entry_degree([m]) for m in (left, right) if m is not None]
             top = max(top, sum(factors) + unk.degree)
-        if rhs is not None and (rhs.rows != nrows or rhs.cols != ncols):
-            raise MfcatError("shape-mismatch", "right-hand side in linear system")
         # Row (i, j, e) has key (i * ncols + j) * stride + pack(e), digits in a base
         # above every degree: adding keys adds exponents; int order is (i, j, grlex_key).
         base = top + 1
@@ -695,13 +673,11 @@ def _degree_dimensions(hom: HomComplex, degrees: Sequence[int]) -> List[int]:
     ranks, sizes = cycle.coefficient_rank(labels), Counter(labels)
     cycles = [sizes[phi] - ranks[phi] for phi in degrees]
     live = [phi for phi, dim in zip(degrees, cycles) if dim]
-    images = Counter()
-    if live:
-        boundary = LinearSystem(hom.x.ctx)
-        s, t, labels = hom.graded_unknowns(boundary, ("s", "t"), 1, live)
-        # Image of D on the adjacent parity.
-        hom.equate(boundary, hom.boundary(s, t))
-        images = boundary.coefficient_rank(labels)
+    # Image of D on the adjacent parity; with no live degree, the empty Counter.
+    boundary = LinearSystem(hom.x.ctx)
+    s, t, labels = hom.graded_unknowns(boundary, ("s", "t"), 1, live)
+    hom.equate(boundary, hom.boundary(s, t))
+    images = boundary.coefficient_rank(labels)
     dims = [dim - images[phi] for phi, dim in zip(degrees, cycles)]
     if min(dims) < 0:
         raise MfcatError("not-a-factorization", "boundary space escapes the cycle space")

@@ -283,17 +283,13 @@ class Poly:
         return self * self.ctx.constant(c)
 
     def partial_derivative(self, var: str) -> "Poly":
+        """No two terms meet, as e -> e - e_i is one-to-one; `Poly` drops zeros."""
         i = self.ctx.var_index(var)
         fld = self.ctx.field
         out: Dict[Exponent, Scalar] = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            coeff = fld.mul(c, e[i])
-            if fld.is_zero(coeff):
-                continue
-            e2 = tuple(x - 1 if j == i else x for j, x in enumerate(e))
-            out[e2] = fld.add(out.get(e2, fld.zero()), coeff) if e2 in out else coeff
+            if e[i]:
+                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = fld.mul(c, e[i])
         return Poly(self.ctx, out)
 
     # -- views ---------------------------------------------------------

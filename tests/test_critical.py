@@ -134,6 +134,11 @@ def test_degenerate_critical_point():
     assert not has_irr
 
 
+def test_linear_superpotential_has_no_critical_value():
+    # W' is a unit, so the Jacobian algebra is 0 and the minimal polynomial constant.
+    assert critical_values(parse_poly(CTX, "3*z + 1")) == ([], False)
+
+
 def test_rational_coefficients():
     # W = z^2 - z has its only critical point at z = 1/2
     vals, has_irr = critical_values(parse_poly(CTX, "z^2 - z"))

@@ -580,3 +580,40 @@ def test_cli_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.run(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_cli_hom_fiber_mismatch(tmp_path, capsys):
+    # Same ring, different W: both routes refuse the pair before any work.
+    ctx = an_context()
+    z = parse_poly(ctx, "z")
+    x = rank_one(ctx, parse_poly(ctx, "z^3"), z, parse_poly(ctx, "z^2"))
+    y = rank_one(ctx, parse_poly(ctx, "z^4"), z, parse_poly(ctx, "z^3"))
+    xp, yp = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+    formats.save_mf(xp, x)
+    formats.save_mf(yp, y)
+    for mode in ([], ["--graded"], ["--bounded"], ["--bound", "2"]):
+        assert cli.run(["hom", xp, yp, "--out", str(tmp_path), *mode]) == 2
+        assert capsys.readouterr().err.startswith("superpotential-mismatch: ")
+    assert not list(tmp_path.glob("*certificate*"))
+
+
+@pytest.mark.parametrize(
+    "target, code",
+    [
+        ({"W": "z^4", "p1": [["z"]], "p0": [["z^3"]]}, "superpotential-mismatch: factorizations of different fibers"),
+        ({"field": {"Fp": 101}}, "context-mismatch: factorizations over different contexts"),
+    ],
+    ids=["fiber", "ring"],
+)
+def test_homotopy_file_between_different_fibers_is_refused(tmp_path, capsys, target, code):
+    source = {"field": "Q", "vars": ["z"], "weights": [1], "w0": "0", "W": "z^3", "rank": 1,
+              "p1": [["z"]], "p0": [["z^2"]]}
+    (tmp_path / "a.json").write_text(json.dumps(source))
+    (tmp_path / "b.json").write_text(json.dumps({**source, **target}))
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"source": "a.json", "target": "b.json", "s": [["1"]], "t": [["0"]]}))
+    assert cli.run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == code + "\n"
+    with pytest.raises(ValueError) as exc:
+        formats.load_homotopy(str(path))
+    assert str(exc.value) == code

@@ -11,6 +11,8 @@ import pytest
 import mfcat
 from mfcat import (
     QQ,
+    Homotopy,
+    MatrixFactorization,
     PolyMatrix,
     PrimeField,
     RingContext,
@@ -26,6 +28,7 @@ from mfcat import (
     is_iso_in_db,
     mf_shift,
     mf_zero_object,
+    morphism_add,
     morphism_from_polys,
     multiplication_morphism,
     morphism_space_basis,
@@ -425,11 +428,49 @@ def test_policy_validation():
         bounded_stable_hom_estimate(v(3, 1), v(3, 1), -1)
 
 
+def _reference_resolve_bound(policy, *objects_and_maps):
+    """The derived default with the fiber read off the last argument."""
+    if policy is not None and policy.bound is not None:
+        return policy.bound
+    matrices, fiber = [], None
+    for item in objects_and_maps:
+        if isinstance(item, MatrixFactorization):
+            matrices += [item.p1, item.p0]
+            fiber = item.w
+        else:
+            matrices += [item.f1, item.f0]
+            fiber = item.source.w
+    degree = ho._max_entry_degree(matrices)
+    if fiber is not None and not fiber.is_zero():
+        degree += fiber.degree()
+    return degree
+
+
 def test_bound_policy_and_derived_default():
     x = v(5, 2)
     assert ho.resolve_bound(SearchPolicy(bound=7), x) == 7
     # derived default: max entry degree (3) plus fiber degree (5)
     assert ho.resolve_bound(None, x) == 8
+    # The fiber of x is that of every argument the callers pass.
+    f = andyn.realize_an_morphism(andyn.an_generator(QQ, 5, 1, 3), CTX)
+    z7 = multiplication_morphism(f.source, CTX.monomial((7,)))
+    ctx = RingContext(QQ, ("z",), w0=2)
+    u = rank_one(ctx, parse_poly(ctx, "z^3 - 3*z"), parse_poly(ctx, "z + 1"), parse_poly(ctx, "z^2 - z - 2"))
+    lifted = knorrer(f.source, "x", "y")
+    cases = [
+        (f.source, f.target),
+        (f.source, f.target, f),
+        (f.source, f.source, z7),
+        (f.target, cone(f), standard_triangle(f)[1]),
+        (mf_shift(f.target), mf_shift(f.source)),
+        (u, u, identity_morphism(u)),
+        (lifted, lifted, identity_morphism(lifted)),
+        (v(5, 0), v(5, 2)),
+    ]
+    for args in cases:
+        for policy in (None, SearchPolicy(), SearchPolicy("graded"), SearchPolicy(bound=4)):
+            assert ho.resolve_bound(policy, *args) == _reference_resolve_bound(policy, *args)
+    assert ho.resolve_bound(None, f.source, f.source, z7) == 7 + 5
 
 
 def test_monomials_up_to_degree_match_the_filtered_product():
@@ -1185,3 +1226,76 @@ def test_graded_null_homotopy_matches_two_slot_reference(field):
             assert (res.homotopy.s, res.homotopy.t) == witness
         statuses[status] += 1
     assert statuses["found"] > 10 and statuses["proven-none"] > 10
+
+
+# -- shapes that assembly trusts, the no-live scan, `homotopy_equal` -------
+
+
+@pytest.mark.parametrize(
+    "field, n, lifted",
+    [(QQ, 3, False), (QQ, 4, True), (PrimeField(101), 4, False), (PrimeField(101), 3, True)],
+    ids=["Q-3", "Q-4-lift", "F101-4", "F101-3-lift"],
+)
+def test_assembly_shapes_agree_by_construction(monkeypatch, field, n, lifted):
+    # `add_matrix_equation` does not check shapes: every term and right-hand
+    # side that the solvers write has the shape of its equation.
+    shapes = []
+    original = ho.LinearSystem.add_matrix_equation
+
+    def checked(self, terms, rhs, shape):
+        nrows, ncols = shape
+        for left, unk, right, _ in terms:
+            assert left is None or (left.rows, left.cols) == (nrows, unk.rows)
+            assert right is None or (right.rows, right.cols) == (unk.cols, ncols)
+            assert left is not None or unk.rows == nrows
+            assert right is not None or unk.cols == ncols
+        assert rhs is None or (rhs.rows, rhs.cols) == shape
+        shapes.append(shape)
+        return original(self, terms, rhs, shape)
+
+    monkeypatch.setattr(ho.LinearSystem, "add_matrix_equation", checked)
+    for query in _f1_slot_queries(field, n, lifted):
+        query()
+    assert len(shapes) > 20
+
+
+def test_degree_dimensions_without_cycles_are_zero(monkeypatch):
+    # Below -max(offsets) no degree holds a cycle: every system eliminated
+    # has no unknown and no row, and every dimension is 0.
+    totals = []
+    original = ho.LinearSystem.coefficient_rank
+    monkeypatch.setattr(
+        ho.LinearSystem, "coefficient_rank",
+        lambda self, *args: totals.append((self.total, len(self.rows))) or original(self, *args),
+    )
+    for x, y in [(v(5, 2), v(5, 3)), (knorrer(v(4, 1), "x", "y"), knorrer(v(4, 2), "x", "y"))]:
+        hom = ho.HomComplex(x, y)
+        top = max(o for table in hom.offsets[0] for row in table for o in row)
+        totals.clear()
+        assert ho._degree_dimensions(hom, range(-top - 4, -top)) == [0] * 4
+        assert totals and set(totals) == {(0, 0)}
+
+
+@pytest.mark.parametrize("mode", ["bounded", "graded"])
+def test_homotopy_equal_finds_a_boundary_apart(mode):
+    # f and f + D(s, t) are equal in the homotopy category, witnessed by a
+    # homotopy that bounds their difference.
+    for f in [
+        andyn.realize_an_morphism(andyn.an_generator(QQ, 5, 2, 3), CTX),
+        knorrer_morphism(andyn.realize_an_morphism(andyn.an_generator(QQ, 4, 1, 2), CTX)),
+    ]:
+        x, y = f.source, f.target
+        rng = random.Random(x.rank)
+        s, t = (_random_matrix(rng, x.ctx, y.rank, x.rank) for _ in range(2))
+        g = morphism_add(f, Homotopy(x, y, s, t).boundary())
+        assert not morphism_sub(g, f).is_zero()
+        res = ho.homotopy_equal(g, f, SearchPolicy(mode))
+        assert res.status == "found"
+        assert res.homotopy.bounds(morphism_sub(g, f))
+
+
+def test_homotopy_equal_proves_a_basis_map_nonzero():
+    for n, mu, nu in [(3, 1, 2), (5, 2, 2), (6, 2, 4)]:
+        f = andyn.realize_an_morphism(andyn.an_generator(QQ, n, mu, nu), CTX)
+        res = ho.homotopy_equal(f, zero_morphism(f.source, f.target), SearchPolicy("graded"))
+        assert res.status == "proven-none" and res.homotopy is None
