@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import reduce
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import MfcatError
@@ -37,7 +38,7 @@ from .factorization import (
     zero_morphism,
 )
 from .fields import QQ, Field
-from .homotopy import HomComplex, LinearSystem, _find_invertible
+from .homotopy import _comparison_system, _find_invertible
 from .linalg import mat_mul
 from .matrices import PolyMatrix
 from .modules import an_context, cok, cok_induced_map, cyclic_module, stable_hom
@@ -399,31 +400,22 @@ def certify_an_triangle(
 ) -> dict:
     """Certify the catalogue triangle against the cone of its first map.
 
-    Solves for a comparison map w: T -> cone(f) making both squares
-    commute up to explicit homotopies, then looks for an invertible one in
-    w + span(kernel) with `_find_invertible`; the kernel of the system is
-    computed only if w itself is not invertible.  Returns a certificate
-    dict; "certified" is False when no invertible comparison map was found.
+    Solves `homotopy._comparison_system` for a comparison map
+    w: T -> cone(f) with w g ~ g_std as maps Y -> cone and h_std w ~ h as
+    maps T -> X[1], every unknown of entry degree <= bound, then looks for
+    an invertible one in w + span(kernel) with `_find_invertible`; the
+    kernel of the system is computed only if w itself is not invertible.
+    Returns a certificate dict; "certified" is False when no invertible
+    comparison map was found.
     """
     if ctx is None:
         ctx = an_context(tri.field)
     n = tri.n
-    x, y, t, f, g, h = realize_an_triangle(tri, ctx)
+    _, _, t, f, g, h = realize_an_triangle(tri, ctx)
     cone_obj, g_std, h_std = standard_triangle(f)
     if bound is None:
         bound = 2 * n
-    hom_w = HomComplex(t, cone_obj)
-    hom_g = HomComplex(y, cone_obj)
-    hom_h = HomComplex(t, h.target)
-    system = LinearSystem(ctx)
-    w = hom_w.bounded_unknowns(system, ("w1", "w0"), bound)
-    sg, tg = hom_g.bounded_unknowns(system, ("sg", "tg"), bound)
-    sh, th = hom_h.bounded_unknowns(system, ("sh", "th"), bound)
-    hom_w.equate(system, hom_w.closed(*w))
-    # First square: w g - g_std = D(sg, tg) as maps Y -> cone.
-    hom_g.equate(system, hom_g.compose(w, g), hom_g.boundary(sg, tg, -1), rhs=g_std.f1)
-    # Second square: h_std w - h = D(sh, th) as maps T -> X[1].
-    hom_h.equate(system, hom_h.compose(h_std, w), hom_h.boundary(sh, th, -1), rhs=h.f1)
+    system = _comparison_system(g, g_std, h_std, h, bound, bound)
     certificate = {
         "n": n,
         "mu": tri.f.mu,
@@ -440,10 +432,10 @@ def certify_an_triangle(
 
     def directions():
         parts = system.homogeneous_nullspace()
-        kernel = [morphism_new(t, cone_obj, a["w1"], a["w0"]) for a in parts]
+        kernel = [morphism_new(t, cone_obj, a["m1"], a["m0"]) for a in parts]
         return [d for d in kernel if not d.is_zero()]
 
-    base = morphism_new(t, cone_obj, particular["w1"], particular["w0"])
+    base = morphism_new(t, cone_obj, particular["m1"], particular["m0"])
     found = _find_invertible(certificate, bound, base, directions)
     if found is None:
         certificate["reason"] = "comparison maps found but none invertible"
@@ -467,94 +459,54 @@ def an_verify(n: int, field: Field = QQ) -> dict:
     _check_n(n)
     ctx = an_context(field)
     checks: List[dict] = []
+
+    def record(check: str, params: dict, ok: bool, **extra):
+        checks.append({"check": check, "params": params, "ok": ok, **extra})
+
+    pairs = list(product(range(1, n), repeat=2))
     modules = {mu: an_module(field, n, mu) for mu in range(1, n)}
-    stable = {}
-
-    def stable_for(mu, nu):
-        if (mu, nu) not in stable:
-            stable[(mu, nu)] = stable_hom(modules[mu], modules[nu])
-        return stable[(mu, nu)]
-
-    for mu in range(1, n):
-        for nu in range(1, n):
-            want = an_hom_dim(n, mu, nu)
-            got = stable_for(mu, nu).dim
-            checks.append(
-                {
-                    "check": "hom-dim",
-                    "params": {"mu": mu, "nu": nu},
-                    "ok": want == got,
-                    "catalogue": want,
-                    "module_side": got,
-                }
-            )
+    stable = {(mu, nu): stable_hom(modules[mu], modules[nu]) for mu, nu in pairs}
+    for mu, nu in pairs:
+        want = an_hom_dim(n, mu, nu)
+        got = stable[(mu, nu)].dim
+        record("hom-dim", {"mu": mu, "nu": nu}, want == got, catalogue=want, module_side=got)
 
     # Composition tables against stable classes of module maps.
-    for mu in range(1, n):
-        for mid in range(1, n):
-            for nu in range(1, n):
-                # Module products, then catalogue composites, in one solve.
-                products, composites = [], []
-                for lam_b in an_hom_basis(n, mu, mid):
-                    for lam_a in an_hom_basis(n, mid, nu):
-                        a = an_basis_morphism(field, n, mid, nu, lam_a)
-                        b = an_basis_morphism(field, n, mu, mid, lam_b)
-                        products.append(mat_mul(field, an_module_map(a), an_module_map(b)))
-                        composites.append(an_module_map(an_compose(a, b)))
-                coords = stable_for(mu, nu).stable_coordinates_many(products + composites)
-                checks.append(
-                    {
-                        "check": "compose",
-                        "params": {"mu": mu, "mid": mid, "nu": nu},
-                        "ok": coords[: len(products)] == coords[len(products) :],
-                    }
-                )
+    for mu, mid, nu in product(range(1, n), repeat=3):
+        # Module products, then catalogue composites, in one solve.
+        products, composites = [], []
+        for lam_b in an_hom_basis(n, mu, mid):
+            for lam_a in an_hom_basis(n, mid, nu):
+                a = an_basis_morphism(field, n, mid, nu, lam_a)
+                b = an_basis_morphism(field, n, mu, mid, lam_b)
+                products.append(mat_mul(field, an_module_map(a), an_module_map(b)))
+                composites.append(an_module_map(an_compose(a, b)))
+        coords = stable[(mu, nu)].stable_coordinates_many(products + composites)
+        ok = coords[: len(products)] == coords[len(products) :]
+        record("compose", {"mu": mu, "mid": mid, "nu": nu}, ok)
 
     # Translation against the shift functor through cok.
-    for mu in range(1, n):
-        for nu in range(1, n):
-            ok = True
-            for lam in an_hom_basis(n, mu, nu):
-                a = an_basis_morphism(field, n, mu, nu, lam)
-                fa = realize_an_morphism(a, ctx)
-                shifted = shift_morphism(fa)
-                src = cok(shifted.source)
-                dst = cok(shifted.target)
-                induced = cok_induced_map(src, dst, shifted)
-                expected = an_module_map(an_translate(a))
-                if induced != expected:
-                    ok = False
-            checks.append(
-                {
-                    "check": "translate",
-                    "params": {"mu": mu, "nu": nu},
-                    "ok": ok,
-                }
-            )
+    for mu, nu in pairs:
+        ok = True
+        for lam in an_hom_basis(n, mu, nu):
+            a = an_basis_morphism(field, n, mu, nu, lam)
+            fa = realize_an_morphism(a, ctx)
+            shifted = shift_morphism(fa)
+            src = cok(shifted.source)
+            dst = cok(shifted.target)
+            induced = cok_induced_map(src, dst, shifted)
+            expected = an_module_map(an_translate(a))
+            if induced != expected:
+                ok = False
+        record("translate", {"mu": mu, "nu": nu}, ok)
 
-    for mu in range(1, n):
-        for nu in range(1, n):
-            tri = an_triangle(an_generator(field, n, mu, nu))
-            cert = certify_an_triangle(tri, ctx)
-            checks.append(
-                {
-                    "check": "triangle-fst",
-                    "params": {"mu": mu, "nu": nu},
-                    "ok": cert["certified"],
-                    "certificate": cert,
-                }
-            )
-            for lam in an_hom_basis(n, mu, nu)[1:]:
-                tri = an_triangle(an_basis_morphism(field, n, mu, nu, lam))
-                cert = certify_an_triangle(tri, ctx)
-                checks.append(
-                    {
-                        "check": "triangle-lst",
-                        "params": {"mu": mu, "nu": nu, "lam": lam},
-                        "ok": cert["certified"],
-                        "certificate": cert,
-                    }
-                )
+    # One triangle per basis peak; the first peak is the generator's.
+    for mu, nu in pairs:
+        for lam in an_hom_basis(n, mu, nu):
+            cert = certify_an_triangle(an_triangle(an_basis_morphism(field, n, mu, nu, lam)), ctx)
+            if lam == max(mu, nu):
+                record("triangle-fst", {"mu": mu, "nu": nu}, cert["certified"], certificate=cert)
+            else:
+                record("triangle-lst", {"mu": mu, "nu": nu, "lam": lam}, cert["certified"], certificate=cert)
 
     return {"n": n, "ok": all(c["ok"] for c in checks), "checks": checks}
-

@@ -48,11 +48,15 @@ Degrees share no unknown and no equation, so the scan eliminates one system
 of closed pairs and one of boundaries for all of them, and reads each
 degree's rank off its own pivot columns.
 
-Isomorphism search and triangle certification share `_find_invertible`: a
-fixed stream of maps in base + span(directions), each tested by one joint
-system for an inverse and both homotopies.  Assembly keeps the rule of the
-`factorization` docstring: `HomComplex` checks that its ends share a fiber,
-and the systems it writes trust the shapes it pairs.
+Isomorphism search and triangle certification share one system,
+`_comparison_system`: a closed map through two squares that commute up to
+homotopy.  The inverse of u is its case a = c = u with identities on the
+right; a catalogue triangle's comparison map is its case with the two
+triangles' maps.  They also share `_find_invertible`: a fixed stream of
+maps in base + span(directions), each tested by that system for an inverse
+and both homotopies.  Assembly keeps the rule of the `factorization`
+docstring: `HomComplex` checks that its ends share a fiber, and the
+systems it writes trust the shapes it pairs.
 """
 
 from __future__ import annotations
@@ -733,30 +737,41 @@ def morphism_space_basis(
     return out
 
 
+def _comparison_system(
+    a: MFMorphism, b: MFMorphism, c: MFMorphism, d: MFMorphism, bound: int, h_bound: int
+) -> LinearSystem:
+    """The system for a closed m : A -> B with m a - b = D(s1, t1) and
+    c m - d = D(s2, t2), for a : X -> A, b : X -> B, c : B -> Y, d : A -> Y.
+    Unknowns, in order: (m1, m0) of entry degree <= bound, then (s1, t1) and
+    (s2, t2) of entry degree <= h_bound; equations: closed(m), then the
+    first square, then the second."""
+    hom_m = HomComplex(a.target, c.source)
+    hom_a, hom_c = HomComplex(a.source, c.source), HomComplex(a.target, c.target)
+    system = LinearSystem(a.source.ctx)
+    m = hom_m.bounded_unknowns(system, ("m1", "m0"), bound)
+    s1, t1 = hom_a.bounded_unknowns(system, ("s1", "t1"), h_bound)
+    s2, t2 = hom_c.bounded_unknowns(system, ("s2", "t2"), h_bound)
+    hom_m.equate(system, hom_m.closed(*m))
+    hom_a.equate(system, hom_a.compose(m, a), hom_a.boundary(s1, t1, -1), rhs=b.f1)
+    hom_c.equate(system, hom_c.compose(c, m), hom_c.boundary(s2, t2, -1), rhs=d.f1)
+    return system
+
+
 def _two_sided_inverse(u: MFMorphism, bound: int) -> Optional[Tuple[MFMorphism, Homotopy, Homotopy]]:
-    """Solve for v with v u ~ id and u v ~ id, with homotopy witnesses."""
+    """Solve for v with v u ~ id and u v ~ id, with homotopy witnesses: the
+    comparison system with a = c = u, b = id_X and d = id_Y."""
     x, y = u.source, u.target
+    id_x, id_y = identity_morphism(x), identity_morphism(y)
     h_bound = bound + _max_entry_degree([x.p1, x.p0, y.p1, y.p0, u.f1, u.f0])
-    hom_v, hom_x, hom_y = HomComplex(y, x), HomComplex(x, x), HomComplex(y, y)
-    system = LinearSystem(x.ctx)
-    v_pair = hom_v.bounded_unknowns(system, ("v1", "v0"), bound)
-    s1, t1 = hom_x.bounded_unknowns(system, ("s1", "t1"), h_bound)
-    s2, t2 = hom_y.bounded_unknowns(system, ("s2", "t2"), h_bound)
-    hom_v.equate(system, hom_v.closed(*v_pair))
-    # v u - id_X = D(s1, t1) and u v - id_Y = D(s2, t2).
-    ident_x = PolyMatrix.identity(x.ctx, x.rank)
-    ident_y = PolyMatrix.identity(x.ctx, y.rank)
-    hom_x.equate(system, hom_x.compose(v_pair, u), hom_x.boundary(s1, t1, -1), rhs=ident_x)
-    hom_y.equate(system, hom_y.compose(u, v_pair), hom_y.boundary(s2, t2, -1), rhs=ident_y)
-    sol = system.solve()
+    sol = _comparison_system(u, id_x, u, id_y, bound, h_bound).solve()
     if sol is None:
         return None
-    v = morphism_new(y, x, sol["v1"], sol["v0"])
+    v = morphism_new(y, x, sol["m1"], sol["m0"])
     h_source = Homotopy(x, x, sol["s1"], sol["t1"])
     h_target = Homotopy(y, y, sol["s2"], sol["t2"])
-    if not h_source.bounds(morphism_sub(compose(v, u), identity_morphism(x))):
+    if not h_source.bounds(morphism_sub(compose(v, u), id_x)):
         raise MfcatError("not-a-morphism", "inverse witness failed on the source")
-    if not h_target.bounds(morphism_sub(compose(u, v), identity_morphism(y))):
+    if not h_target.bounds(morphism_sub(compose(u, v), id_y)):
         raise MfcatError("not-a-morphism", "inverse witness failed on the target")
     return v, h_source, h_target
 

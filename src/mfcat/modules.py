@@ -112,17 +112,17 @@ def module_new(w: Poly, z_rows: Sequence[Sequence]) -> QuotModule:
     return QuotModule(ctx, w, z_rows)
 
 
-def an_context(field: Field = QQ, var: str = "z") -> RingContext:
-    """k[var] with weight 1, the ring of W = z^n."""
-    return RingContext(field=field, variables=(var,), weights=(1,))
+def an_context(field: Field = QQ) -> RingContext:
+    """k[z] with weight 1, the ring of W = z^n."""
+    return RingContext(field=field, variables=("z",), weights=(1,))
 
 
-def cyclic_module(field: Field, n: int, mu: int, var: str = "z") -> QuotModule:
+def cyclic_module(field: Field, n: int, mu: int) -> QuotModule:
     """The quotient k[z]/(z^mu) as a module over k[z]/(z^n), 0 <= mu <= n."""
     if not (0 <= mu <= n):
         raise MfcatError("index-out-of-range", f"need 0 <= {mu} <= {n}")
-    ctx = an_context(field, var)
-    w = ctx.variable(var) ** n
+    ctx = an_context(field)
+    w = ctx.variable("z") ** n
     z = [[field.zero()] * mu for _ in range(mu)]
     for i in range(mu - 1):
         z[i + 1][i] = field.one()

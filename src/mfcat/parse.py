@@ -90,14 +90,7 @@ def _expression(ctx: RingContext, toks: _Tokens) -> Poly:
 
 
 def _term(ctx: RingContext, toks: _Tokens) -> Poly:
-    kind, _, _ = toks.peek()
-    if kind == "int":
-        acc = _coeff(ctx, toks)
-        while toks.peek()[0] == "*":
-            toks.next()
-            acc = acc * _factor(ctx, toks)
-        return acc
-    acc = _factor(ctx, toks)
+    acc = (_coeff if toks.peek()[0] == "int" else _factor)(ctx, toks)
     while toks.peek()[0] == "*":
         toks.next()
         acc = acc * _factor(ctx, toks)
@@ -112,9 +105,8 @@ def _int(digits: str, pos: int) -> int:
 
 
 def _coeff(ctx: RingContext, toks: _Tokens) -> Poly:
-    kind, val, pos = toks.next()
-    if kind != "int":
-        raise MfcatError("parse-error", f"expected integer at position {pos}")
+    # `_term`, the one caller, calls it only when the next token is an int.
+    _, val, pos = toks.next()
     num = _int(val, pos)
     if toks.peek()[0] == "/":
         toks.next()

@@ -471,6 +471,54 @@ def test_cli_hom_rejects_non_isolated_singularity(tmp_path, capsys):
     assert "policy-infeasible: non-isolated singularity" in err and "degree 6" in err
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("z^3 $", "parse-error: unexpected character '$' at position 4"),
+        ("z^3 )", "parse-error: unexpected ')' at position 4"),
+        ("3/ z", "parse-error: expected denominator at position 3"),
+        ("(z + 1", "parse-error: expected ')' at position 6, got ''"),
+    ],
+    ids=["character", "closing", "denominator", "unclosed"],
+)
+def test_cli_parse_errors(text, error, capsys):
+    assert cli.run(["critical-values", text]) == 2
+    assert capsys.readouterr().err == error + "\n"
+
+
+def test_cli_weighted_file_in_a_basis_without_grading(tmp_path, capsys):
+    # V_1 + V_2 over z^3 conjugated by [[1, 1], [0, 1]]: a factorization
+    # with weights whose entries z^2 - z are not quasi-homogeneous, so the
+    # graded scan refuses it and the bounded estimate still answers.
+    p1 = [["z", "z^2 - z"], ["0", "z^2"]]
+    p0 = [["z^2", "z - z^2"], ["0", "z"]]
+    cp, vp = str(tmp_path / "c.json"), str(tmp_path / "v1.json")
+    formats.write_json(cp, {**formats.mf_to_dict(v(3, 1)), "rank": 2, "p1": p1, "p0": p0})
+    formats.save_mf(vp, v(3, 1))
+    assert cli.run(["validate", cp]) == 0
+    capsys.readouterr()
+    assert cli.run(["hom", cp, vp, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "policy-infeasible: non-quasi-homogeneous entry z^2 - z for weights (1,)\n"
+    assert cli.run(["hom", cp, vp, "--bounded", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "dim 2 (degree bound 5, not certified)"
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"vars": ["z", "x"]}, "not-univariate: module files use one variable"),
+        ({"dim": 2, "Z": [["0", "0"], ["1"]]}, "invalid-shape: action matrix must be dim x dim"),
+    ],
+    ids=["two-variables", "ragged"],
+)
+def test_cli_module_file_checks(change, error, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(formats.canonical_json({"field": "Q", "W": "z^2", "dim": 1, "Z": [["0"]], **change}))
+    assert cli.run(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == error + "\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

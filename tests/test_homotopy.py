@@ -741,7 +741,6 @@ def _eliminated_systems(monkeypatch, writer, queries, solved=None):
     log = []
     with monkeypatch.context() as m:
         m.setattr(ho, "HomComplex", writer)
-        m.setattr(andyn, "HomComplex", writer)
         for name in ("solve", "coefficient_rank", "homogeneous_nullspace"):
             original = getattr(ho.LinearSystem, name)
 
