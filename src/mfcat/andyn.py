@@ -201,7 +201,7 @@ def an_translate_index(n: int, mu: int) -> int:
     _check_n(n)
     if not 0 <= mu <= n - 1:
         raise MfcatError("index-out-of-range", f"{mu} for n={n}")
-    return 0 if mu == 0 else n - mu
+    return pad(n, -mu)
 
 
 def an_translate(a: AnMorphism) -> AnMorphism:
@@ -334,13 +334,12 @@ class AnTriangle:
 
 
 def an_triangle(f: AnMorphism) -> AnTriangle:
-    """The exact triangle on a basis morphism.
-
-    For the smallest peak (the plain generator) the third object is
-    V_(nu-mu) and the connecting map gets a minus sign exactly when
-    nu - mu < 0.  For a higher peak lam the third object is the sum
-    V_(lam-mu) + V_(nu-lam) with connecting maps (+, -).
-    """
+    """The exact triangle on a basis morphism with peak lam: the third
+    object is V_(lam-mu) + V_(nu-lam), indices mod n, g the generators out
+    of V_nu and h the generators into V_(n-mu) with signs (+, -).  A zero
+    summand is dropped, but the first stays when both are; only the plain
+    generator (smallest peak) has one, so its third object is V_(nu-mu)
+    and h gets a minus sign exactly when nu < mu."""
     field = f.field
     n, mu, nu = f.n, f.mu, f.nu
     if mu == 0 or nu == 0:
@@ -353,20 +352,12 @@ def an_triangle(f: AnMorphism) -> AnTriangle:
     if len(unit) != 1 or unit[0][1] != field.one():
         raise MfcatError("invalid-shape", "triangle input must be a basis morphism")
     lam = unit[0][0]
-    if lam == max(mu, nu):
-        t = pad(n, nu - mu)
-        g = (an_generator(field, n, nu, t),)
-        sign = -1 if nu - mu < 0 else 1
-        h = (an_scale(an_generator(field, n, t, pad(n, -mu)), sign),)
-        return AnTriangle(field, n, f, lam, (t,), g, h)
-    t1 = lam - mu
-    t2 = pad(n, nu - lam)
-    g = (an_generator(field, n, nu, t1), an_generator(field, n, nu, t2))
-    h = (
-        an_generator(field, n, t1, pad(n, -mu)),
-        an_scale(an_generator(field, n, t2, pad(n, -mu)), -1),
-    )
-    return AnTriangle(field, n, f, lam, (t1, t2), g, h)
+    parts = ((lam - mu, 1), (pad(n, nu - lam), -1))
+    parts = [p for p in parts if p[0]] or parts[:1]
+    third = tuple(t for t, _ in parts)
+    g = tuple(an_generator(field, n, nu, t) for t in third)
+    h = tuple(an_scale(an_generator(field, n, t, pad(n, -mu)), sign) for t, sign in parts)
+    return AnTriangle(field, n, f, lam, third, g, h)
 
 
 def realize_an_triangle(tri: AnTriangle, ctx: RingContext):
@@ -464,6 +455,15 @@ def an_verify(n: int, field: Field = QQ) -> dict:
         checks.append({"check": check, "params": params, "ok": ok, **extra})
 
     pairs = list(product(range(1, n), repeat=2))
+    # Each catalogue value is built once: the basis of every Hom space, its
+    # module maps, the objects V_mu and the cokernels of their shifts.
+    basis = {
+        (mu, nu): [an_basis_morphism(field, n, mu, nu, lam) for lam in an_hom_basis(n, mu, nu)]
+        for mu, nu in pairs
+    }
+    maps = {key: [an_module_map(a) for a in morphisms] for key, morphisms in basis.items()}
+    built = {mu: realize_an_object(ctx, n, mu) for mu in range(1, n)}
+    shifted = {mu: cok(mf_shift(x)) for mu, x in built.items()}
     modules = {mu: an_module(field, n, mu) for mu in range(1, n)}
     stable = {(mu, nu): stable_hom(modules[mu], modules[nu]) for mu, nu in pairs}
     for mu, nu in pairs:
@@ -475,11 +475,9 @@ def an_verify(n: int, field: Field = QQ) -> dict:
     for mu, mid, nu in product(range(1, n), repeat=3):
         # Module products, then catalogue composites, in one solve.
         products, composites = [], []
-        for lam_b in an_hom_basis(n, mu, mid):
-            for lam_a in an_hom_basis(n, mid, nu):
-                a = an_basis_morphism(field, n, mid, nu, lam_a)
-                b = an_basis_morphism(field, n, mu, mid, lam_b)
-                products.append(mat_mul(field, an_module_map(a), an_module_map(b)))
+        for b, map_b in zip(basis[(mu, mid)], maps[(mu, mid)]):
+            for a, map_a in zip(basis[(mid, nu)], maps[(mid, nu)]):
+                products.append(mat_mul(field, map_a, map_b))
                 composites.append(an_module_map(an_compose(a, b)))
         coords = stable[(mu, nu)].stable_coordinates_many(products + composites)
         ok = coords[: len(products)] == coords[len(products) :]
@@ -487,26 +485,21 @@ def an_verify(n: int, field: Field = QQ) -> dict:
 
     # Translation against the shift functor through cok.
     for mu, nu in pairs:
-        ok = True
-        for lam in an_hom_basis(n, mu, nu):
-            a = an_basis_morphism(field, n, mu, nu, lam)
-            fa = realize_an_morphism(a, ctx)
-            shifted = shift_morphism(fa)
-            src = cok(shifted.source)
-            dst = cok(shifted.target)
-            induced = cok_induced_map(src, dst, shifted)
-            expected = an_module_map(an_translate(a))
-            if induced != expected:
-                ok = False
+        ok = all(
+            cok_induced_map(shifted[mu], shifted[nu], shift_morphism(_realize_morphism(a, ctx, built)))
+            == an_module_map(an_translate(a))
+            for a in basis[(mu, nu)]
+        )
         record("translate", {"mu": mu, "nu": nu}, ok)
 
-    # One triangle per basis peak; the first peak is the generator's.
+    # One triangle per basis morphism; the first peak is the generator's.
     for mu, nu in pairs:
-        for lam in an_hom_basis(n, mu, nu):
-            cert = certify_an_triangle(an_triangle(an_basis_morphism(field, n, mu, nu, lam)), ctx)
-            if lam == max(mu, nu):
+        for a in basis[(mu, nu)]:
+            tri = an_triangle(a)
+            cert = certify_an_triangle(tri, ctx)
+            if tri.lam == max(mu, nu):
                 record("triangle-fst", {"mu": mu, "nu": nu}, cert["certified"], certificate=cert)
             else:
-                record("triangle-lst", {"mu": mu, "nu": nu, "lam": lam}, cert["certified"], certificate=cert)
+                record("triangle-lst", {"mu": mu, "nu": nu, "lam": tri.lam}, cert["certified"], certificate=cert)
 
     return {"n": n, "ok": all(c["ok"] for c in checks), "checks": checks}

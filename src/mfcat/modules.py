@@ -142,18 +142,17 @@ def direct_sum_modules(m: QuotModule, n: QuotModule) -> QuotModule:
 
 def hom_space(m: QuotModule, n: QuotModule) -> List[List[List]]:
     """Basis of the space of module morphisms M -> N (scalar matrices)."""
-    if m.ctx != n.ctx or m.w != n.w:
-        raise MfcatError("superpotential-mismatch", "modules over different fibers")
     return [_unflatten(m.field, v, n.dim, m.dim) for v in _hom_vectors(m, n)]
 
 
 def _hom_vectors(m: QuotModule, n: QuotModule):
     """Basis of Hom(M, N) as sparse vectors: the nn x nm matrices F with
-    F Zm = Zn F, flattened row by row, as the reduced kernel basis."""
+    F Zm = Zn F, flattened row by row, as the reduced kernel basis.  With
+    M or N zero the system has no row and no unknown, so the basis is []."""
+    if m.ctx != n.ctx or m.w != n.w:
+        raise MfcatError("superpotential-mismatch", "modules over different fibers")
     field = m.field
     nm, nn = m.dim, n.dim
-    if nm == 0 or nn == 0:
-        return []
     # Unknown F is nn x nm; rows of the system: entries of F Zm - Zn F.
     zero = field.zero()
     zm_columns = list(zip(*m.z_action))
@@ -213,8 +212,6 @@ class StableHom:
     """
 
     def __init__(self, m: QuotModule, n: QuotModule):
-        if m.ctx != n.ctx or m.w != n.w:
-            raise MfcatError("superpotential-mismatch", "modules over different fibers")
         field = m.field
         self.source = m
         self.target = n
@@ -265,9 +262,9 @@ class StableHom:
                 raise MfcatError("not-a-morphism", "matrix does not intertwine the actions")
             for e, x in _join(f, self.source.dim).items():
                 rows[e][ncols + j] = x
+        # Each map intertwines the actions, so it lies in the span of the
+        # kept columns, which contains Hom(M, N), and the solve succeeds.
         solution = linalg.sparse_solve(self.field, rows, ncols)
-        if solution is None:
-            raise MfcatError("not-a-morphism", "map outside the Hom space")
         zero = self.field.zero()
         return [
             [solution.get(k, {}).get(ncols + j, zero) for k in range(self.dim)]
@@ -294,11 +291,11 @@ def decompose(m: QuotModule) -> Dict[int, int]:
     for _ in range(n + 1):
         power = linalg.sparse_mul(field, power, m._z_rows)
         ranks.append(linalg.rank(field, power))
+    # No multiplicity is negative: W(Z) = 0 gives Z^n = 0, and rank Z^(k-1) -
+    # rank Z^k counts the blocks of size >= k, which never rises with k.
     out: Dict[int, int] = {}
     for mu in range(1, n + 1):
         mult = ranks[mu - 1] - 2 * ranks[mu] + ranks[mu + 1]
-        if mult < 0:
-            raise MfcatError("not-nilpotent-form", "inconsistent rank profile")
         if mult:
             out[mu] = mult
     return out

@@ -176,6 +176,35 @@ def test_triangle_on_higher_peak():
         )
 
 
+def _two_branch_triangle(f):
+    """The catalogue triangle with the generator written as its own case:
+    a reference for `an_triangle`'s one formula."""
+    field, n, mu, nu = f.field, f.n, f.mu, f.nu
+    (lam,) = [lam for lam, c in zip(f.peaks, f.coeffs) if not field.is_zero(c)]
+    if lam == max(mu, nu):
+        t = pad(n, nu - mu)
+        sign = -1 if nu - mu < 0 else 1
+        h = (an_scale(an_generator(field, n, t, pad(n, -mu)), sign),)
+        return AnTriangle(field, n, f, lam, (t,), (an_generator(field, n, nu, t),), h)
+    t1, t2 = lam - mu, pad(n, nu - lam)
+    g = (an_generator(field, n, nu, t1), an_generator(field, n, nu, t2))
+    h = (an_generator(field, n, t1, pad(n, -mu)), an_scale(an_generator(field, n, t2, pad(n, -mu)), -1))
+    return AnTriangle(field, n, f, lam, (t1, t2), g, h)
+
+
+def test_triangle_formula_matches_two_branch_reference():
+    count = 0
+    for field in (QQ, PrimeField(101), PrimeField(2), PrimeField(3)):
+        for n in range(2, 11):
+            for mu in range(1, n):
+                for nu in range(1, n):
+                    for lam in an_hom_basis(n, mu, nu):
+                        f = an_basis_morphism(field, n, mu, nu, lam)
+                        assert an_triangle(f) == _two_branch_triangle(f)
+                        count += 1
+    assert count == 1980
+
+
 def test_realize_objects_and_sums():
     ctx = an_context()
     v2 = realize_an_object(ctx, 5, 2)
@@ -287,3 +316,16 @@ def test_verify_prime_field():
     kinds = {c["check"] for c in report["checks"]}
     assert kinds == {"hom-dim", "compose", "translate", "triangle-fst"}
     assert len(report["checks"]) == 20
+
+
+def test_verify_takes_each_shifted_cokernel_once(monkeypatch):
+    calls = []
+    cok = andyn.cok
+
+    def counting(x):
+        calls.append(x)
+        return cok(x)
+
+    monkeypatch.setattr(andyn, "cok", counting)
+    assert an_verify(5)["ok"]
+    assert len(calls) == 4

@@ -73,6 +73,13 @@ def test_hom_space_dimensions():
             assert len(hom_space(m, n)) == min(a, b)
 
 
+def test_hom_space_zero_module_and_mismatch():
+    zero, m = cyclic_module(QQ, 5, 0), cyclic_module(QQ, 5, 2)
+    assert hom_space(zero, m) == hom_space(m, zero) == hom_space(zero, zero) == []
+    with pytest.raises(ValueError, match="superpotential-mismatch"):
+        hom_space(m, cyclic_module(QQ, 4, 2))
+
+
 def test_stable_hom_min_depth():
     # frozen grid for n = 5: depth mu = min(mu, 5 - mu)
     expected = [
