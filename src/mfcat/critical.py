@@ -12,7 +12,6 @@ computation on the fiber.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
 from typing import List, Tuple
@@ -20,7 +19,7 @@ from typing import List, Tuple
 from . import linalg
 from . import univariate as uni
 from .errors import MfcatError
-from .fields import PrimeField, RationalField, _is_prime
+from .fields import PrimeField, RationalField, Scalar, _is_prime
 from .poly import Poly
 
 
@@ -34,7 +33,7 @@ def _horner(coeffs: List[int], x: int, m: int = 0) -> int:
     return acc
 
 
-def _integer_roots(field: RationalField, g: List[Fraction]) -> List[int]:
+def _integer_roots(field: RationalField, g: List[Scalar]) -> List[int]:
     """The integer roots of a monic integer polynomial g of positive degree.
 
     The square-free part s of g is monic with integer coefficients (Gauss's
@@ -50,7 +49,7 @@ def _integer_roots(field: RationalField, g: List[Fraction]) -> List[int]:
     and each residue is tested exactly.
     """
     fp = PrimeField(2**31 - 1)
-    gp = [fp.from_int(int(c)) for c in g]
+    gp = [fp.coerce(c) for c in g]
     s = g
     if uni.deg(uni.gcd(fp, gp, uni.derivative(fp, gp))):
         s = uni.divmod_poly(field, g, uni.gcd(field, g, uni.derivative(field, g)))[0]
@@ -61,7 +60,7 @@ def _integer_roots(field: RationalField, g: List[Fraction]) -> List[int]:
             roots = [r for r in range(p) if _horner(s, r, p) == 0]
             if all(_horner(ds, r, p) for r in roots):
                 break
-    bound = 1 + int(max(abs(c) for c in g[:-1]))
+    bound = 1 + max(abs(c) for c in g[:-1])
     m = p
     while m <= 2 * bound:
         m *= m
@@ -70,7 +69,7 @@ def _integer_roots(field: RationalField, g: List[Fraction]) -> List[int]:
     return [y for y in residues if _horner(s, y) == 0]
 
 
-def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fraction]:
+def _rational_roots(field: RationalField, coeffs: List[Scalar]) -> List[Scalar]:
     """The rational roots, in increasing order, of the nonzero polynomial
     with the given coefficients; `_integer_roots` finds the root 0 too."""
     coeffs = uni.trim(field, coeffs)
@@ -80,15 +79,15 @@ def _rational_roots(field: RationalField, coeffs: List[Fraction]) -> List[Fracti
     # with leading coefficient a and degree d.  Its rational roots are y/a
     # for the integer roots y of the monic g(y) = a^(d-1) f(y/a).
     denom = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
+    ints = [c.numerator * (denom // c.denominator) for c in coeffs]
     content = gcd(*ints)
     ints = [c // content for c in ints]
     a, d = ints[-1], len(ints) - 1
-    g = [Fraction(c * a ** (d - 1 - i)) for i, c in enumerate(ints[:-1])] + [Fraction(1)]
-    return sorted(Fraction(y, a) for y in _integer_roots(field, g))
+    g = [c * a ** (d - 1 - i) for i, c in enumerate(ints[:-1])] + [1]
+    return sorted(field.from_fraction(y, a) for y in _integer_roots(field, g))
 
 
-def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
+def critical_values(w: Poly) -> Tuple[List[Scalar], bool]:
     """Rational critical values of w, plus a flag for irrational ones.
 
     Returns (values, has_irrational) where values lists the rational roots
@@ -125,7 +124,7 @@ def critical_values(w: Poly) -> Tuple[List[Fraction], bool]:
     verified = []
     for value in roots:
         shifted = list(wc)
-        shifted[0] = field.sub(shifted[0], field.coerce(value))
+        shifted[0] = field.sub(shifted[0], value)
         g = uni.gcd(field, shifted, deriv)
         if (uni.deg(g) or 0) >= 1:
             verified.append(value)

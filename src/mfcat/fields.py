@@ -1,18 +1,19 @@
 """Exact scalar arithmetic for the two supported coefficient fields.
 
-Scalars are plain Python values: ``fractions.Fraction`` for the rationals
-(lowest terms and positive denominator are guaranteed by Fraction itself)
-and ``int`` in the canonical range [0, p) for a prime field.  A field
-object supplies the operations and the canonical parsing/formatting, so a
-scalar is always interpreted relative to the field carried by the
-surrounding ring context.
+Scalars are plain Python values.  Over the rationals an integral value is
+an ``int`` and any other a ``fractions.Fraction`` (lowest terms and
+positive denominator are guaranteed by Fraction itself); over a prime field
+a scalar is an ``int`` in the canonical range [0, p).  A field object
+supplies the operations and the canonical parsing/formatting, so a scalar
+is always interpreted relative to the field carried by the surrounding ring
+context.
 
-The elements this module returns over Q are Fractions.  Its operations
-also take ints, since an int is an integral rational (``n == Fraction(n)``,
-with the same hash and string), and ``add``, ``sub``, ``mul`` and ``neg``
-return an int for two ints.  ``poly.Poly`` relies on this: it stores each
-integral coefficient as an int, so products and assembled rows stay in
-ints.
+``RationalField`` is the one place that decides how a rational is stored:
+``coerce``, ``zero``, ``one``, ``from_int`` and ``from_fraction`` return an
+int for an integral value.  The ring operations, ``inv`` and ``div`` return
+whatever Python gives: an int for two ints, and otherwise a Fraction, which
+may be integral.  An integral Fraction equals its int, hashes the same and
+prints the same, so no result depends on which of the two a value is.
 """
 
 from __future__ import annotations
@@ -58,73 +59,68 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# Fractions are immutable, so every zero and one of Q can be the same object.
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 @dataclass(frozen=True)
 class RationalField:
-    """The field of rational numbers with exact Fraction arithmetic."""
+    """The field of rational numbers with exact int and Fraction arithmetic."""
 
     name: str = "Q"
 
-    def zero(self) -> Fraction:
-        return _ZERO
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return _ONE
+    def one(self) -> int:
+        return 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def coerce(self, value) -> Fraction:
-        if type(value) is Fraction:
+    def coerce(self, value) -> Scalar:
+        if type(value) is int:
             return value
         if isinstance(value, bool):
             raise MfcatError("context-mismatch", "bool is not a rational scalar")
         if isinstance(value, (int, Fraction)):
-            return Fraction(value)
+            return value.numerator if value.denominator == 1 else value
         raise MfcatError("context-mismatch", f"cannot coerce {value!r} into Q")
 
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
+    def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b
 
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
+    def sub(self, a: Scalar, b: Scalar) -> Scalar:
         return a - b
 
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
+    def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return a * b
 
-    def neg(self, a: Fraction) -> Fraction:
+    def neg(self, a: Scalar) -> Scalar:
         return -a
 
-    def inv(self, a: Fraction) -> Fraction:
+    def inv(self, a: Scalar) -> Scalar:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in Q")
         return 1 / Fraction(a)
 
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
+    def div(self, a: Scalar, b: Scalar) -> Scalar:
         if b == 0:
             raise ZeroDivisionError("division by zero in Q")
         return Fraction(a) / Fraction(b)
 
-    def is_zero(self, a: Fraction) -> bool:
+    def is_zero(self, a: Scalar) -> bool:
         return a == 0
 
-    def from_fraction(self, num: int, den: int) -> Fraction:
+    def from_fraction(self, num: int, den: int) -> Scalar:
         if den == 0:
             raise MfcatError("non-invertible-denominator", "zero denominator")
-        return Fraction(num, den)
+        return self.coerce(Fraction(num, den))
 
-    def is_negative(self, a: Fraction) -> bool:
+    def is_negative(self, a: Scalar) -> bool:
         # Used only for pretty-printing the sign of a term.
         return a < 0
 
-    def abs(self, a: Fraction) -> Fraction:
+    def abs(self, a: Scalar) -> Scalar:
         return -a if a < 0 else a
 
-    def format(self, a: Fraction) -> str:
+    def format(self, a: Scalar) -> str:
         return str(a)
 
 

@@ -84,7 +84,7 @@ from .factorization import (
     _check_same_fiber,
 )
 from .matrices import PolyMatrix
-from .poly import Exponent, Poly, RingContext, _stored, grlex_key
+from .poly import Exponent, Poly, RingContext, grlex_key
 
 DEFAULT_STALE_WINDOW = 3
 ISO_CANDIDATE_CAP = 240
@@ -241,7 +241,7 @@ class LinearSystem:
         buckets: Dict[int, Dict[int, object]] = {}
         packed_supports: Dict[Tuple[Exponent, ...], List[int]] = {}
         for left, unk, right, sign in terms:
-            sgn = _stored(field.coerce(sign))
+            sgn = field.coerce(sign)
             if field.is_zero(sgn):
                 continue  # adds nothing; every other factor below is a nonzero scalar
             # lefts[k]: (key offset of row i plus monomial, sign * coefficient)
@@ -352,7 +352,7 @@ class LinearSystem:
             k = i - unk.base
             cell = bisect_right(unk.starts, k) - 1
             exp = unk.supports[cell // unk.cols][cell % unk.cols][k - unk.starts[cell]]
-            cells[u][cell][exp] = _stored(values[i])
+            cells[u][cell][exp] = values[i]
         out = {}
         for unk, terms in zip(self.unknowns, cells):
             polys = tuple(Poly._clean(ctx, t) for t in terms)

@@ -23,8 +23,10 @@ every update is (a - f*v) % p.  Over Q each row is a primitive integer
 row (coprime entries), a nonzero multiple of the row it stands for, with a
 positive pivot entry; a column is cleared fraction-free, by the
 integer-preserving step of Bareiss (1968), and the content is divided out
-after each step.  Fractions appear only when rows are read in and when the
-reduced rows v / pivot entry are written out.
+after each step.  A row is read in over the lcm of its denominators, which
+is 1 for a row of ints, and the reduced rows are written out as v / pivot
+entry, an int where the quotient is exact and a Fraction otherwise, so over
+Q the output is in the canonical form of `fields`.
 
 The reduced row echelon form of a matrix depends only on the matrix and its
 column order, not on the order of the row operations that reach it, nor on
@@ -190,7 +192,12 @@ def _reduced(field: Field, basis, start: int):
         basis[piv] = r
     if mod_p:
         return {p: {c: v for c, v in basis[p].items() if c >= start} for p in order}
-    return {p: {c: Fraction(v, basis[p][p]) for c, v in basis[p].items() if c >= start} for p in order}
+    return {p: {c: _quotient(v, basis[p][p]) for c, v in basis[p].items() if c >= start} for p in order}
+
+
+def _quotient(v: int, d: int):
+    """v / d over Q, as an int when d divides v."""
+    return Fraction(v, d) if v % d else v // d
 
 
 def _eliminate(r, c, b):

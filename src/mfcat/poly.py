@@ -14,24 +14,24 @@ The zero polynomial has no degree: ``degree``/``weighted_degree`` raise on
 it rather than returning a sentinel value.
 
 Inputs are validated once, by ``Poly(ctx, terms)``, which also coerces
-each coefficient into the field.  Over Q it stores an integral coefficient
-as an int and any other as a Fraction; ``n`` and ``Fraction(n)`` are equal,
-hash equal and print the same, so no result depends on which is stored,
-and products of integral terms stay in ints.  Arithmetic keeps what the
-field returns (a Fraction that cancels to an integer stays a Fraction).
-``univariate_coefficients`` returns field elements (Fractions over Q) for
-the dense univariate code.  The results of ``+``, ``-`` and ``*``
-are clean by construction (checked operands; a coefficient that cancels is
-dropped), so they skip the per-term checks, except that a product still
-checks its exponents against the machine-width bound.  A sum with a zero
-operand is the other operand, and a product with one is zero.
-``PolyMatrix`` products share the term loop, ``_add_products``, summing
-each entry over k into one dict.
+each coefficient into the field, so over Q an integral coefficient is
+stored as an int and products of integral terms stay in ints;
+``RingContext.constant`` and ``monomial`` build through it.  Arithmetic
+keeps what the field returns (a Fraction that cancels to an integer stays
+a Fraction, and equals, hashes and prints as its int), and
+``univariate_coefficients`` returns the stored coefficients for the dense
+univariate code.  The results of ``+``, ``-`` and ``*`` are clean by
+construction (checked operands; a coefficient that cancels is dropped),
+so they skip the per-term checks, except that a product still checks its
+exponents against the machine-width bound.  A sum with a zero operand is
+the other operand, and a product with one is zero.  ``PolyMatrix``
+products share the term loop, ``_add_products``, summing each entry over
+k into one dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import add
 from typing import Dict, Iterable, Optional, Tuple
@@ -52,7 +52,7 @@ class RingContext:
     field: Field = QQ
     variables: Tuple[str, ...] = ("z",)
     weights: Optional[Tuple[int, ...]] = None
-    w0: Scalar = dc_field(default=Fraction(0))
+    w0: Scalar = 0
 
     def __post_init__(self):
         if len(set(self.variables)) != len(self.variables):
@@ -89,9 +89,6 @@ class RingContext:
         return self.constant(self.field.one())
 
     def constant(self, c) -> "Poly":
-        c = self.field.coerce(c)
-        if self.field.is_zero(c):
-            return Poly(self, {})
         return Poly(self, {(0,) * self.nvars: c})
 
     def variable(self, name: str) -> "Poly":
@@ -100,14 +97,7 @@ class RingContext:
         return Poly(self, {exp: self.field.one()})
 
     def monomial(self, exponents: Iterable[int], coeff=1) -> "Poly":
-        exp = tuple(exponents)
-        if len(exp) != self.nvars:
-            raise MfcatError("shape-mismatch", f"exponent tuple {exp} for {self.nvars} variables")
-        c = self.field.coerce(coeff)
-        if self.field.is_zero(c):
-            return self.zero()
-        _check_exponents(exp)
-        return Poly(self, {exp: c})
+        return Poly(self, {tuple(exponents): coeff})
 
     def parse(self, text: str) -> "Poly":
         from .parse import parse_poly
@@ -145,12 +135,6 @@ def _add_products(fld: Field, acc: Dict[Exponent, Scalar], left, right) -> None:
             acc[e] = c
 
 
-def _stored(c: Scalar) -> Scalar:
-    """A field element as a Poly holds it: an integral rational as its
-    int, any other element unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def grlex_key(exp: Exponent):
     return (sum(exp), exp)
 
@@ -171,7 +155,7 @@ class Poly:
             _check_exponents(exp)
             c = fld.coerce(c)
             if not fld.is_zero(c):
-                clean[exp] = _stored(c)
+                clean[exp] = c
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", clean)
 
@@ -321,7 +305,7 @@ class Poly:
         d = max(e[i] for e in self.terms)
         coeffs = [fld.zero()] * (d + 1)
         for e, c in self.terms.items():
-            coeffs[e[i]] = fld.coerce(c)
+            coeffs[e[i]] = c
         return coeffs
 
     # -- equality and printing ----------------------------------------

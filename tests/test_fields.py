@@ -28,6 +28,15 @@ def test_rational_canonical_form():
     assert b.denominator == 2 and b.numerator == -1
 
 
+def test_rational_integral_values_are_ints():
+    values = [QQ.coerce(3), QQ.coerce(Fraction(4, 2)), QQ.zero(), QQ.one(), QQ.from_int(-5)]
+    values += [QQ.from_fraction(4, 2), QQ.from_fraction(0, 7)]
+    assert values == [3, 2, 0, 1, -5, 2, 0]
+    assert {type(v) for v in values} == {int}
+    assert type(QQ.coerce(Fraction(3, 2))) is Fraction
+    assert type(QQ.from_fraction(3, -2)) is Fraction
+
+
 def test_rational_zero_denominator():
     with pytest.raises(ValueError, match="non-invertible-denominator"):
         QQ.from_fraction(1, 0)

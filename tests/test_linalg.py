@@ -29,11 +29,25 @@ def _solve(field, a, b):
     return [solution.get(c, {}).get(ncols, field.zero()) for c in range(ncols)]
 
 
+def _is_canonical(field, x):
+    """Over Q an int for an integral value and a Fraction otherwise; over F_p an int."""
+    return type(x) is (F if field == QQ and x.denominator != 1 else int)
+
+
 def _nullspace(field, a):
     """null_basis of A, as dense vectors."""
     ncols = len(a[0]) if a else 0
     basis = linalg.null_basis(field, linalg.sparse_rref(field, _rows(a)), ncols)
     return [[v.get(j, field.zero()) for j in range(ncols)] for v in basis]
+
+
+def test_reduced_entries_are_ints_where_integral():
+    reduced = linalg.sparse_rref(QQ, [{0: 2, 1: 4, 2: 1}, {1: F(3, 2), 2: 3}])
+    assert reduced == {0: {0: 1, 2: F(-7, 2)}, 1: {1: 1, 2: 2}}
+    assert [type(x) for row in reduced.values() for x in row.values()] == [int, F, int, int]
+    solution = linalg.sparse_solve(QQ, [{0: 2, 2: 4}, {1: 2, 2: 3}], 2)
+    assert solution == {0: {2: 2}, 1: {2: F(3, 2)}}
+    assert [type(solution[c][2]) for c in (0, 1)] == [int, F]
 
 
 def test_rref_and_rank():
@@ -220,7 +234,7 @@ def test_sparse_kernel_matches_dense_reference(field, values):
         for row, c in zip(red, pivots):
             assert sparse[c] == {j: x for j, x in enumerate(row) if x}
         scalars = [x for row in sparse.values() for x in row.values()]
-        assert all(type(x) is (F if field == QQ else int) for x in scalars)
+        assert all(_is_canonical(field, x) for x in scalars)
         assert _nullspace(field, a) == _reference_nullspace(field, a)
         for nrhs in (1, rng.choice([2, 3])):
             b = [[field.coerce(rng.randrange(-2, 3)) for _ in range(nrhs)] for _ in range(nrows)]
@@ -232,7 +246,7 @@ def test_sparse_kernel_matches_dense_reference(field, values):
             else:
                 assert got == {c: _sparse_row(x, ncols) for c, x in enumerate(want) if any(x)}
                 scalars = [x for row in got.values() for x in row.values()]
-                assert all(type(x) is (F if field == QQ else int) for x in scalars)
+                assert all(_is_canonical(field, x) for x in scalars)
     assert inconsistent > 20
 
 

@@ -53,6 +53,16 @@ def test_module_validation():
         module_new(w, [[F(0), F(0)]])
 
 
+def test_action_entries_over_q_are_ints_where_integral():
+    assert type(RingContext(QQ).w0) is int
+    m = jordan_module(4, [3, 1])
+    assert {type(x) for row in m.z_action for x in row} == {int}
+    assert {type(x) for row in cyclic_module(QQ, 5, 3).z_action for x in row} == {int}
+    ctx = RingContext(QQ, ("z",))
+    half = module_new(parse_poly(ctx, "z^2 - 1/4"), [[F(1, 2), F(0)], [F(0), F(-1, 2)]])
+    assert [type(x) for row in half.z_action for x in row] == [F, int, int, F]
+
+
 def test_cyclic_module():
     m = cyclic_module(QQ, 5, 2)
     assert m.dim == 2
