@@ -34,8 +34,9 @@ upward from zero and returns the first solution with free variables set to
 zero, which makes witnesses canonical.  That solution is 0 on every block
 of equations that shares no unknown with a nonzero constant, and the
 reduced form of a block-diagonal system is that of its blocks, so `solve`
-eliminates only the blocks that hold a constant (the trivial case of the
-block triangular form, Pothen and Fan 1990).  Graded mode, available when
+builds and eliminates only the rows that a walk from the constants reaches
+(the trivial case of the block triangular form, Pothen and Fan 1990); the
+rank and nullspace read every row, built once.  Graded mode, available when
 the data is quasi-homogeneous for the configured weights, splits the morphism
 complex by weighted degree; each degree is decided exactly, so absence is
 certified; `HomComplex` infers this grading once per complex.  The
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -202,15 +204,76 @@ class _Unknown:
         return self.base + self.starts[r * self.cols + c] + k
 
 
+def _row(field, terms, i: int, j: int, e: Exponent, positions) -> Dict[int, object]:
+    """Row (i, j, e) of an equation with these terms: {column: nonzero
+    coefficient}.  Coefficient x^e' of U[k][l] enters it through the terms
+    x^e1 of L[i][k] and x^e2 of R[l][j] with e' = e - e1 - e2, if that is
+    in the support.  positions[id(support)] maps a support's exponents to
+    their places, filled on first use."""
+    add, mul = field.add, field.mul
+    zero = (0,) * len(e)
+    row: Dict[int, object] = {}
+    for left, unk, right, sign in terms:
+        ks = [(i, {zero: 1})] if left is None else [(k, p.terms) for k, p in enumerate(left.entries[i]) if p.terms]
+        ls = [(j, {zero: 1})] if right is None else [(l, r[j].terms) for l, r in enumerate(right.entries) if r[j].terms]
+        for k, left_terms in ks:
+            for l, right_terms in ls:
+                support = unk.supports[k][l]
+                where = positions.get(id(support))
+                if where is None:
+                    where = positions[id(support)] = {exp: p for p, exp in enumerate(support)}
+                first = unk.index(k, l, 0)
+                for e1, c1 in left_terms.items():
+                    rest = tuple(map(operator.sub, e, e1))
+                    for e2, c2 in right_terms.items():
+                        p = where.get(tuple(map(operator.sub, rest, e2)))
+                        if p is None:
+                            continue
+                        var, coeff = first + p, mul(mul(sign, c1), c2)
+                        if var in row:
+                            acc = add(row[var], coeff)
+                            if acc:
+                                row[var] = acc
+                            else:
+                                del row[var]
+                        else:
+                            row[var] = coeff
+    return row
+
+
+def _rows_of(n: int, terms, unk: _Unknown, k: int, l: int, exp: Exponent) -> List[Tuple[int, int, int, Exponent]]:
+    """The rows (n, i, j, e1 + e2 + exp) of equation n, with these terms,
+    that coefficient x^exp of U[k][l] enters through a term L @ U @ R, for
+    x^e1 in L[i][k] and x^e2 in R[l][j], a cancelling sum included."""
+    zero = (0,) * len(exp)
+    out = []
+    for left, other, right, _ in terms:
+        if other is not unk:
+            continue
+        lefts = [(k, zero)] if left is None else [(i, e1) for i, r in enumerate(left.entries) for e1 in r[k].terms]
+        rights = [(l, zero)] if right is None else [(j, e2) for j, p in enumerate(right.entries[l]) for e2 in p.terms]
+        for i, e1 in lefts:
+            e1u = tuple(map(operator.add, e1, exp))
+            out += [(n, i, j, tuple(map(operator.add, e1u, e2))) for j, e2 in rights]
+    return out
+
+
 class LinearSystem:
-    """Linear equations in the coefficients of unknown polynomial matrices."""
+    """Linear equations in the coefficients of unknown polynomial matrices.
+
+    `add_matrix_equation` records each equation, and its rows are built
+    when they are read: `solve` builds only the rows that its constants
+    reach, and `rows`, behind `coefficient_rank` and
+    `homogeneous_nullspace`, builds every row once."""
 
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
         self.field = ctx.field
         self.unknowns: List[_Unknown] = []
         self.total = 0
-        self.rows: List[Tuple[Dict[int, object], object]] = []
+        self.equations: List[Tuple[list, Optional[PolyMatrix], Tuple[int, int]]] = []
+        self._rows: List[Tuple[Dict[int, object], object]] = []
+        self._assembled = 0
 
     def unknown(self, name: str, rows: int, cols: int, support: Callable[[int, int], Sequence[Tuple[int, ...]]]) -> _Unknown:
         """A rows x cols unknown matrix whose entry (r, c) has a coefficient
@@ -225,6 +288,20 @@ class LinearSystem:
     def add_matrix_equation(self, terms, rhs: Optional[PolyMatrix], shape: Tuple[int, int]):
         """Sum of sign * L @ U @ R over the terms equals rhs (entrywise), all of the
         given shape, unchecked: the one caller, `HomComplex.equate`, pairs X's and Y's."""
+        self.equations.append((terms, rhs, shape))
+
+    @property
+    def rows(self) -> List[Tuple[Dict[int, object], object]]:
+        """Every row (coefficients, constant), equation by equation, each
+        in (i, j, grlex) order of its entry (i, j) and monomial; an equation
+        is assembled on the first read after it is added."""
+        for terms, rhs, shape in self.equations[self._assembled:]:
+            self._rows += self._assemble(terms, rhs, shape)
+        self._assembled = len(self.equations)
+        return self._rows
+
+    def _assemble(self, terms, rhs: Optional[PolyMatrix], shape: Tuple[int, int]):
+        """The rows of one equation, each term added to every row it enters."""
         field = self.field
         add, mul = field.add, field.mul
         nrows, ncols = shape
@@ -302,41 +379,67 @@ class LinearSystem:
                     for e, c in rhs.entries[i][j].terms.items():
                         key = (i * ncols + j) * stride + pack(e)
                         consts[key] = add(consts.get(key, 0), c)
-        for key in sorted(buckets.keys() | consts.keys()):
-            self.rows.append((buckets.get(key, {}), consts.get(key, 0)))
+        return [(buckets.get(key, {}), consts.get(key, 0)) for key in sorted(buckets.keys() | consts.keys())]
 
     def solve(self) -> Optional[Dict[str, PolyMatrix]]:
         """One solution with free variables set to zero, or None.  The
         constants form column `total`, the one right-hand side, so the
         elimination stops at the first equation that it reduces to
-        0 = a nonzero constant.  Only the components that reach column
-        `total` are eliminated, in the graph linking each row to its columns:
+        0 = a nonzero constant.  Only the rows that the constants reach are
+        built and eliminated, in the graph linking each row to its columns:
         a block-diagonal system reduces block by block, and a block with no
-        constant has zero right-hand sides, so its pivots are 0."""
-        field = self.field
-        total = self.total
-        rows = [row if field.is_zero(const) else {**row, total: const} for row, const in self.rows]
-        # Union-find over the columns 0..total, by path halving.  A row with
-        # no entry joins the component of `total`; elimination skips it.
-        parent = list(range(total + 1))
+        constant has zero right-hand sides, so its pivots are 0.
 
-        def find(c):
-            while parent[c] != c:
-                parent[c] = parent[parent[c]]
-                c = parent[c]
-            return c
-
-        for row in rows:
-            root = find(next(iter(row), total))
-            for c in row:
-                parent[find(c)] = root
-        reached = find(total)
-        solution = linalg.sparse_solve(
-            field, (row for row in rows if find(next(iter(row), total)) == reached), total
-        )
+        The walk starts at the rows with a constant.  A row links to the
+        columns it holds (`_row`), and a column to every row that a term
+        puts it in, even where the sum cancels (`_rows_of`).  That may add
+        blocks with no constant, which solve to 0.  The rows reached go to
+        `linalg.sparse_solve` in the order of `rows`."""
+        field, total = self.field, self.total
+        # Row (n, i, j, e) is the coefficient of x^e in entry (i, j) of
+        # equation n.  Each equation keeps its terms with a nonzero sign.
+        equations, consts = [], {}
+        for n, (terms, rhs, _) in enumerate(self.equations):
+            signed = [(left, unk, right, field.coerce(sign)) for left, unk, right, sign in terms]
+            equations.append([term for term in signed if not field.is_zero(term[3])])
+            if rhs is not None:
+                for i, entries in enumerate(rhs.entries):
+                    for j, p in enumerate(entries):
+                        for e, c in p.terms.items():
+                            consts[n, i, j, e] = c
+        bases = [unk.base for unk in self.unknowns]
+        positions: Dict[int, Dict[Exponent, int]] = {}
+        queue, reached, linked = list(consts), {}, set()
+        seen = set(queue)
+        while queue:
+            n, i, j, e = rid = queue.pop()
+            row = reached[rid] = _row(field, equations[n], i, j, e, positions)
+            for c in row.keys() - linked:
+                linked.add(c)
+                u, cell, exp = self._locate(bases, c)
+                unk = self.unknowns[u]
+                for m, terms in enumerate(equations):
+                    for target in _rows_of(m, terms, unk, *divmod(cell, unk.cols), exp):
+                        if target not in seen:
+                            seen.add(target)
+                            queue.append(target)
+        rows = []
+        for rid in sorted(reached, key=lambda rid: (*rid[:3], grlex_key(rid[3]))):
+            const = consts.get(rid)
+            rows.append({**reached[rid], total: const} if const else reached[rid])
+        solution = linalg.sparse_solve(field, rows, total)
         if solution is None:
             return None
         return self._extract({c: x[total] for c, x in solution.items()})
+
+    def _locate(self, bases: List[int], i: int) -> Tuple[int, int, Exponent]:
+        """(unknown number, entry number r * cols + c, exponent) of column i,
+        for bases, the first column of each unknown."""
+        u = bisect_right(bases, i) - 1
+        unk = self.unknowns[u]
+        k = i - unk.base
+        cell = bisect_right(unk.starts, k) - 1
+        return u, cell, unk.supports[cell // unk.cols][cell % unk.cols][k - unk.starts[cell]]
 
     def _extract(self, values: Dict[int, object]) -> Dict[str, PolyMatrix]:
         """The unknown matrices of the assignment {index: nonzero value},
@@ -347,11 +450,7 @@ class LinearSystem:
         cells = [[{} for _ in range(unk.rows * unk.cols)] for unk in self.unknowns]
         # In index order, so each entry's terms follow its support.
         for i in sorted(values):
-            u = bisect_right(bases, i) - 1
-            unk = self.unknowns[u]
-            k = i - unk.base
-            cell = bisect_right(unk.starts, k) - 1
-            exp = unk.supports[cell // unk.cols][cell % unk.cols][k - unk.starts[cell]]
+            u, cell, exp = self._locate(bases, i)
             cells[u][cell][exp] = values[i]
         out = {}
         for unk, terms in zip(self.unknowns, cells):

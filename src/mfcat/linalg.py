@@ -23,10 +23,10 @@ every update is (a - f*v) % p.  Over Q each row is a primitive integer
 row (coprime entries), a nonzero multiple of the row it stands for, with a
 positive pivot entry; a column is cleared fraction-free, by the
 integer-preserving step of Bareiss (1968), and the content is divided out
-after each step.  A row is read in over the lcm of its denominators, which
-is 1 for a row of ints, and the reduced rows are written out as v / pivot
-entry, an int where the quotient is exact and a Fraction otherwise, so over
-Q the output is in the canonical form of `fields`.
+after each step.  A row of ints is read in as it is, and a row holding a
+Fraction over the lcm of its denominators; the reduced rows are written
+out as v / pivot entry, an int where the quotient is exact and a Fraction
+otherwise, so over Q the output is in the canonical form of `fields`.
 
 The reduced row echelon form of a matrix depends only on the matrix and its
 column order, not on the order of the row operations that reach it, nor on
@@ -162,8 +162,12 @@ def _echelon_rational(rows, stop):
     leading entry."""
     basis = {}
     for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        r = _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+        if Fraction in map(type, row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            r = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        else:
+            r = dict(row)
+        r = _primitive(r)
         while r and (piv := min(r)) in basis:
             r = _eliminate(r, piv, basis[piv])
         if not r:

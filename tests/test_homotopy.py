@@ -43,6 +43,7 @@ from mfcat import linalg
 from mfcat import andyn
 from mfcat.errors import MfcatError
 from mfcat.knorrer import knorrer, knorrer_morphism
+from mfcat.modules import cyclic_module, stabilize
 from mfcat.poly import grlex_key
 
 
@@ -558,10 +559,11 @@ def test_linear_system_nullspace_edges():
 
 
 def _reference_add_matrix_equation(system, terms, rhs, shape):
-    """The rows `add_matrix_equation` appends, computed with exponent-tuple
-    keys sorted by grlex_key: the reference for the packed-int keys.  Over Q
-    the sign, 0 and 1 are ints, as a Poly holds integral coefficients, so a
-    value is an int exactly when every scalar it comes from is one."""
+    """The rows that `rows` lists for one equation, computed with
+    exponent-tuple keys sorted by grlex_key: the reference for the
+    packed-int keys.  Over Q the sign, 0 and 1 are ints, as a Poly holds
+    integral coefficients, so a value is an int exactly when every scalar
+    it comes from is one."""
     field = system.field
     buckets, consts = {}, {}
     nrows, ncols = shape
@@ -922,11 +924,13 @@ def _random_block_system(rng, field, trial):
     system over field, the rows of its blocks shuffled together and
     constants in some blocks only, and the columns of the blocks with a
     constant.  Some trials have total 0, a row 0 = c, or an inconsistent
-    pair of rows after every constant-free row."""
-    system = ho.LinearSystem(RingContext(field, ("z",)))
+    pair of rows after every constant-free row.  Each row is written as
+    one 1 x 1 equation u @ R = const, R the column of its coefficients; a
+    row 0 = 0 writes no row."""
+    ctx = RingContext(field, ("z",))
+    system = ho.LinearSystem(ctx)
     total = 0 if trial % 7 == 0 else rng.randrange(1, 13)
-    if total:
-        system.unknown("u", 1, total, lambda r, c: [(0,)])
+    unk = system.unknown("u", 1, total, lambda r, c: [(0,)]) if total else None
     blocks = [[] for _ in range(4)]
     for c in range(total):
         rng.choice(blocks).append(c)
@@ -953,7 +957,10 @@ def _random_block_system(rng, field, trial):
     if trial % 4 == 3:
         rows.append(({}, field.zero()))
     rng.shuffle(rows)
-    system.rows = rows + late
+    for row, const in rows + late:
+        right = PolyMatrix(ctx, [[ctx.constant(row.get(c, 0))] for c in range(total)], cols=1)
+        terms = [(None, unk, right, 1)] if total else []
+        system.add_matrix_equation(terms, PolyMatrix(ctx, [[ctx.constant(const)]]), (1, 1))
     return system, with_constant
 
 
@@ -1005,9 +1012,87 @@ def test_solve_passes_on_no_constant_free_component(monkeypatch):
     assert dropped > 200
 
 
+def _constant_component(system):
+    """The nonempty rows, augmented by their constants, of the connected
+    component of the constants column `total` in the graph linking each
+    row to its columns: the rows a union-find pass over every row keeps."""
+    field, total = system.field, system.total
+    rows = [row if field.is_zero(c) else {**row, total: c} for row, c in system.rows]
+    parent = list(range(total + 1))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        root = find(next(iter(row), total))
+        for c in row:
+            parent[find(c)] = root
+    return [row for row in rows if row and find(next(iter(row))) == find(total)]
+
+
+def test_solve_on_comparison_systems_matches_all_rows(monkeypatch):
+    # On every comparison system of triangle certification at n <= 4, of the
+    # inverse searches on stabilize(V_mu) at n <= 3 and of the one on the
+    # rotation at n = 2, `solve` gives the all-rows answer with the same
+    # typed entries, and the nonempty rows it eliminates are those of the
+    # constants' component: no walk through a cancelling sum adds a row.
+    received = []
+    original_sparse_solve, original_solve = linalg.sparse_solve, ho.LinearSystem.solve
+
+    def recorded(field, rows, ncols):
+        received.append(list(rows))
+        return original_sparse_solve(field, received[-1], ncols)
+
+    solved = []
+
+    def record(self):
+        received.clear()
+        result = original_solve(self)
+        [rows] = received
+        solved.append((self, result, rows))
+        return result
+
+    monkeypatch.setattr(linalg, "sparse_solve", recorded)
+    monkeypatch.setattr(ho.LinearSystem, "solve", record)
+    ctx = andyn.an_context(QQ)
+    for n in (2, 3, 4):
+        for mu in range(1, n):
+            for nu in range(1, n):
+                tri = andyn.an_triangle(andyn.an_generator(QQ, n, mu, nu))
+                assert andyn.certify_an_triangle(tri, ctx)["certified"]
+    for n in (2, 3):
+        for mu in range(1, n):
+            lifted = stabilize(cyclic_module(QQ, n, mu))
+            assert is_iso_in_db(lifted, v(n, mu), SearchPolicy("bounded", 3)).status == "iso"
+    f = andyn.realize_an_morphism(andyn.an_generator(QQ, 2, 1, 1), ctx)
+    _, g, _ = standard_triangle(f)
+    assert is_iso_in_db(cone(g), mf_shift(f.source), SearchPolicy("bounded", 4)).status == "iso"
+    monkeypatch.setattr(linalg, "sparse_solve", original_sparse_solve)
+
+    def key(row):
+        return tuple(sorted(row.items()))
+
+    found = eliminated = assembled = 0
+    for system, got, rows in solved:
+        want = _solve_all_rows(system)
+        assert got == want
+        if want is not None:
+            found += 1
+            assert _typed_entries(got) == _typed_entries(want)
+        assert Counter(key(row) for row in rows if row) == Counter(map(key, _constant_component(system)))
+        eliminated += len(rows)
+        assembled += len(system.rows)
+    assert len(solved) > 30 and found > 10 and len(solved) - found > 5
+    # 189 of 2,218 rows on the systems of one `certify` benchmark round
+    assert eliminated * 10 < assembled
+
+
 def test_unknown_degree_is_the_top_total_degree(monkeypatch):
     # On every unknown of one round of the `certify` and `graded` benchmark
-    # workloads: the degree sets the packing base of `add_matrix_equation`.
+    # workloads: the degree sets the packing base of `LinearSystem._assemble`.
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
     )

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -378,3 +379,70 @@ def test_product_matches_naive_dense_product(field):
 def test_product_rejects_mismatched_shapes(a, b):
     with pytest.raises(ValueError, match="shape-mismatch"):
         linalg.mat_mul(QQ, a, b)
+
+
+def _echelon_over_lcm(rows, stop):
+    """Forward elimination over Q that reads every row in over the lcm of
+    its denominators, ints included: the reference for the int read-in."""
+    basis = {}
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        r = linalg._primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+        while r and (piv := min(r)) in basis:
+            r = linalg._eliminate(r, piv, basis[piv])
+        if not r:
+            continue
+        if piv >= stop:
+            return None
+        if r[piv] < 0:
+            r = {c: -v for c, v in r.items()}
+        basis[piv] = r
+    return basis
+
+
+def _typed(value):
+    """value with the type of every scalar in it, recursively."""
+    if isinstance(value, dict):
+        return [(k, _typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return value, type(value)
+
+
+def test_int_rows_read_in_as_they_are(monkeypatch):
+    # A row of ints goes to elimination as it is and a row holding a
+    # Fraction over the lcm of its denominators.  On mixed systems every
+    # entry gives the typed output of reading each row over the lcm, and
+    # leaves its input rows as they were.
+    rng = random.Random(34)
+    systems = []
+    kinds = set()
+    for _ in range(150):
+        ncols = rng.randrange(1, 7)
+        rows = []
+        for _ in range(rng.randrange(1, 9)):
+            den = rng.choice([1, 1, 2, 3, 4])
+            picked = sorted(rng.sample(range(ncols + 1), rng.randrange(ncols + 2)))
+            row = {c: QQ.coerce(F(rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]), rng.choice([1, den]))) for c in picked}
+            rows.append(row)
+            kinds.add(tuple(sorted({t.__name__ for t in map(type, row.values())})))
+        systems.append((rows, ncols))
+    assert {("int",), ("Fraction",), ("Fraction", "int")} <= kinds
+
+    def outputs():
+        out = []
+        for rows, ncols in systems:
+            before = _typed(rows)
+            out.append(_typed([
+                linalg.sparse_rref(QQ, rows),
+                linalg.sparse_solve(QQ, rows, ncols) or {},
+                linalg.sparse_solve(QQ, rows, ncols) is None,
+                linalg.rank(QQ, rows),
+                linalg.pivot_columns(QQ, rows),
+            ]))
+            assert _typed(rows) == before
+        return out
+
+    got = outputs()
+    monkeypatch.setattr(linalg, "_echelon_rational", _echelon_over_lcm)
+    assert got == outputs()
