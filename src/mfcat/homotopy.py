@@ -36,10 +36,12 @@ of equations that shares no unknown with a nonzero constant, and the
 reduced form of a block-diagonal system is that of its blocks, so `solve`
 builds and eliminates only the rows that a walk from the constants reaches
 (the trivial case of the block triangular form, Pothen and Fan 1990); the
-rank and nullspace read every row, built once.  Graded mode, available when
-the data is quasi-homogeneous for the configured weights, splits the morphism
-complex by weighted degree; each degree is decided exactly, so absence is
-certified; `HomComplex` infers this grading once per complex.  The
+rank and nullspace read every row, built once and left unsorted, with no
+constant column: both depend only on the column order.  Graded mode,
+available when the data is quasi-homogeneous for the configured weights,
+splits the morphism complex by weighted degree; each degree is decided
+exactly, so absence is certified; `HomComplex` infers this grading once
+per complex.  The
 dimension scan runs to a hard bound derived from the annihilation of the
 cohomology by all partial derivatives of W (top socle degree of the
 Jacobian quotient plus one period), then to a run of empty degrees, and
@@ -86,7 +88,7 @@ from .factorization import (
     _check_same_fiber,
 )
 from .matrices import PolyMatrix
-from .poly import Exponent, Poly, RingContext, grlex_key
+from .poly import EXPONENT_LIMIT, Exponent, Poly, RingContext, grlex_key
 
 DEFAULT_STALE_WINDOW = 3
 ISO_CANDIDATE_CAP = 240
@@ -105,8 +107,17 @@ class SearchPolicy:
     def __post_init__(self):
         if self.mode not in ("bounded", "graded"):
             raise MfcatError("policy-infeasible", f"unknown mode {self.mode!r}")
-        if self.bound is not None and self.bound < 0:
-            raise MfcatError("policy-infeasible", "negative degree bound")
+        if self.bound is not None:
+            _check_bound(self.bound)
+
+
+def _check_bound(bound: int):
+    """Refuse a negative degree bound, and one above EXPONENT_LIMIT, which
+    no monomial reaches, as policy-infeasible."""
+    if bound < 0:
+        raise MfcatError("policy-infeasible", "negative degree bound")
+    if bound > EXPONENT_LIMIT:
+        raise MfcatError("policy-infeasible", f"degree bound above the exponent limit {EXPONENT_LIMIT}")
 
 
 @dataclass
@@ -175,13 +186,11 @@ def monomials_of_weighted_degree(weights: Tuple[int, ...], target: int) -> Tuple
 # -- linear systems in unknown polynomial matrices ---------------------
 
 
-def _pack(high: int, base: int, exp: Exponent) -> int:
-    """exp as one int: its total degree times high, plus its exponents as
-    digits in the given base."""
-    key = 0
-    for e in exp:
-        key = key * base + e
-    return sum(exp) * high + key
+def _pack(vec: Sequence[int], exp: Exponent) -> int:
+    """exp as one int, its dot product with vec: for vec[i] = base**nvars +
+    base**(nvars - 1 - i), the total degree times base**nvars plus the
+    exponents as digits in the given base."""
+    return sum(map(operator.mul, exp, vec))
 
 
 class _Unknown:
@@ -263,8 +272,11 @@ class LinearSystem:
 
     `add_matrix_equation` records each equation, and its rows are built
     when they are read: `solve` builds only the rows that its constants
-    reach, and `rows`, behind `coefficient_rank` and
-    `homogeneous_nullspace`, builds every row once."""
+    reach, while `coefficient_rank` and `homogeneous_nullspace` build every
+    row once (`_assemble`) and eliminate the coefficient rows in the order
+    they were built, without the constants.  `rows` is the sorted
+    (coefficients, constant) view of the same rows for readers outside
+    those two."""
 
     def __init__(self, ctx: RingContext):
         self.ctx = ctx
@@ -272,8 +284,7 @@ class LinearSystem:
         self.unknowns: List[_Unknown] = []
         self.total = 0
         self.equations: List[Tuple[list, Optional[PolyMatrix], Tuple[int, int]]] = []
-        self._rows: List[Tuple[Dict[int, object], object]] = []
-        self._assembled = 0
+        self._parts: List[Tuple[Dict[int, Dict[int, object]], Dict[int, object]]] = []
 
     def unknown(self, name: str, rows: int, cols: int, support: Callable[[int, int], Sequence[Tuple[int, ...]]]) -> _Unknown:
         """A rows x cols unknown matrix whose entry (r, c) has a coefficient
@@ -293,15 +304,31 @@ class LinearSystem:
     @property
     def rows(self) -> List[Tuple[Dict[int, object], object]]:
         """Every row (coefficients, constant), equation by equation, each
-        in (i, j, grlex) order of its entry (i, j) and monomial; an equation
-        is assembled on the first read after it is added."""
-        for terms, rhs, shape in self.equations[self._assembled:]:
-            self._rows += self._assemble(terms, rhs, shape)
-        self._assembled = len(self.equations)
-        return self._rows
+        in (i, j, grlex) order of its entry (i, j) and monomial: the sorted
+        view of the assembled rows for readers outside the rank and
+        nullspace, which read them as they are."""
+        return [
+            (buckets.get(key, {}), consts.get(key, 0))
+            for buckets, consts in self._assembled()
+            for key in sorted(buckets.keys() | consts.keys())
+        ]
+
+    def _assembled(self):
+        """(coefficient rows, constants) of every equation, each assembled
+        on the first read after it is added."""
+        for terms, rhs, shape in self.equations[len(self._parts):]:
+            self._parts.append(self._assemble(terms, rhs, shape))
+        return self._parts
+
+    def _coefficient_rows(self):
+        """Every coefficient row, equation by equation, as assembled:
+        unsorted and without the constants."""
+        return itertools.chain.from_iterable(buckets.values() for buckets, _ in self._assembled())
 
     def _assemble(self, terms, rhs: Optional[PolyMatrix], shape: Tuple[int, int]):
-        """The rows of one equation, each term added to every row it enters."""
+        """The rows of one equation, each term added to every row it enters:
+        {row key: coefficient row} and {row key: constant}, a row
+        key growing with (i, j, grlex) of the row's entry and monomial."""
         field = self.field
         add, mul = field.add, field.mul
         nrows, ncols = shape
@@ -314,7 +341,7 @@ class LinearSystem:
         base = top + 1
         nvars = self.ctx.nvars
         stride = base ** (nvars + 1)
-        pack = functools.partial(_pack, base ** nvars, base)
+        pack = functools.partial(_pack, [base**nvars + base ** (nvars - 1 - i) for i in range(nvars)])
         buckets: Dict[int, Dict[int, object]] = {}
         packed_supports: Dict[Tuple[Exponent, ...], List[int]] = {}
         for left, unk, right, sign in terms:
@@ -379,7 +406,7 @@ class LinearSystem:
                     for e, c in rhs.entries[i][j].terms.items():
                         key = (i * ncols + j) * stride + pack(e)
                         consts[key] = add(consts.get(key, 0), c)
-        return [(buckets.get(key, {}), consts.get(key, 0)) for key in sorted(buckets.keys() | consts.keys())]
+        return buckets, consts
 
     def solve(self) -> Optional[Dict[str, PolyMatrix]]:
         """One solution with free variables set to zero, or None.  The
@@ -462,12 +489,12 @@ class LinearSystem:
     def coefficient_rank(self, labels: Optional[Sequence] = None):
         """The rank of the coefficient matrix; given labels[c] for every
         column c, {label: the number of pivot columns with it} instead."""
-        pivots = linalg.pivot_columns(self.field, (row for row, _ in self.rows))
+        pivots = linalg.pivot_columns(self.field, self._coefficient_rows())
         return len(pivots) if labels is None else Counter(labels[c] for c in pivots)
 
     def homogeneous_nullspace(self) -> List[Dict[str, PolyMatrix]]:
         """Nullspace basis of the coefficient matrix, constants ignored."""
-        reduced = linalg.sparse_rref(self.field, (row for row, _ in self.rows))
+        reduced = linalg.sparse_rref(self.field, self._coefficient_rows())
         return [self._extract(v) for v in linalg.null_basis(self.field, reduced, self.total)]
 
 
@@ -496,8 +523,7 @@ class HomComplex:
     ) -> Tuple[_Unknown, _Unknown]:
         """Declare two unknown maps X -> Y, in order, each entry supported on
         every monomial of total degree <= bound."""
-        if bound < 0:
-            raise MfcatError("policy-infeasible", "negative degree bound")
+        _check_bound(bound)
         support = tuple(monomials_up_to_degree(self.x.ctx.nvars, bound))
         return tuple(system.unknown(name, *self.shape, lambda r, c: support) for name in names)
 

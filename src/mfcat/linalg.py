@@ -8,6 +8,12 @@ pivot; its non-leading entries stay, and no pivot is ever cleared from
 earlier rows.  Only nonzero entries are ever touched.  Scalars are
 canonical field elements, so a scalar is zero exactly when it is falsy.
 
+Input rows are never modified, and no output row is an input row.  A row
+is copied only when it is first cleared, so a row that leads at a new
+column, already scaled as the basis wants it, enters the basis as it came
+in; `_reduced` copies a basis row before it clears it, and writes every
+output row afresh.
+
 Three entries sit on that loop.  `rank` returns the number of basis rows:
 the leading columns of any echelon basis are the pivot columns of the
 reduced form, so their number is the rank.  `sparse_rref` returns the
@@ -119,7 +125,8 @@ def sparse_solve(field: Field, rows, ncols: int):
 
 def _echelon(field: Field, rows, stop=inf):
     """Echelon basis {leading column: row} by forward elimination, or None
-    at the first row that leads at a column >= stop."""
+    at the first row that leads at a column >= stop.  A basis row may be an
+    input row, to be read and not written."""
     if isinstance(field, PrimeField):
         return _echelon_mod_p(field.p, rows, stop)
     return _echelon_rational(rows, stop)
@@ -129,12 +136,25 @@ def _echelon_mod_p(p: int, rows, stop):
     """Forward elimination over F_p on canonical residues in [0, p); each
     basis row has 1 at its leading column."""
     basis = {}
-    for row in rows:
-        r = dict(row)
-        while r and (piv := min(r)) in basis:
-            _eliminate_mod_p(p, r, piv, basis[piv])
+    for r in rows:
         if not r:
             continue
+        if (piv := min(r)) in basis:
+            r = dict(r)  # the first clearing copies the input row
+            get = r.get
+            while True:
+                # r - r[piv] b in place: `_eliminate_mod_p`, inlined in the hot loop
+                f = r[piv]
+                for col, v in basis[piv].items():
+                    x = (get(col, 0) - f * v) % p
+                    if x:
+                        r[col] = x
+                    else:
+                        del r[col]
+                if not r or (piv := min(r)) not in basis:
+                    break
+            if not r:
+                continue
         if piv >= stop:
             return None
         if r[piv] != 1:
@@ -162,16 +182,20 @@ def _echelon_rational(rows, stop):
     leading entry."""
     basis = {}
     for row in rows:
+        if not row:
+            continue
         if Fraction in map(type, row.values()):
             den = lcm(*(v.denominator for v in row.values()))
-            r = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+            r = _primitive({c: v.numerator * (den // v.denominator) for c, v in row.items()})
         else:
-            r = dict(row)
-        r = _primitive(r)
-        while r and (piv := min(r)) in basis:
-            r = _eliminate(r, piv, basis[piv])
-        if not r:
-            continue
+            r = _primitive(row)
+        if (piv := min(r)) in basis:
+            if r is row:
+                r = dict(r)  # `_eliminate` may write to the row it clears
+            while r and (piv := min(r)) in basis:
+                r = _eliminate(r, piv, basis[piv])
+            if not r:
+                continue
         if piv >= stop:
             return None
         if r[piv] < 0:
@@ -185,15 +209,20 @@ def _reduced(field: Field, basis, start: int):
     from column start on, as field elements.  Pivots are taken in
     descending order, and each row is cleared at the later pivots by their
     rows, which are final by then; this adds entries only in non-pivot
-    columns.  The basis rows are consumed."""
+    columns.  A basis row is copied before it is first cleared, so a row
+    that forward elimination kept as it came in is not modified; the basis
+    dict itself is consumed."""
     mod_p = isinstance(field, PrimeField)
     eliminate = partial(_eliminate_mod_p, field.p) if mod_p else _eliminate
     order = sorted(basis)
     for piv in reversed(order):
         r = basis[piv]
-        for c in [c for c in r if c != piv and c in basis]:
-            r = eliminate(r, c, basis[c])
-        basis[piv] = r
+        later = [c for c in r if c != piv and c in basis]
+        if later:
+            r = dict(r)
+            for c in later:
+                r = eliminate(r, c, basis[c])
+            basis[piv] = r
     if mod_p:
         return {p: {c: v for c, v in basis[p].items() if c >= start} for p in order}
     return {p: {c: _quotient(v, basis[p][p]) for c, v in basis[p].items() if c >= start} for p in order}

@@ -430,6 +430,9 @@ def test_cli_error_exits(tmp_path, capsys):
     x_path = str(tmp_path / "x.json")
     assert cli.run(["hom", x_path, x_path, "--bound", "-1", "--out", str(tmp_path)]) == 2
     assert "policy-infeasible: negative degree bound" in capsys.readouterr().err
+    # No monomial reaches a bound above the exponent limit: refused at once.
+    assert cli.run(["hom", x_path, x_path, "--bound", "2147483648", "--out", str(tmp_path)]) == 2
+    assert "policy-infeasible: degree bound above the exponent limit" in capsys.readouterr().err
     # A file holding JSON that is not an object, read directly or as the
     # source of a morphism.
     bad = str(tmp_path / "non-object.json")

@@ -427,6 +427,11 @@ def test_policy_validation():
         SearchPolicy(bound=-1)
     with pytest.raises(ValueError, match="policy-infeasible: negative degree bound"):
         bounded_stable_hom_estimate(v(3, 1), v(3, 1), -1)
+    with pytest.raises(ValueError, match="policy-infeasible: degree bound above the exponent limit"):
+        SearchPolicy(bound=2**31)
+    with pytest.raises(ValueError, match="policy-infeasible: degree bound above the exponent limit"):
+        bounded_stable_hom_estimate(v(3, 1), v(3, 1), 2**31)
+    SearchPolicy(bound=2**31 - 1)
 
 
 def _reference_resolve_bound(policy, *objects_and_maps):
@@ -736,10 +741,11 @@ class _TwoSlotComplex(ho.HomComplex):
         system.add_matrix_equation([term for part in parts for term in part[1]], rhs0, self.shape)
 
 
-def _eliminated_systems(monkeypatch, writer, queries, solved=None):
+def _eliminated_systems(monkeypatch, writer, queries, solved=None, systems=None):
     """(field, total, rows) of every system that the queries eliminate,
     with `writer` as the Hom-complex writer.  Each solved system and what
-    its `solve` returned are appended to `solved`, if given."""
+    its `solve` returned are appended to `solved`, and each system
+    eliminated to `systems`, if given."""
     log = []
     with monkeypatch.context() as m:
         m.setattr(ho, "HomComplex", writer)
@@ -751,6 +757,8 @@ def _eliminated_systems(monkeypatch, writer, queries, solved=None):
                 result = _original(self, *args)
                 if solved is not None and _name == "solve":
                     solved.append((self, result))
+                if systems is not None:
+                    systems.append(self)
                 return result
 
             m.setattr(ho.LinearSystem, name, record)
@@ -818,6 +826,55 @@ def test_f1_slot_systems_match_full_systems(monkeypatch, field, n, lifted):
         a, b = (linalg.sparse_rref(fd, [row for row, _ in system]) for system in (rows, full_rows))
         assert _canonical(a) == _canonical(b)
     assert halved > len(written) // 2
+
+
+def test_rank_and_nullspace_never_read_rows(monkeypatch):
+    # The rank and the nullspace eliminate each equation's rows as they were
+    # assembled; the sorted `rows` view is for readers outside them.
+    def queries():
+        out = []
+        for field in (QQ, PrimeField(101)):
+            ctx = andyn.an_context(field)
+            x, y = (knorrer(andyn.realize_an_object(ctx, 4, mu), "x", "y") for mu in (1, 2))
+            out.append(graded_stable_hom_dim(x, y))
+            assert out[-1][0] == andyn.an_hom_dim(4, 1, 2)
+        x, y = v(4, 1), v(4, 2)
+        out += [bounded_stable_hom_estimate(x, y, 2), morphism_space_basis(x, y, 2)]
+        return out
+
+    def refuse(system):
+        raise AssertionError("LinearSystem.rows read")
+
+    want = queries()
+    with monkeypatch.context() as m:
+        m.setattr(ho.LinearSystem, "rows", property(refuse))
+        assert queries() == want
+
+
+@pytest.mark.parametrize(
+    "field, n, lifted",
+    [(QQ, 3, False), (QQ, 3, True), (PrimeField(3), 3, False), (PrimeField(101), 4, False)],
+    ids=["Q-3", "Q-3-lift", "F3-3", "F101-4"],
+)
+def test_rank_and_nullspace_match_the_sorted_rows(monkeypatch, field, n, lifted):
+    # On every system that the f1-slot queries eliminate, the rank and the
+    # nullspace equal those of the sorted rows without their constants.
+    systems = []
+    _eliminated_systems(monkeypatch, ho.HomComplex, _f1_slot_queries(field, n, lifted), systems=systems)
+    assert len(systems) > 10
+    rng = random.Random(35)
+    for system in systems:
+        fd, total = system.field, system.total
+        rows = [row for row, _ in system.rows]
+        labels = [rng.randrange(3) for _ in range(total)]
+        pivots = linalg.pivot_columns(fd, rows)
+        assert system.coefficient_rank() == len(pivots)
+        assert system.coefficient_rank(labels) == Counter(labels[c] for c in pivots)
+        reduced = linalg.sparse_rref(fd, rows)
+        want = [system._extract(vec) for vec in linalg.null_basis(fd, reduced, total)]
+        got = system.homogeneous_nullspace()
+        assert got == want
+        assert list(map(_typed_entries, got)) == list(map(_typed_entries, want))
 
 
 def _assignment_from_rref(system):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from math import lcm
@@ -228,10 +229,14 @@ def test_sparse_kernel_matches_dense_reference(field, values):
         red, pivots = _reference_rref(field, a)
         assert linalg.rref(field, a) == (red, pivots)
         rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+        kept = copy.deepcopy(rows)
         sparse = linalg.sparse_rref(field, rows)
+        assert rows == kept
         assert list(sparse) == pivots
         assert linalg.rank(field, rows) == len(pivots)
+        assert rows == kept
         assert linalg.pivot_columns(field, rows) == pivots
+        assert rows == kept
         for row, c in zip(red, pivots):
             assert sparse[c] == {j: x for j, x in enumerate(row) if x}
         scalars = [x for row in sparse.values() for x in row.values()]
@@ -241,14 +246,31 @@ def test_sparse_kernel_matches_dense_reference(field, values):
             b = [[field.coerce(rng.randrange(-2, 3)) for _ in range(nrhs)] for _ in range(nrows)]
             want = _reference_solve(field, a, b)
             inconsistent += want is None
-            got = linalg.sparse_solve(field, [{**r, **_sparse_row(x, ncols)} for r, x in zip(rows, b)], ncols)
+            augmented = [{**r, **_sparse_row(x, ncols)} for r, x in zip(rows, b)]
+            kept_augmented = copy.deepcopy(augmented)
+            got = linalg.sparse_solve(field, augmented, ncols)
+            assert augmented == kept_augmented
             if want is None:
                 assert got is None
             else:
                 assert got == {c: _sparse_row(x, ncols) for c, x in enumerate(want) if any(x)}
                 scalars = [x for row in got.values() for x in row.values()]
                 assert all(_is_canonical(field, x) for x in scalars)
+                _overwrite(got.values())
+                assert augmented == kept_augmented
+        # No output row is an input row: writing to them leaves the input.
+        _overwrite(sparse.values())
+        assert rows == kept
     assert inconsistent > 20
+
+
+def _overwrite(rows):
+    """Write to every row: one entry changed, one added."""
+    for row in rows:
+        for c in row:
+            row[c] = "written"
+            break
+        row[-1] = "added"
 
 
 def _sparse_row(values, start):
